@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# CI entry point: a -Werror build + full test suite, then a ThreadSanitizer
-# build running the tier-1 suite. Usage: scripts/ci.sh [jobs]
+# CI entry point: a -Werror build + full test suite, then ThreadSanitizer
+# and AddressSanitizer+UBSan builds running the tier-1 suite.
+# Usage: scripts/ci.sh [jobs]
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -34,6 +35,17 @@ ctest --test-dir build-tsan --output-on-failure -j "$JOBS"
 
 echo "=== tsan sim sweep ==="
 ctest --test-dir build-tsan -L sim --output-on-failure --timeout 240 -j "$JOBS"
+
+echo "=== asan+ubsan build ==="
+# Memory errors and undefined behaviour (misaligned atomics in the shm
+# segment, out-of-bounds shard indexing, signed overflow) abort the test
+# that hits them: -fno-sanitize-recover turns every UBSan report fatal.
+cmake --preset asan >/dev/null
+cmake --build --preset asan -j "$JOBS"
+ctest --test-dir build-asan --output-on-failure -j "$JOBS"
+
+echo "=== asan+ubsan sim sweep ==="
+ctest --test-dir build-asan -L sim --output-on-failure --timeout 240 -j "$JOBS"
 
 echo "=== wire backend smoke (shm + tcp, one process per rank) ==="
 # Real cross-process machines through the launcher: 4 rankproc processes

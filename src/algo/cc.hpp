@@ -109,8 +109,19 @@ class cc_solver {
           [this](ampp::transport_context& c, vertex_id dep) { (*search_)(c, dep); });
       ampp::epoch ep(ctx);
       strategy::for_each_local_vertex(ctx, *g_, [&](vertex_id v) {
-        if (pnt_[v] == graph::invalid_vertex) {
-          pnt_[v] = v;  // new search root
+        // Handler threads may claim v for another search concurrently;
+        // they write pnt_ atomically under v's lock, so test-and-claim
+        // the same way.
+        bool root = false;
+        {
+          auto guard = locks_.guard(v);
+          std::atomic_ref<vertex_id> p(pnt_[v]);
+          if (p.load(std::memory_order_relaxed) == graph::invalid_vertex) {
+            p.store(v, std::memory_order_relaxed);  // new search root
+            root = true;
+          }
+        }
+        if (root) {
           ++seeded;
           (*search_)(ctx, v);
           // "the system tries to perform as much work as possible ...

@@ -2,7 +2,9 @@
 //
 // One declarative relax action (Fig. 2) is shared verbatim by all three
 // execution schedules — this is the paper's headline reuse claim:
-//   * fixed_point  — the chaotic label-correcting iteration of Fig. 1,
+//   * fixed_point  — the label-correcting iteration of Fig. 1, with improved
+//                    vertices scheduled through a deduplicated per-rank
+//                    work queue (docs/runtime.md "fixed_point scheduling"),
 //   * Δ-stepping   — the bucketed strategy (coordinated, epoch per bucket),
 //   * Δ-stepping (uncoordinated) — the try_finish form of §III-D.
 #pragma once
@@ -70,8 +72,8 @@ class sssp_solver {
   /// Decremental / general (any deletions): call invalidate_unsupported()
   /// at the boundary first, then seed with its returned frontier plus the
   /// added-edge sources. Seeds whose label was invalidated to infinity are
-  /// dropped here; if they become reachable again the chaotic relaxation
-  /// re-fires their out-edges on its own.
+  /// dropped here; if they become reachable again the fixed point files
+  /// and re-applies them on its own.
   strategy::result repair(ampp::transport_context& ctx,
                           std::span<const vertex_id> sources,
                           const strategy::options& opt = {}) {
@@ -202,10 +204,13 @@ class sssp_solver {
     auto mine = dist_.local(ctx.rank());
     for (auto& x : mine) x = infinity;
     if (g_->owner(source) == ctx.rank()) dist_[source] = 0.0;
-    // Racy-but-idempotent: every rank writes the same values, and the
-    // strategy's hook-install barrier orders them before any read.
-    source_ = source;
-    has_solution_ = true;
+    // One writer per solver instance (rank 0 in-process; each rank process
+    // owns its own instance); the strategy's hook-install barrier orders
+    // the write before any read.
+    if (ctx.rank() == 0 || ctx.tp().cross_process()) {
+      source_ = source;
+      has_solution_ = true;
+    }
   }
 
   const graph::distributed_graph* g_;

@@ -17,7 +17,10 @@ namespace {
 // Segment layout:
 //   [segment_header][ring(0,0)][ring(0,1)]...[ring(N-1,N-1)]
 // ring(s,d) occupies sizeof(ring_header) + ring_bytes; only (s != d) rings
-// are ever used but the full matrix keeps indexing trivial.
+// are ever used but the full matrix keeps indexing trivial. The header
+// region and the ring stride are both rounded up to kRingAlign so every
+// ring_header lands on its declared 64-byte alignment (mmap returns a
+// page-aligned base).
 //
 // Frame encoding inside a ring: [u64 frame_bytes][wire_header][payload],
 // the whole record padded to 8 bytes. A frame never wraps: if the tail is
@@ -48,12 +51,21 @@ struct alignas(64) ring_header {
   char pad1[64 - sizeof(std::atomic<std::uint64_t>)];
 };
 
+constexpr std::size_t kRingAlign = alignof(ring_header);
+static_assert(kRingAlign == 64);
+
+constexpr std::size_t align_ring(std::size_t n) {
+  return (n + kRingAlign - 1) & ~(kRingAlign - 1);
+}
+
+constexpr std::size_t kHeaderRegionBytes = align_ring(sizeof(segment_header));
+
 std::size_t ring_slot_bytes(std::uint32_t ring_bytes) {
-  return sizeof(ring_header) + ring_bytes;
+  return align_ring(sizeof(ring_header) + ring_bytes);
 }
 
 std::size_t segment_bytes(rank_t n_ranks, std::uint32_t ring_bytes) {
-  return sizeof(segment_header) +
+  return kHeaderRegionBytes +
          static_cast<std::size_t>(n_ranks) * n_ranks * ring_slot_bytes(ring_bytes);
 }
 
@@ -70,10 +82,15 @@ struct shm_ring_backend::ring {
   }
 };
 
-shm_ring_backend::ring* shm_ring_backend::ring_at(rank_t src, rank_t dest) {
-  auto* p = static_cast<std::byte*>(base_) + sizeof(segment_header) +
+shm_ring_backend::ring* shm_ring_backend::ring_at(rank_t src, rank_t dest) const {
+  auto* p = static_cast<std::byte*>(base_) + kHeaderRegionBytes +
             (static_cast<std::size_t>(src) * n_ranks_ + dest) * ring_slot_bytes(ring_bytes_);
   return reinterpret_cast<ring*>(p);
+}
+
+const void* shm_ring_backend::ring_address(rank_t src, rank_t dest) const {
+  DPG_ASSERT_MSG(src < n_ranks_ && dest < n_ranks_, "shm backend: ring index out of range");
+  return ring_at(src, dest);
 }
 
 shm_ring_backend::shm_ring_backend(const backend_config& cfg, rank_t n_ranks,
@@ -132,6 +149,18 @@ shm_ring_backend::shm_ring_backend(const backend_config& cfg, rank_t n_ranks,
     throw wire_error("shm backend: mmap failed");
   }
   map_len_ = len;
+  // Every ring must sit on its 64-byte alignment: the atomics in
+  // ring_header are accessed through a pointer of that type, and a
+  // misaligned one is undefined behaviour (and splits cache lines).
+  for (rank_t s = 0; s < n_ranks_; ++s)
+    for (rank_t d = 0; d < n_ranks_; ++d)
+      if (reinterpret_cast<std::uintptr_t>(ring_at(s, d)) % kRingAlign != 0) {
+        ::munmap(base_, map_len_);
+        base_ = nullptr;
+        if (creator_) ::shm_unlink(shm_name_.c_str());
+        throw wire_error("shm backend: ring (" + std::to_string(s) + "," +
+                         std::to_string(d) + ") is not 64-byte aligned in the segment");
+      }
 
   auto* seg = static_cast<segment_header*>(base_);
   if (creator_) {

@@ -31,10 +31,14 @@ class shm_ring_backend final : public wire_backend {
   void send(rank_t dest, const wire_header& h, const std::byte* payload) override;
   std::size_t poll(const frame_sink& sink) override;
 
+  /// Address of ring (src, dest) inside this process's mapping of the
+  /// segment — exposed so layout tests can check its alignment.
+  const void* ring_address(rank_t src, rank_t dest) const;
+
  private:
   struct ring;  // layout in shm_ring.cpp
 
-  ring* ring_at(rank_t src, rank_t dest);
+  ring* ring_at(rank_t src, rank_t dest) const;
   void push_frame(ring& r, const wire_header& h, const std::byte* payload);
 
   rank_t self_ = 0;

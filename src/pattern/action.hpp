@@ -12,8 +12,11 @@
 //
 //   auto act = instantiate(tp, g, locks, relax);
 //   act->work([&](ampp::transport_context& ctx, vertex_id dep) {  // §IV-C
-//     (*act)(ctx, dep);                                           // fixed point
+//     (*act)(ctx, dep);                          // re-apply in the handler
 //   });
+//
+// (strategy::fixed_point installs a hook that files `dep` in the owner's
+// work queue instead and applies it from its epoch loop.)
 //
 // Instantiation performs the paper's §IV-A translation: locality analysis,
 // hop planning, merging of the final gather with evaluate+modify, message
@@ -38,6 +41,7 @@
 #include "ampp/transport.hpp"
 #include "graph/distributed_graph.hpp"
 #include "pattern/planner.hpp"
+#include "pattern/work_queue.hpp"
 #include "pmap/lock_map.hpp"
 #include "util/simd.hpp"
 
@@ -183,7 +187,24 @@ class action_instance {
   /// This-rank's modification counter (for `once`-style local deltas).
   std::uint64_t modifications_on(ampp::rank_t r) const { return mods_[r].n.load(); }
 
+  /// Distribution of the graph the action was instantiated on.
+  virtual const graph::distribution& vertex_dist() const = 0;
+
+  /// Rank r's queue of pending dependent vertices (local indices), filled
+  /// by the fixed_point strategy's hook and drained by its epoch loop. It
+  /// lives here rather than on a rank's stack because in-process every
+  /// rank shares this instance and the one hook rank 0 installs.
+  work_queue& pending_work(ampp::rank_t r) { return work_[r]; }
+
  protected:
+  /// Sizes the per-rank state — counters and work queues — for `ranks`
+  /// ranks. vector(n) constructs in place (atomics and locks do not move).
+  void init_rank_state(ampp::rank_t ranks) {
+    invocations_ = std::vector<padded_counter>(ranks);
+    mods_ = std::vector<padded_counter>(ranks);
+    work_ = std::vector<work_queue>(ranks);
+  }
+
   struct padded_counter {
     alignas(64) std::atomic<std::uint64_t> n{0};
   };
@@ -198,6 +219,7 @@ class action_instance {
   work_hook hook_;
   std::vector<padded_counter> invocations_;
   std::vector<padded_counter> mods_;
+  std::vector<work_queue> work_;
 };
 
 // ---------------------------------------------------------------------------
@@ -548,12 +570,12 @@ class instantiated_action final : public action_instance {
                       compile_options opts = {})
       : tp_(&tp), g_(&g), locks_(&locks), gen_(def.gen) {
     name_ = std::move(def.name);
-    // vector(n) constructs counters in place (atomics are not movable).
-    invocations_ = std::vector<padded_counter>(tp.size());
-    mods_ = std::vector<padded_counter>(tp.size());
+    init_rank_state(tp.size());
     build(def, opts);
     register_messages();
   }
+
+  const graph::distribution& vertex_dist() const override { return g_->dist(); }
 
   void operator()(ampp::transport_context& ctx, graph::vertex_id v) override {
     DPG_ASSERT_MSG(g_->owner(v) == ctx.rank(), "action invoked off the owner of v");

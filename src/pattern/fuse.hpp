@@ -162,11 +162,12 @@ class fused_action final : public action_instance {
                std::tuple<action_def<Gen, Whens>...> defs,
                compile_options opts = {})
       : tp_(&tp), g_(&g) {
-    invocations_ = std::vector<padded_counter>(tp.size());
-    mods_ = std::vector<padded_counter>(tp.size());
+    init_rank_state(tp.size());
     build(defs, opts);
     register_messages();
   }
+
+  const graph::distribution& vertex_dist() const override { return g_->dist(); }
 
   void operator()(ampp::transport_context& ctx, graph::vertex_id v) override {
     DPG_ASSERT_MSG(g_->owner(v) == ctx.rank(), "action invoked off the owner of v");

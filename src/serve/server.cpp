@@ -1,7 +1,10 @@
 #include "serve/server.hpp"
 
 #include <chrono>
+#include <cmath>
 #include <condition_variable>
+#include <stdexcept>
+#include <string>
 
 namespace dpg::serve {
 
@@ -12,6 +15,19 @@ std::uint64_t now_us() {
       std::chrono::duration_cast<std::chrono::microseconds>(
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
+}
+
+/// Rejects a query no solver can run. Called before the query touches the
+/// cache, the in-flight table or a session, so a bad request leaves no
+/// trace in the server.
+void validate(const serve::query& q, graph::vertex_id n) {
+  if (q.params.source >= n)
+    throw std::invalid_argument("serve: source " + std::to_string(q.params.source) +
+                                " out of range for a graph of " + std::to_string(n) +
+                                " vertices");
+  if (!std::isfinite(q.params.delta) || q.params.delta < 0.0)
+    throw std::invalid_argument("serve: delta must be finite and non-negative, got " +
+                                std::to_string(q.params.delta));
 }
 
 }  // namespace
@@ -74,6 +90,7 @@ std::shared_ptr<const session_result> server::repair_query(
 
 std::shared_ptr<const session_result> server::serve_one(const serve::query& q,
                                                         bool try_repair) {
+  validate(q, g_->num_vertices());
   const std::uint64_t t0 = now_us();
   // The shared topology lock spans the whole serve: the version the result
   // is keyed on cannot move underneath the solve, and mutations queue

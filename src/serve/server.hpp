@@ -76,11 +76,14 @@ class server {
   /// Serves one query: cache hit, merge onto an identical in-flight query,
   /// or a fresh solve on a pooled session. Thread-safe; blocks while a
   /// mutation holds the topology lock. The result is immutable and shared.
+  /// Throws std::invalid_argument, before admitting the query anywhere,
+  /// for a source outside the graph or a NaN, infinite or negative delta.
   std::shared_ptr<const session_result> query(const serve::query& q);
 
   /// Like query(), but a miss warm-repairs from the most recent mutation
   /// batch instead of solving from scratch (transparently falls back to a
-  /// full solve when the leased session can't repair soundly).
+  /// full solve when the leased session can't repair soundly). Validates
+  /// the query like query().
   std::shared_ptr<const session_result> repair_query(const serve::query& q);
 
   /// One streaming ingest step at the non-morphing boundary: waits out

@@ -21,6 +21,7 @@
 // bucket structure" (its buckets can refill while it tries to end).
 #pragma once
 
+#include <atomic>
 #include <limits>
 #include <span>
 #include <vector>
@@ -144,7 +145,9 @@ class delta_stepping {
   buckets& my_buckets(ampp::transport_context& ctx) { return buckets_[ctx.rank()]; }
 
   double priority(vertex_id v) const {
-    return static_cast<double>((*m_)[v]);
+    // Atomic like the relax CAS it can race with: with handler threads, a
+    // concurrent handler may be lowering m[v] while this hook files v.
+    return static_cast<double>(std::atomic_ref<T>((*m_)[v]).load(std::memory_order_relaxed));
   }
 
   const graph::distributed_graph* g_;

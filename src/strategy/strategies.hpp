@@ -78,28 +78,50 @@ void for_each_local_vertex(ampp::transport_context& ctx,
   for (std::uint64_t li = 0; li < cnt; ++li) fn(d.global(ctx.rank(), li));
 }
 
-/// The fixed_point strategy, verbatim from §II-A:
+/// The fixed_point strategy of §II-A. The paper writes it as
 ///
 ///   strategy fixed_point(action a, container vertices) {
 ///     a.work(Vertex v) = { a(v) };
 ///     epoch { for (v in vertices) a(v); }
 ///   }
 ///
+/// Here the hook only files the dependent vertex in its owner rank's
+/// deduplicated work queue (action_instance::pending_work); the strategy
+/// applies it from its epoch loop. A vertex improved several times while it
+/// waits is applied once, against its current label, so every improvement
+/// that landed in the meantime goes out in a single sweep of its edges.
+/// The fixed point is the same; see docs/runtime.md "fixed_point
+/// scheduling" for why termination detection stays sound.
+///
 /// `seeds` holds the seed vertices owned by the calling rank (SPMD callers
 /// pass their local portion). Collective; returns when the fixed point is
 /// reached everywhere.
 inline result fixed_point(ampp::transport_context& ctx, pattern::action_instance& a,
                           std::span<const vertex_id> seeds, const options& opt = {}) {
-  install_hook_collective(
-      ctx, a, [&a](ampp::transport_context& c, vertex_id dep) { a(c, dep); });
+  const ampp::rank_t r = ctx.rank();
+  const graph::distribution& d = a.vertex_dist();
+  pattern::work_queue& q = a.pending_work(r);
+  // Each rank readies its own queue; the install barrier orders this
+  // before any other rank's handler can file work here.
+  q.prepare(d.count(r), ctx.tp().config().handler_threads > 0);
+  install_hook_collective(ctx, a, [&a](ampp::transport_context& c, vertex_id dep) {
+    a.pending_work(c.rank()).push(a.vertex_dist().local_index(dep));
+  });
   obs::registry& reg = ctx.tp().obs();
   std::optional<obs::stats_scope> sc;
   if (opt.collect_stats) sc.emplace(reg);
   const std::uint64_t before = a.modifications();
   {
-    obs::trace_span sp(&reg.trace(), "strategy", "fixed_point", ctx.rank());
+    obs::trace_span sp(&reg.trace(), "strategy", "fixed_point", r);
     ampp::epoch ep(ctx);
     for (const vertex_id v : seeds) a(ctx, v);
+    // Every push follows a counted receipt, so a TD round that declares the
+    // epoch done proves no push happened since this rank's previous
+    // report, and the queue was emptied after that report.
+    for (;;) {
+      while (const auto li = q.pop()) a(ctx, d.global(r, *li));
+      if (ep.try_finish()) break;
+    }
   }
   result res;
   res.rounds = 1;

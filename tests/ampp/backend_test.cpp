@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "ampp/backend.hpp"
+#include "ampp/backend/shm_ring.hpp"
 #include "ampp/wire.hpp"
 
 namespace dpg::ampp {
@@ -166,6 +167,23 @@ TEST(ShmRingBackend, AllToAllUnderConcurrency) {
       chk.drain(kPerPair * (kRanks - 1));
     });
   for (auto& t : threads) t.join();
+}
+
+TEST(ShmRingBackend, EveryRingIsCacheLineAligned) {
+  // The ring headers are alignas(64) atomics addressed inside the mapped
+  // segment: the header region and the ring stride must keep every one of
+  // them on a 64-byte boundary, at every machine size.
+  for (rank_t n = 1; n <= 4; ++n) {
+    auto m = make_machine(backend_config::kind_t::shm_ring, n, 1u << 14);
+    for (rank_t self = 0; self < n; ++self) {
+      const auto* b = dynamic_cast<const backend::shm_ring_backend*>(m[self].get());
+      ASSERT_NE(b, nullptr);
+      for (rank_t src = 0; src < n; ++src)
+        for (rank_t dest = 0; dest < n; ++dest)
+          EXPECT_EQ(reinterpret_cast<std::uintptr_t>(b->ring_address(src, dest)) % 64, 0u)
+              << "n_ranks=" << n << " ring(" << src << "," << dest << ") in rank " << self;
+    }
+  }
 }
 
 TEST(ShmRingBackend, GeometryMismatchIsRejected) {

@@ -8,7 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <barrier>
+#include <limits>
 #include <map>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -112,6 +114,36 @@ TEST(ServerTest, BfsAndCcMatchDirectSolvers) {
     EXPECT_EQ(fa->second, b) << "v=" << v;
     EXPECT_EQ(ra->second, a) << "v=" << v;
   }
+}
+
+// Malformed queries are refused with a typed error before they reach the
+// cache, the in-flight table or a session; the server stays healthy and
+// answers the next valid query exactly.
+TEST(ServerTest, RejectsInvalidQueriesAndKeepsServing) {
+  fixture fx;
+  server srv(fx.g, fx.w, fx.cfg());
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<serve::query> bad{
+      {.algo = algorithm::sssp, .params = {.source = kN}},
+      {.algo = algorithm::bfs, .params = {.source = kN + 1000}},
+      {.algo = algorithm::sssp, .params = {.source = 0, .delta = nan}},
+      {.algo = algorithm::sssp, .params = {.source = 0, .delta = inf}},
+      {.algo = algorithm::bfs, .params = {.source = 0, .delta = -1.0}},
+  };
+  for (const serve::query& q : bad) {
+    EXPECT_THROW(srv.query(q), std::invalid_argument);
+    EXPECT_THROW(srv.repair_query(q), std::invalid_argument);
+  }
+  EXPECT_EQ(srv.cache().size(), 0u);
+  EXPECT_EQ(srv.cache().misses(), 0u);
+  EXPECT_EQ(srv.pool().created(), 0u);
+
+  auto r = srv.query({.algo = algorithm::sssp, .params = {.source = 7}});
+  ASSERT_NE(r, nullptr);
+  const auto oracle = algo::dijkstra(fx.g, fx.w, 7);
+  for (graph::vertex_id v = 0; v < kN; ++v)
+    EXPECT_EQ(r->values[v], std::bit_cast<std::uint64_t>(oracle[v])) << "v=" << v;
 }
 
 // The admission guarantee behind the serving throughput claim: N identical

@@ -109,6 +109,61 @@ TEST(SeedSweep, SsspFixedPointCompileToggles) {
   });
 }
 
+TEST(SeedSweep, FixedPointHandlerThreads) {
+  // With dedicated handler threads, fixed_point's per-rank work queue is
+  // filled by helpers while the rank's own thread drains it. Every
+  // fixed-point algorithm must still land on its oracle under every plan.
+  for (const unsigned threads : {1u, 2u}) {
+    SCOPED_TRACE(::testing::Message() << "handler_threads=" << threads);
+    sweep("fixed_point_handler_threads", [threads](std::uint64_t seed, ampp::rank_t ranks,
+                                                   const plan_spec& ps,
+                                                   std::uint64_t& events) {
+      const auto config = sim_config(ranks, seed, ps, 8, threads);
+      distributed_graph g(kN, sim_edges(seed, false), distribution::cyclic(kN, ranks));
+      auto weight = sim_weights(g);
+      const auto dist_oracle = algo::dijkstra(g, weight, 0);
+      const auto depth_oracle = algo::bfs_levels(g, 0);
+      ampp::transport tp(config);
+      algo::sssp_solver sssp(tp, g, weight);
+      algo::bfs_solver bfs(tp, g);
+      tp.run([&](ampp::transport_context& ctx) {
+        sssp.run_fixed_point(ctx, 0);
+        bfs.run_fixed_point(ctx, 0);
+      });
+      for (vertex_id v = 0; v < kN; ++v) {
+        ASSERT_EQ(sssp.dist()[v], dist_oracle[v]) << "v=" << v;
+        const std::uint64_t want = depth_oracle[v] < 0
+                                       ? bfs.unreachable_depth()
+                                       : static_cast<std::uint64_t>(depth_oracle[v]);
+        ASSERT_EQ(bfs.depth()[v], want) << "v=" << v;
+      }
+      const auto s = tp.obs().snapshot();
+      assert_fault_consistency(s);
+      assert_occupancy_conserved(tp);
+      events += fault_events(s);
+
+      // CC's propagate phase is a fixed point too.
+      distributed_graph sg(kN, sim_edges(seed, true), distribution::cyclic(kN, ranks));
+      const auto cc_oracle = algo::cc_union_find(sg);
+      algo::cc_solver cc(sg, config);
+      cc.solve();
+      std::vector<vertex_id> fwd(kN, graph::invalid_vertex), bwd(kN, graph::invalid_vertex);
+      for (vertex_id v = 0; v < kN; ++v) {
+        const vertex_id a = cc_oracle[v], b = cc.components()[v];
+        if (fwd[a] == graph::invalid_vertex) fwd[a] = b;
+        if (bwd[b] == graph::invalid_vertex) bwd[b] = a;
+        ASSERT_EQ(fwd[a], b) << "v=" << v;
+        ASSERT_EQ(bwd[b], a) << "v=" << v;
+      }
+      const auto cs = cc.transport().obs().snapshot();
+      assert_fault_consistency(cs);
+      assert_occupancy_conserved(cc.transport());
+      events += fault_events(cs);
+    });
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
 TEST(SeedSweep, SsspDeltaStepping) {
   sweep("sssp_delta", [](std::uint64_t seed, ampp::rank_t ranks, const plan_spec& ps,
                          std::uint64_t& events) {

@@ -73,11 +73,13 @@ inline std::string repro(const char* algo, const char* plan, ampp::rank_t ranks,
 /// one never perturbs the others.
 inline ampp::transport_config sim_config(ampp::rank_t ranks, std::uint64_t seed,
                                          const plan_spec& ps,
-                                         std::size_t coalescing = 8) {
+                                         std::size_t coalescing = 8,
+                                         unsigned handler_threads = 0) {
   return ampp::transport_config{.n_ranks = ranks,
                                 .coalescing_size = coalescing,
                                 .seed = substream_seed(seed, 3),
-                                .faults = ps.make(substream_seed(seed, 2))};
+                                .faults = ps.make(substream_seed(seed, 2)),
+                                .handler_threads = handler_threads};
 }
 
 /// The conservation laws every quiescent faulty run must satisfy: all
