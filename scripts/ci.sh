@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # CI entry point: a -Werror build + full test suite, then ThreadSanitizer
-# and AddressSanitizer+UBSan builds running the tier-1 suite.
+# and AddressSanitizer+UBSan builds running the tier-1 suite, benchmark
+# smoke runs with ratio guards, and the end-to-end benchmark's self-check.
 # Usage: scripts/ci.sh [jobs]
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -72,7 +73,7 @@ echo "=== bench smoke (1 repetition, JSON out) ==="
 # inspection. The werror tree already built the bench binaries.
 BUILD_DIR=build-werror BENCH_SUFFIX=.ci \
   BENCH_ARGS="--benchmark_min_time=0.01 --benchmark_repetitions=1" \
-  scripts/bench_json.sh epoch sssp message_plan mutation
+  scripts/bench_json.sh epoch sssp message_plan mutation pagerank
 
 echo "=== bench ratio guard (pattern vs hand-rolled SSSP) ==="
 # With the whole-envelope batch kernels the declarative relax pattern has
@@ -96,6 +97,37 @@ ratio = pattern / hand
 print(f"pattern fixed-point / hand-rolled @2 ranks: {ratio:.2f}x (limit 1.3x)")
 if ratio >= 1.3:
     raise SystemExit("ratio guard FAILED: compiled pattern SSSP regressed vs hand-rolled")
+EOF
+
+echo "=== bench ratio guard (pattern vs hand-rolled PageRank) ==="
+# PageRank's unconditional scatter compiles to the scatter kernel's 16-byte
+# {target, share} record: the same messages a hand-written AM++ scatter
+# sends. The pattern must stay within 1.3x of that hand-rolled loop at 2
+# ranks; falling back to the 96-byte gather chain fails this guard. A
+# 2-rank run at this scale is mostly epoch and barrier waits, so single
+# smoke repetitions swing past 1.3x on their own: the guard compares
+# medians of nine interleaved 0.1 s repetitions.
+BUILD_DIR=build-werror BENCH_SUFFIX=.guard.ci \
+  BENCH_FILTER='BM_PageRank(Pattern|HandRolled)/2/' \
+  BENCH_ARGS="--benchmark_min_time=0.1 --benchmark_repetitions=9 --benchmark_enable_random_interleaving=true" \
+  scripts/bench_json.sh pagerank
+python3 - <<'EOF'
+import json
+with open("BENCH_pagerank.guard.ci.json") as f:
+    rows = json.load(f)["benchmarks"]
+
+def real_time(name):
+    for r in rows:
+        if r.get("run_name") == name and r.get("aggregate_name") == "median":
+            return r["real_time"]
+    raise SystemExit(f"ratio guard: median of '{name}' missing from BENCH_pagerank.guard.ci.json")
+
+pattern = real_time("BM_PageRankPattern/2/real_time")
+hand = real_time("BM_PageRankHandRolled/2/real_time")
+ratio = pattern / hand
+print(f"pattern PageRank / hand-rolled scatter @2 ranks: {ratio:.2f}x (limit 1.3x)")
+if ratio >= 1.3:
+    raise SystemExit("ratio guard FAILED: compiled PageRank scatter regressed vs hand-rolled")
 EOF
 
 echo "=== bench ratio guard (warm repair vs cold re-solve) ==="
@@ -213,5 +245,13 @@ print(f"8-client / 1-client serving throughput: {ratio:.1f}x (limit >=4.0x)")
 if ratio < 4.0:
     raise SystemExit("serving guard FAILED: concurrent sessions lost their throughput multiple")
 EOF
+
+echo "=== end-to-end benchmark self-check (perfbench --smoke) ==="
+# Every workload of the repo's end-to-end benchmark (BENCHMARK.json) at
+# scale 11 (serve-mixed at 9), traced and untraced: builds perfbench from this checkout's
+# sources, checks every metric name and unit against BENCHMARK.json and
+# every result against its sequential oracle. Catches metric or oracle rot
+# before a benchmark run does.
+python3 perfbench/run.py --smoke
 
 echo "CI OK"

@@ -2,7 +2,10 @@
 // into the target's slot with a general `modify` (the grammar's arbitrary
 // property-map modification), and an imperative per-iteration epilogue
 // applies damping and swaps buffers — a textbook case of the paper's
-// "declarative patterns inside imperative algorithms".
+// "declarative patterns inside imperative algorithms". The unconditional
+// scatter compiles to the 16-byte {target, share} record of the scatter
+// kernel (pattern/action.hpp, detail::scatter_shape);
+// compile_options::fast_path = off keeps the general gather path.
 #pragma once
 
 #include <memory>
@@ -16,7 +19,8 @@ using graph::vertex_id;
 
 class pagerank_solver {
  public:
-  pagerank_solver(ampp::transport& tp, const graph::distributed_graph& g)
+  pagerank_solver(ampp::transport& tp, const graph::distributed_graph& g,
+                  pattern::compile_options opts = {})
       : g_(&g),
         rank_(g, 0.0),
         next_(g, 0.0),
@@ -34,7 +38,8 @@ class pagerank_solver {
                                 [](double& acc, double contribution) {
                                   acc += contribution;
                                 },
-                                share(v_)))));
+                                share(v_)))),
+        opts);
   }
 
   /// Collective: `iterations` damped power-iteration rounds.
@@ -81,6 +86,7 @@ class pagerank_solver {
   }
 
   pmap::vertex_property_map<double>& ranks() { return rank_; }
+  const pattern::plan_info& plan() const { return scatter_->plan(); }
 
  private:
   const graph::distributed_graph* g_;

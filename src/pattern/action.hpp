@@ -141,7 +141,9 @@ struct plan_info {
   std::vector<std::string> hop_localities;
   std::vector<int> hop_reads;  ///< gather reads performed per hop
   std::string final_locality;
-  bool fast_path = false;    ///< single-locality relax kernel engaged
+  /// Single-locality kernel engaged: the relax kernel when atomic_path is
+  /// set (compare-and-update), else the unconditional scatter kernel.
+  bool fast_path = false;
   bool batch_kernel = false; ///< whole-envelope SIMD batch dispatch engaged
   bool fast_reduction = false;  ///< sender-side combining cache on the relax lane
   std::size_t cse_hits = 0;  ///< duplicate reads sharing one arena slot
@@ -305,6 +307,7 @@ struct fast_shape : std::false_type {
   using idx_expr = v_expr;
   using val_expr = lit_expr<int>;
   using value_type = int;
+  using slot_type = int;
   static constexpr bool min_update = false;
 };
 
@@ -327,6 +330,7 @@ struct fast_shape<when_clause<bin_expr<op_gt, read_expr<PM, Idx>, R>,
   using idx_expr = Idx;
   using val_expr = R;
   using value_type = typename PM::value_type;
+  using slot_type = value_type;
   static constexpr bool min_update = true;
   static bool cmp(const value_type& cur, const value_type& prop) { return prop < cur; }
 };
@@ -341,6 +345,7 @@ struct fast_shape<when_clause<bin_expr<op_lt, L, read_expr<PM, Idx>>,
   using idx_expr = Idx;
   using val_expr = L;
   using value_type = typename PM::value_type;
+  using slot_type = value_type;
   static constexpr bool min_update = true;
   static bool cmp(const value_type& cur, const value_type& prop) { return prop < cur; }
 };
@@ -355,6 +360,7 @@ struct fast_shape<when_clause<bin_expr<op_lt, read_expr<PM, Idx>, R>,
   using idx_expr = Idx;
   using val_expr = R;
   using value_type = typename PM::value_type;
+  using slot_type = value_type;
   static constexpr bool min_update = false;
   static bool cmp(const value_type& cur, const value_type& prop) { return cur < prop; }
 };
@@ -369,8 +375,50 @@ struct fast_shape<when_clause<bin_expr<op_gt, L, read_expr<PM, Idx>>,
   using idx_expr = Idx;
   using val_expr = L;
   using value_type = typename PM::value_type;
+  using slot_type = value_type;
   static constexpr bool min_update = false;
   static bool cmp(const value_type& cur, const value_type& prop) { return cur < prop; }
+};
+
+/// The second single-locality fast shape: an unconditional scatter
+/// `when(lit(true), modify(pm[idx], F, arg))` (PageRank's accumulate).
+/// There is no comparison to make atomic, so it compiles to the same
+/// 16-byte {destination vertex, argument value} record as the relax kernel,
+/// and the receiver applies the statically typed F to the owner's slot.
+///
+/// Requirements (checked at compile time; the guard literal's value is
+/// checked at build time):
+///   * exactly one argument, of arithmetic type (a vertex id or a number),
+///     so the record stays {8-byte vertex, <= 8-byte value};
+///   * the target index is not a pointer chase;
+///   * the argument obeys the relax kernel's value rule (fast_val_ok): it
+///     reads only at the invocation vertex, and reads nothing at all when
+///     the target is v itself.
+template <class When, class Gen>
+struct scatter_shape : std::false_type {
+  using pm_type = void;
+  using idx_expr = v_expr;
+  using val_expr = lit_expr<int>;
+  using value_type = int;
+  using slot_type = int;
+  using fn_type = int;
+  static constexpr bool min_update = false;
+};
+
+template <class PM, class Idx, class F, class Arg, class Gen>
+  requires (!is_edge_map<PM> && std::is_arithmetic_v<value_t<Arg>> &&
+            fast_idx_ok<PM, Idx, Gen> && fast_val_ok<PM, Idx, Arg, Gen>)
+struct scatter_shape<when_clause<lit_expr<bool>, modify_stmt<PM, Idx, F, Arg>>, Gen>
+    : std::true_type {
+  using pm_type = PM;
+  using idx_expr = Idx;
+  using val_expr = Arg;
+  /// What the general path hands F: the compiled argument's own type.
+  using value_type = std::remove_cvref_t<decltype(plan_builder<Gen>::compile_direct(
+      std::declval<const Arg&>())(std::declval<const gather_state&>()))>;
+  using slot_type = typename PM::value_type;
+  using fn_type = F;
+  static constexpr bool min_update = false;
 };
 
 // ---------------------------------------------------------------------------
@@ -619,14 +667,22 @@ class instantiated_action final : public action_instance {
 
  private:
   using FirstWhen = std::tuple_element_t<0, std::tuple<Whens...>>;
-  using fshape = detail::fast_shape<FirstWhen, Gen>;
   /// Statically: a one-when compare-and-update whose proposed value and
   /// target owner are computable at the invocation site — compilable into
   /// the minimal relax record instead of the general gather chain.
-  static constexpr bool kFastShape = sizeof...(Whens) == 1 && fshape::value;
+  static constexpr bool kRelax =
+      sizeof...(Whens) == 1 && detail::fast_shape<FirstWhen, Gen>::value;
+  /// Statically: a one-when unconditional scatter with the same locality
+  /// rules — compilable into the same minimal record, applied by F.
+  static constexpr bool kScatter =
+      sizeof...(Whens) == 1 && detail::scatter_shape<FirstWhen, Gen>::value;
+  static constexpr bool kFastShape = kRelax || kScatter;
+  using fshape = std::conditional_t<kScatter, detail::scatter_shape<FirstWhen, Gen>,
+                                    detail::fast_shape<FirstWhen, Gen>>;
 
-  /// The compact fast-path payload: destination vertex + proposed value
-  /// (16 bytes for SSSP/CC — the hand-written AM++ relax message).
+  /// The compact fast-path payload: destination vertex + proposed value or
+  /// scatter argument (16 bytes for SSSP/CC/PageRank — the hand-written
+  /// AM++ relax message).
   struct fast_rec {
     graph::vertex_id loc = graph::invalid_vertex;
     typename fshape::value_type val{};
@@ -722,33 +778,49 @@ class instantiated_action final : public action_instance {
       if (final_reads_.size() == 1 && !value_reads_target_) atomic_ok_ = true;
     }
 
-    // Compile the single-locality relax kernel when the shape admits it.
+    // Compile the single-locality relax or scatter kernel when the shape
+    // admits it.
     if constexpr (kFastShape) {
-      auto& a0 = std::get<0>(std::get<0>(def.whens).mods);
+      auto& w0 = std::get<0>(def.whens);
+      auto& a0 = std::get<0>(w0.mods);
       fast_pm_ = a0.target.pm;
       fast_idx_.emplace(plan_builder<Gen>::compile_direct(a0.target.idx));
-      // The proposed value hoists its v-indexed reads out of the edge loop
-      // (fast_generate runs fast_hoists_ once per application) — the same
-      // value economy as a hand-written relax handler. DPG_PATTERN_HOIST=0
-      // pre-fills the arena budget so every read falls back to the direct
-      // per-edge access (measurement escape hatch).
-      fast_val_.emplace(
-          plan_builder<Gen>::compile_direct_hoisted(a0.value, fast_hoists_));
-      use_fast_ = detail::resolve_toggle(static_cast<int>(opts.fast_path),
-                                         "DPG_PATTERN_FASTPATH");
+      // The proposed value (or scatter argument) hoists its v-indexed reads
+      // out of the edge loop (fast_generate runs fast_hoists_ once per
+      // application) — the same value economy as a hand-written relax
+      // handler.
+      if constexpr (kScatter) {
+        fast_val_.emplace(
+            plan_builder<Gen>::compile_direct_hoisted(std::get<0>(a0.args), fast_hoists_));
+        fast_fn_.emplace(a0.fn);
+        // Under polling progress only the owner's thread touches its shard;
+        // helper threads may apply records for one vertex concurrently.
+        scatter_locked_ = tp_->config().handler_threads > 0;
+      } else {
+        fast_val_.emplace(
+            plan_builder<Gen>::compile_direct_hoisted(a0.value, fast_hoists_));
+      }
+      // A `lit(false)` guard never fires; leave it to the general path.
+      bool guard_holds = true;
+      if constexpr (kScatter) guard_holds = w0.cond.value;
+      use_fast_ = guard_holds && detail::resolve_toggle(static_cast<int>(opts.fast_path),
+                                                        "DPG_PATTERN_FASTPATH");
       fast_local_ = merged_;  // v-homed target: apply in place, no message
       fast_dep_ = when_dep_[0];
-      // Whole-envelope batch dispatch rides on the fast record: it needs a
-      // wire message to batch (a fully local fast path has no envelopes).
-      use_batch_ = use_fast_ && !fast_local_ &&
-                   detail::resolve_toggle(static_cast<int>(opts.batch_kernel),
-                                          "DPG_PATTERN_BATCH");
-      // Sender-side combining likewise needs a wire lane to cache on, and
-      // only the fast shape knows its own monotone comparator.
-      use_reduce_ = use_fast_ && !fast_local_ &&
-                    detail::resolve_toggle(static_cast<int>(opts.fast_reduction),
-                                           "DPG_PATTERN_REDUCE");
-      simd_level_ = opts.simd_level;
+      if constexpr (kRelax) {
+        // Whole-envelope batch dispatch rides on the fast record: it needs
+        // a wire message to batch (a fully local fast path has no
+        // envelopes) and the shape's compare pre-filter.
+        use_batch_ = use_fast_ && !fast_local_ &&
+                     detail::resolve_toggle(static_cast<int>(opts.batch_kernel),
+                                            "DPG_PATTERN_BATCH");
+        // Sender-side combining likewise needs a wire lane to cache on, and
+        // only the relax shape knows its own monotone comparator.
+        use_reduce_ = use_fast_ && !fast_local_ &&
+                      detail::resolve_toggle(static_cast<int>(opts.fast_reduction),
+                                             "DPG_PATTERN_REDUCE");
+        simd_level_ = opts.simd_level;
+      }
     }
     use_compact_ = detail::resolve_toggle(static_cast<int>(opts.compact_wire),
                                           "DPG_PATTERN_COMPACT");
@@ -964,13 +1036,14 @@ class instantiated_action final : public action_instance {
     const auto* g = g_;
     if constexpr (kFastShape) {
       if (use_fast_) {
-        // Compiled relax kernel: one minimal message type, or none when the
-        // target is the invocation vertex itself (fully local application).
-        fast_label_ = name_ + ".relax";
+        // Compiled relax or scatter kernel: one minimal message type, or
+        // none when the target is the invocation vertex itself (fully local
+        // application).
+        fast_label_ = name_ + (kScatter ? ".scatter" : ".relax");
         batch_label_ = name_ + ".relax.batch";
         if (!fast_local_) {
           fast_msg_ = &tp_->make_message_type<fast_rec>(
-              name_ + ".relax",
+              fast_label_,
               [this](ampp::transport_context& ctx, const fast_rec& r) {
                 fast_handle(ctx, r);
               },
@@ -982,6 +1055,10 @@ class instantiated_action final : public action_instance {
             fast_msg_->set_batch_handler(
                 [this](ampp::transport_context& ctx, const std::byte* data,
                        std::uint32_t n) { batch_handle(ctx, data, n); });
+          if constexpr (kScatter)
+            fast_msg_->set_batch_handler(
+                [this](ampp::transport_context& ctx, const std::byte* data,
+                       std::uint32_t n) { scatter_envelope(ctx, data, n); });
           // Sender-side combining cache (AM++ reduction): same-target relax
           // candidates merge under the shape's own monotone comparator
           // before they reach an envelope. Sound for the same reason the
@@ -1103,23 +1180,27 @@ class instantiated_action final : public action_instance {
     }
   }
 
-  /// CAS + modification accounting + work hook for one relax record — the
-  /// shared tail of the per-record and batch paths.
+  /// CAS (relax) or F application (scatter) + modification accounting +
+  /// work hook for one record — the shared tail of the per-record and
+  /// batch paths.
   void fast_commit(ampp::transport_context& ctx, graph::vertex_id loc,
                    typename fshape::value_type val) {
-    if constexpr (kFastShape) {
+    if constexpr (kScatter) {
+      scatter_apply(ctx, fast_pm_->local(ctx.rank()), loc, val);
+      mods_[ctx.rank()].n.fetch_add(1, std::memory_order_relaxed);
+    } else if constexpr (kRelax) {
       DPG_DEBUG_ASSERT(g_->owner(loc) == ctx.rank());
       fast_commit_slot(ctx, loc, (*fast_pm_)[loc], val);
     }
   }
 
-  /// fast_commit against an already-resolved shard slot — the batch kernel
-  /// resolves the shard once per envelope instead of paying the checked
-  /// owner-sync property access for every record.
+  /// Relax fast_commit against an already-resolved shard slot — the batch
+  /// kernel resolves the shard once per envelope instead of paying the
+  /// checked owner-sync property access for every record.
   void fast_commit_slot(ampp::transport_context& ctx, graph::vertex_id loc,
-                        typename fshape::value_type& slot,
+                        typename fshape::slot_type& slot,
                         typename fshape::value_type val) {
-    if constexpr (kFastShape) {
+    if constexpr (kRelax) {
       const bool applied = pmap::atomic_update_if(
           slot, val,
           [](const auto& cur, const auto& prop) { return fshape::cmp(cur, prop); });
@@ -1127,6 +1208,43 @@ class instantiated_action final : public action_instance {
         mods_[ctx.rank()].n.fetch_add(1, std::memory_order_relaxed);
         if (fast_dep_ && hook_) hook_(ctx, loc);
       }
+    }
+  }
+
+  /// One scatter record against the rank's resolved shard: F on the
+  /// target's slot (under its lock only with handler threads), then the
+  /// work hook when the action has a dependency. The shape's condition
+  /// always holds, so every record is a firing.
+  void scatter_apply(ampp::transport_context& ctx, std::span<typename fshape::slot_type> shard,
+                     graph::vertex_id loc, typename fshape::value_type val) {
+    if constexpr (kScatter) {
+      DPG_DEBUG_ASSERT(g_->owner(loc) == ctx.rank());
+      auto& slot = shard[g_->dist().local_index(loc)];
+      if (scatter_locked_) {
+        auto guard = locks_->guard(loc);
+        (*fast_fn_)(slot, val);
+      } else {
+        (*fast_fn_)(slot, val);
+      }
+      if (fast_dep_ && hook_) hook_(ctx, loc);
+    }
+  }
+
+  /// Whole-envelope scatter dispatch: resolves the shard and counts the
+  /// firings once per envelope instead of once per record. A plain loop
+  /// in arrival order — no SIMD and no pre-filter (an accumulate has
+  /// nothing to reject).
+  void scatter_envelope(ampp::transport_context& ctx, const std::byte* data,
+                        std::uint32_t n) {
+    if constexpr (kScatter) {
+      obs::trace_span sp(&tp_->obs().trace(), "plan", fast_label_.c_str(), ctx.rank());
+      const auto shard = fast_pm_->local(ctx.rank());
+      for (std::uint32_t i = 0; i < n; ++i) {
+        fast_rec r;
+        std::memcpy(&r, data + i * sizeof(fast_rec), sizeof(fast_rec));
+        scatter_apply(ctx, shard, r.loc, r.val);
+      }
+      mods_[ctx.rank()].n.fetch_add(n, std::memory_order_relaxed);
     }
   }
 
@@ -1165,7 +1283,7 @@ class instantiated_action final : public action_instance {
   /// at every tier, duplicate targets within one envelope included.
   void batch_handle(ampp::transport_context& ctx, const std::byte* data,
                     std::uint32_t n) {
-    if constexpr (kFastShape) {
+    if constexpr (kRelax) {
       if (n == 0) return;
       obs::trace_span sp(&tp_->obs().trace(), "plan", batch_label_.c_str(), ctx.rank());
       auto& core = tp_->obs().core();
@@ -1298,6 +1416,9 @@ class instantiated_action final : public action_instance {
   typename fshape::pm_type* fast_pm_ = nullptr;
   std::optional<fast_idx_fn_t> fast_idx_;
   std::optional<fast_val_fn_t> fast_val_;
+  /// Scatter only: the modify's F.
+  std::optional<typename detail::scatter_shape<FirstWhen, Gen>::fn_type> fast_fn_;
+  bool scatter_locked_ = false;  ///< scatter commits take the lock-map guard
   ampp::message_type<fast_rec>* fast_msg_ = nullptr;
   hoisted_reads fast_hoists_;  ///< per-application invariant loads for fast_val_
   std::string fast_label_;
@@ -1348,7 +1469,7 @@ inline std::string explain(const std::string& action_name, const plan_info& p) {
     for (std::size_t i = 0; i < p.wire_bytes.size(); ++i) {
       std::string label;
       if (p.fast_path)
-        label = "relax";
+        label = p.atomic_path ? "relax" : "scatter";
       else if (!p.final_merged && i + 1 == p.wire_bytes.size())
         label = "eval";
       else
@@ -1359,7 +1480,10 @@ inline std::string explain(const std::string& action_name, const plan_info& p) {
   out += " (full gather_state = " + std::to_string(sizeof(gather_state)) + "B)\n";
   out += "  gather read CSE: " + std::to_string(p.cse_hits) + " shared slot(s)\n";
   out += std::string("  fast path: ") +
-         (p.fast_path ? "compiled single-locality relax kernel" : "off") + "\n";
+         (!p.fast_path     ? "off"
+          : p.atomic_path ? "compiled single-locality relax kernel"
+                          : "compiled single-locality scatter kernel") +
+         "\n";
   out += std::string("  batch kernel: ") +
          (p.batch_kernel ? "whole-envelope SIMD relax (runtime ISA dispatch)"
                          : "off") +

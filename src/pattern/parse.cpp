@@ -587,6 +587,27 @@ class analyzer {
             pattern::detail::resolve_toggle(0, "DPG_PATTERN_REDUCE");
       }
     }
+    // Unconditional scatter (mirrors detail::scatter_shape): a literal
+    // `true` guard over one `.method(arg)` update whose single argument is
+    // a travelling value read at the invocation site compiles to the same
+    // 16-byte record, applied by the method at the owner.
+    if (act_.conditions.size() == 1 && act_.conditions[0].mods.size() == 1) {
+      const condition& c = act_.conditions[0];
+      const modification& m = c.mods[0];
+      const bool true_guard =
+          c.guard->kind == expr::node::literal && c.guard->literal_text == "true";
+      if (true_guard && !m.is_assignment && m.arguments.size() == 1 &&
+          pmap_of(*m.target)->on_vertices) {
+        const home th = classify_index(*m.target->children[0]);
+        const expr& arg = *m.arguments[0];
+        const bool idx_ok = th.k != home::kind::chase;
+        // An edge handle is not a scalar: it cannot ride in the record.
+        const bool val_ok = arg.kind != expr::node::gen_edge && reads_all_at_v(arg) &&
+                            (th.k == home::kind::at_gen || !contains_read(arg));
+        if (idx_ok && val_ok)
+          out.fast_path = pattern::detail::resolve_toggle(0, "DPG_PATTERN_FASTPATH");
+      }
+    }
 
     compute_wire_bytes(out, rpos, kFinal);
     return out;
@@ -598,7 +619,7 @@ class analyzer {
   void compute_wire_bytes(analyzed_action& out, std::vector<std::size_t>& rpos,
                           std::size_t kFinal) const {
     if (out.fast_path) {
-      // relax record: destination vertex + 8-byte proposed value; none at
+      // relax or scatter record: destination vertex + 8-byte value; none at
       // all when the target is the invocation vertex itself.
       if (!out.final_merged) out.wire_bytes.push_back(16);
       return;

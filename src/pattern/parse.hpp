@@ -153,7 +153,7 @@ struct analyzed_action {
   std::vector<std::string> hop_localities;
   std::vector<int> hop_reads;
   std::string final_locality;
-  bool fast_path = false;           ///< single-locality relax kernel engaged
+  bool fast_path = false;           ///< single-locality relax or scatter kernel engaged
   bool batch_kernel = false;        ///< whole-envelope SIMD batch dispatch engaged
   bool fast_reduction = false;      ///< sender-side combining cache engaged
   std::size_t cse_hits = 0;         ///< duplicate reads sharing one arena slot

@@ -3,8 +3,10 @@
 #include <chrono>
 #include <cmath>
 #include <condition_variable>
+#include <map>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 namespace dpg::serve {
 
@@ -28,6 +30,43 @@ void validate(const serve::query& q, graph::vertex_id n) {
   if (!std::isfinite(q.params.delta) || q.params.delta < 0.0)
     throw std::invalid_argument("serve: delta must be finite and non-negative, got " +
                                 std::to_string(q.params.delta));
+}
+
+std::string edge_text(const graph::edge& e) {
+  return std::to_string(e.src) + " -> " + std::to_string(e.dst);
+}
+
+/// Rejects a mutation batch naming a vertex outside the graph. Needs no
+/// topology state, so it runs before the topology lock is taken.
+void validate_endpoints(std::span<const graph::edge> edges, graph::vertex_id n,
+                        const char* side) {
+  for (const graph::edge& e : edges)
+    if (e.src >= n || e.dst >= n)
+      throw std::invalid_argument(std::string("serve: ") + side + " edge " + edge_text(e) +
+                                  " out of range for a graph of " + std::to_string(n) +
+                                  " vertices");
+}
+
+/// Rejects a batch whose removals cannot all be resolved: every removed
+/// (src, dst) pair needs a live edge, counting the batch's own additions
+/// (which apply first), for each time it is named. Reads the live
+/// topology, so the caller holds the topology lock — but nothing has
+/// changed yet when it throws.
+void validate_removals(const graph::distributed_graph& g,
+                       std::span<const graph::edge> added,
+                       std::span<const graph::edge> removed) {
+  std::map<std::pair<graph::vertex_id, graph::vertex_id>, std::uint64_t> demand;
+  for (const graph::edge& e : removed) ++demand[{e.src, e.dst}];
+  for (const auto& [pair, wanted] : demand) {
+    std::uint64_t live = 0;
+    for (const graph::edge_handle h : g.out_edges(pair.first)) live += h.dst == pair.second;
+    for (const graph::edge& e : added) live += e.src == pair.first && e.dst == pair.second;
+    if (live < wanted)
+      throw std::invalid_argument(
+          "serve: removal of " + edge_text({pair.first, pair.second}) + " named " +
+          std::to_string(wanted) + " time(s) but only " + std::to_string(live) +
+          " live instance(s) exist, counting this batch's additions");
+  }
 }
 
 }  // namespace
@@ -222,7 +261,12 @@ std::shared_ptr<const session_result> server::solve(const serve::query& q,
 void server::apply_mutation(std::span<const graph::edge> added,
                             std::span<const graph::edge> removed,
                             std::uint64_t tenant) {
+  // A bad batch throws before anything changes: version, cache and
+  // last_batch_ stay as they were, and the server keeps serving.
+  validate_endpoints(added, g_->num_vertices(), "added");
+  validate_endpoints(removed, g_->num_vertices(), "removed");
   std::unique_lock<std::shared_mutex> topo(topo_mu_);
+  validate_removals(*g_, added, removed);
   // The batch repairs *from* the pre-mutation version; additions apply
   // before removals so a batch may remove an edge it just added.
   last_batch_.base_version = g_->version();

@@ -88,8 +88,10 @@ class server {
 
   /// One streaming ingest step at the non-morphing boundary: waits out
   /// in-flight solves, appends `added` then tombstones `removed` (resolved
-  /// to live edge ids — dying loudly if a victim has no live instance),
-  /// drops now-stale cache entries, and records the batch for repair.
+  /// to live edge ids), drops now-stale cache entries, and records the
+  /// batch for repair. Throws std::invalid_argument, before changing
+  /// anything, for an endpoint outside the graph or a removal with no live
+  /// edge left once the batch's own additions are counted.
   void apply_mutation(std::span<const graph::edge> added,
                       std::span<const graph::edge> removed,
                       std::uint64_t tenant = 0);

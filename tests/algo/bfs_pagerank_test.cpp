@@ -69,6 +69,32 @@ TEST(PageRank, MatchesSequentialPowerIteration) {
     ASSERT_NEAR(pr.ranks()[v], oracle[v], 1e-12) << "v=" << v;
 }
 
+TEST(PageRank, ScatterKernelMatchesGeneralPath) {
+  // The unconditional scatter compiles to the 16-byte scatter record; with
+  // the fast path off the same pattern takes the general gather path.
+  // Both must land on the sequential ranks, and on each other.
+  const vertex_id n = 300;
+  const auto edges = graph::erdos_renyi(n, 2400, 9);
+  distributed_graph g(n, edges, distribution::cyclic(n, 4));
+  const auto oracle = pagerank(g, 0.85, 20);
+  ampp::transport tp(ampp::transport_config{.n_ranks = 4});
+  pagerank_solver fast(tp, g);
+  using tog = pattern::compile_options::toggle;
+  pagerank_solver general(tp, g, {.fast_path = tog::off});
+  EXPECT_TRUE(fast.plan().fast_path);
+  EXPECT_EQ(fast.plan().wire_bytes, std::vector<std::size_t>{16});
+  EXPECT_FALSE(general.plan().fast_path);
+  tp.run([&](ampp::transport_context& ctx) {
+    fast.run(ctx, 0.85, 20);
+    general.run(ctx, 0.85, 20);
+  });
+  for (vertex_id v = 0; v < n; ++v) {
+    ASSERT_NEAR(fast.ranks()[v], oracle[v], 1e-12) << "v=" << v;
+    ASSERT_NEAR(general.ranks()[v], oracle[v], 1e-12) << "v=" << v;
+    ASSERT_NEAR(fast.ranks()[v], general.ranks()[v], 1e-12) << "v=" << v;
+  }
+}
+
 TEST(PageRank, MassIsConserved) {
   const vertex_id n = 90;
   // Include sinks (star edges point outward only: leaves are sinks).

@@ -155,6 +155,36 @@ TEST(Explain, FullyLocalPlanHasNoWirePayloads) {
   EXPECT_NE(text.find("compiled wire payloads: none (fully local)"), std::string::npos);
 }
 
+TEST(Explain, ScatterPlanLabelsTheScatterRecord) {
+  // An unconditional modify compiles to the scatter kernel: explain names
+  // its 16-byte payload `scatter`, not `relax`, and the general path
+  // (fast path off) falls back to the eval message.
+  world w;
+  property d(w.dist);
+  auto mk = [&](compile_options opts) {
+    return instantiate(w.tp, w.g, w.locks,
+                       make_action("pr.scatter", out_edges_gen{},
+                                   when(lit(true), modify(d(trg(e_)),
+                                                          [](double& acc, double x) {
+                                                            acc += x;
+                                                          },
+                                                          d(v_)))),
+                       opts);
+  };
+  const std::string fast = explain("pr.scatter", mk({})->plan());
+  EXPECT_NE(fast.find("compiled wire payloads: scatter=16B"), std::string::npos);
+  EXPECT_NE(fast.find("fast path: compiled single-locality scatter kernel"),
+            std::string::npos);
+  EXPECT_NE(fast.find("synchronization: lock map"), std::string::npos);
+  EXPECT_NE(fast.find("batch kernel: off"), std::string::npos);
+  EXPECT_NE(fast.find("sender reduction: off"), std::string::npos);
+  EXPECT_NE(fast.find("dependencies: yes"), std::string::npos);  // reads+writes d
+  const std::string general = explain(
+      "pr.scatter", mk({.fast_path = compile_options::toggle::off})->plan());
+  EXPECT_NE(general.find("compiled wire payloads: eval=16B"), std::string::npos);
+  EXPECT_NE(general.find("fast path: off"), std::string::npos);
+}
+
 TEST(Explain, FusedPlanShowsWireLayoutAndGroupDispatch) {
   // The fusion analogue of explain(): the packed fused wire layout —
   // shared addressing bytes, each member's live slot, the per-hop fused

@@ -175,6 +175,74 @@ pattern Widest {
   EXPECT_TRUE(a.has_dependencies);
 }
 
+TEST(Parse, ScatterPlanEqualsEdslPlan) {
+  // PageRank's unconditional scatter: the parser must recognise the
+  // scatter kernel exactly where the EDSL does (fast path, one 16-byte
+  // record per edge) and render the identical explain text.
+  const auto analyzed = analyze(parse_pattern(R"(
+pattern PageRank {
+  vertex_property<double> next;
+  vertex_property<double> share;
+  action scatter(v) {
+    generator e : out_edges;
+    when (true) {
+      next[trg(e)].add(share[v]);
+    }
+  }
+}
+)")).actions[0];
+  EXPECT_TRUE(analyzed.fast_path);
+  EXPECT_FALSE(analyzed.atomic_path);
+  EXPECT_EQ(analyzed.wire_bytes, std::vector<std::size_t>{16});
+  EXPECT_EQ(analyzed.messages_per_application(), 1);
+
+  graph::distributed_graph g(8, graph::path_graph(8), graph::distribution::cyclic(8, 2));
+  pmap::vertex_property_map<double> next_map(g, 0.0), share_map(g, 0.0);
+  pmap::lock_map locks(g.dist(), pmap::lock_scheme::per_vertex);
+  ampp::transport tp(ampp::transport_config{.n_ranks = 2});
+  property next(next_map);
+  property share(share_map);
+  auto scatter = instantiate(
+      tp, g, locks,
+      make_action("scatter", out_edges_gen{},
+                  when(lit(true), modify(next(trg(e_)),
+                                         [](double& acc, double x) { acc += x; },
+                                         share(v_)))));
+  const plan_info& edsl = scatter->plan();
+  EXPECT_EQ(analyzed.gather_hops, edsl.gather_hops);
+  EXPECT_EQ(analyzed.final_merged, edsl.final_merged);
+  EXPECT_EQ(analyzed.atomic_path, edsl.atomic_path);
+  EXPECT_EQ(analyzed.final_reads, edsl.final_reads);
+  EXPECT_EQ(analyzed.arena_bytes, edsl.arena_bytes);
+  EXPECT_EQ(analyzed.has_dependencies, edsl.has_dependencies);
+  EXPECT_EQ(analyzed.hop_localities, edsl.hop_localities);
+  EXPECT_EQ(analyzed.final_locality, edsl.final_locality);
+  EXPECT_EQ(analyzed.fast_path, edsl.fast_path);
+  EXPECT_EQ(analyzed.batch_kernel, edsl.batch_kernel);
+  EXPECT_EQ(analyzed.fast_reduction, edsl.fast_reduction);
+  EXPECT_EQ(analyzed.wire_bytes, edsl.wire_bytes);
+  EXPECT_EQ(explain(analyzed), pattern::explain("scatter", edsl));
+
+  // A guard that is not the literal `true`, or an argument read at the
+  // target, keeps the general path in both front ends.
+  const auto guarded = analyze(parse_pattern(R"(
+pattern P {
+  vertex_property<double> next;
+  vertex_property<double> share;
+  action a(v) {
+    generator e : out_edges;
+    when (share[v] > 0.0) { next[trg(e)].add(share[v]); }
+  }
+  action b(v) {
+    generator e : out_edges;
+    when (true) { next[trg(e)].add(share[trg(e)]); }
+  }
+}
+)"));
+  EXPECT_FALSE(guarded.actions[0].fast_path);
+  EXPECT_FALSE(guarded.actions[1].fast_path);
+}
+
 // ---------------------------------------------------------------------------
 // error cases
 // ---------------------------------------------------------------------------

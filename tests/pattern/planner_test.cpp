@@ -186,6 +186,113 @@ TEST(Planner, ModifyStatementAccumulatesSets) {
   EXPECT_TRUE(preds[0].empty());
 }
 
+TEST(Planner, UnconditionalScatterCompilesToSixteenByteRecord) {
+  // PageRank's scatter: when(true, next[trg(e)] += share[v]). The argument
+  // is read at v, the target is the generated edge's far end, so each edge
+  // sends one {target, share} record instead of a gather_state.
+  const vertex_id n = 10;
+  distributed_graph g(n, graph::symmetrize(graph::path_graph(n)),
+                      distribution::cyclic(n, 3));
+  pmap::vertex_property_map<double> next_map(g, 0.0), share_map(g, 1.0);
+  pmap::lock_map locks(g.dist(), pmap::lock_scheme::per_vertex);
+  ampp::transport tp(ampp::transport_config{.n_ranks = 3});
+  property next(next_map), share(share_map);
+  auto mk = [&](compile_options opts) {
+    return instantiate(
+        tp, g, locks,
+        make_action("scatter", out_edges_gen{},
+                    when(lit(true), modify(next(trg(e_)),
+                                           [](double& acc, double x) { acc += x; },
+                                           share(v_)))),
+        opts);
+  };
+  using tog = compile_options::toggle;
+  auto fast = mk({});
+  const plan_info& p = fast->plan();
+  EXPECT_TRUE(p.fast_path);
+  EXPECT_FALSE(p.atomic_path);
+  EXPECT_FALSE(p.batch_kernel);
+  EXPECT_FALSE(p.fast_reduction);
+  EXPECT_FALSE(p.has_dependencies);
+  EXPECT_EQ(p.wire_bytes, std::vector<std::size_t>{16});
+  EXPECT_EQ(p.messages_per_application(), 1);
+  const std::string text = explain("scatter", p);
+  EXPECT_NE(text.find("compiled wire payloads: scatter=16B"), std::string::npos);
+  EXPECT_NE(text.find("fast path: compiled single-locality scatter kernel"),
+            std::string::npos);
+
+  auto general = mk({.fast_path = tog::off, .compact_wire = tog::off});
+  EXPECT_FALSE(general->plan().fast_path);
+  EXPECT_EQ(general->plan().wire_bytes, std::vector<std::size_t>{sizeof(gather_state)});
+
+  for (auto* act : {fast.get(), general.get()}) {
+    next_map.fill(0.0);
+    obs::stats_scope sc(tp.obs());
+    tp.run([&](ampp::transport_context& ctx) {
+      ampp::epoch ep(ctx);
+      for (vertex_id v = 0; v < n; ++v)
+        if (g.owner(v) == ctx.rank()) (*act)(ctx, v);
+    });
+    const obs::stats_snapshot& delta = sc.finish();
+    // One message per edge; every application fires (the guard is true).
+    EXPECT_EQ(delta.core.messages_sent, g.num_edges());
+    for (vertex_id v = 0; v < n; ++v)
+      EXPECT_DOUBLE_EQ(next_map[v], v == 0 || v == n - 1 ? 1.0 : 2.0) << "v=" << v;
+  }
+  EXPECT_EQ(fast->modifications(), g.num_edges());
+  EXPECT_EQ(general->modifications(), g.num_edges());
+}
+
+TEST(Planner, ScatterOverChasedIndexStaysGeneral) {
+  // An unconditional modify whose target is a pointer chase cannot know
+  // its destination at the invocation site: it keeps the gather chain.
+  const vertex_id n = 12;
+  distributed_graph g(n, graph::path_graph(n), distribution::cyclic(n, 3));
+  pmap::vertex_property_map<vertex_id> pnt(g, 0);
+  pmap::vertex_property_map<std::uint64_t> hits(g, 0), one(g, 1);
+  pmap::lock_map locks(g.dist(), pmap::lock_scheme::per_vertex);
+  ampp::transport tp(ampp::transport_config{.n_ranks = 3});
+  property P(pnt), H(hits), O(one);
+  auto bump = instantiate(
+      tp, g, locks,
+      make_action("bump_root", no_generator{},
+                  when(lit(true), modify(H(P(v_)),
+                                         [](std::uint64_t& h, std::uint64_t x) { h += x; },
+                                         O(v_)))));
+  EXPECT_FALSE(bump->plan().fast_path);
+  EXPECT_EQ(bump->plan().final_locality, "chase");
+  tp.run([&](ampp::transport_context& ctx) {
+    ampp::epoch ep(ctx);
+    for (vertex_id v = 0; v < n; ++v)
+      if (g.owner(v) == ctx.rank()) (*bump)(ctx, v);
+  });
+  EXPECT_EQ(hits[0], n);  // every vertex points at 0
+  for (vertex_id v = 1; v < n; ++v) EXPECT_EQ(hits[v], 0u) << "v=" << v;
+}
+
+TEST(Planner, FalseGuardScatterNeverFires) {
+  // The scatter shape matches lit(false) by type; the kernel must not
+  // engage for it, and the general path never fires the arm.
+  const vertex_id n = 6;
+  distributed_graph g(n, graph::star_graph(n), distribution::cyclic(n, 2));
+  pmap::vertex_property_map<double> acc_map(g, 0.0), x_map(g, 1.0);
+  pmap::lock_map locks(g.dist(), pmap::lock_scheme::per_vertex);
+  ampp::transport tp(ampp::transport_config{.n_ranks = 2});
+  property A(acc_map), X(x_map);
+  auto never = instantiate(
+      tp, g, locks,
+      make_action("never", out_edges_gen{},
+                  when(lit(false), modify(A(trg(e_)),
+                                          [](double& a, double x) { a += x; }, X(v_)))));
+  EXPECT_FALSE(never->plan().fast_path);
+  tp.run([&](ampp::transport_context& ctx) {
+    ampp::epoch ep(ctx);
+    if (g.owner(0) == ctx.rank()) (*never)(ctx, 0);
+  });
+  EXPECT_EQ(never->modifications(), 0u);
+  for (vertex_id v = 0; v < n; ++v) EXPECT_EQ(acc_map[v], 0.0);
+}
+
 TEST(Planner, InEdgesGeneratorReadsMirrorWeights) {
   // Pull over in_edges: weight(e) for an in-edge is read at v through the
   // mirror copy; dist at the remote source is a final... no — modify at v,

@@ -146,6 +146,80 @@ TEST(ServerTest, RejectsInvalidQueriesAndKeepsServing) {
     EXPECT_EQ(r->values[v], std::bit_cast<std::uint64_t>(oracle[v])) << "v=" << v;
 }
 
+// Malformed mutation batches are refused with a typed error before
+// anything changes: the version, the cache, the topology and the recorded
+// batch stay as they were, and the server keeps serving and repairing.
+TEST(ServerTest, RejectsInvalidMutationsAndKeepsServing) {
+  distributed_graph g(
+      kN, graph::simplify(graph::symmetrize(graph::erdos_renyi(kN, 420, 9))),
+      distribution::cyclic(kN, 2));
+  pmap::edge_property_map<double> w(g, wfn_value);
+  server srv(g, w, {.machine = {.n_ranks = 2}});
+  const query qs{.algo = algorithm::sssp, .params = {.source = 0}};
+  ASSERT_NE(srv.query(qs), nullptr);  // pins a session to the first version
+
+  // One valid batch for repair_query to replay later.
+  const std::vector<graph::edge> good = {{3, 111}, {111, 3}};
+  srv.apply_mutation(good, {});
+  ASSERT_NE(srv.query({.algo = algorithm::bfs, .params = {.source = 5}}), nullptr);
+  const std::uint64_t version = srv.version();
+  const std::uint64_t edges = g.num_edges();
+  const std::size_t cached = srv.cache().size();
+
+  // A pair with no edge in either direction.
+  graph::edge absent{0, 0};
+  for (graph::vertex_id b = 1; b < kN && absent.dst == 0; ++b) {
+    bool linked = false;
+    for (const auto e : g.out_edges(0)) linked = linked || e.dst == b;
+    if (!linked) absent.dst = b;
+  }
+  ASSERT_NE(absent.dst, 0u);
+  const graph::edge live = {0, (*g.out_edges(0).begin()).dst};
+
+  struct batch {
+    std::vector<graph::edge> added = {}, removed = {};
+  };
+  const std::vector<batch> bad{
+      {.added = {{kN, 1}}},
+      {.added = {{1, kN + 5}}},
+      {.removed = {{kN, 0}}},
+      // No live instance at all.
+      {.removed = {absent}},
+      // Valid additions ahead of an unresolvable removal must not land.
+      {.added = {{7, 90}, {90, 7}}, .removed = {absent}},
+      // One live instance, named twice.
+      {.removed = {live, live}},
+      // The batch's own addition covers one removal, not two.
+      {.added = {absent}, .removed = {absent, absent}},
+  };
+  for (const batch& b : bad) {
+    EXPECT_THROW(srv.apply_mutation(b.added, b.removed), std::invalid_argument);
+    EXPECT_EQ(srv.version(), version);
+    EXPECT_EQ(g.num_edges(), edges);
+    EXPECT_EQ(srv.cache().size(), cached);
+  }
+  EXPECT_THROW(srv.apply_edges(std::vector<graph::edge>{{kN, kN}}), std::invalid_argument);
+  EXPECT_THROW(srv.remove_edges(std::vector<graph::edge>{absent}), std::invalid_argument);
+  EXPECT_EQ(srv.version(), version);
+
+  // The cached answer is still served, and warm repair still replays the
+  // last valid batch.
+  const std::uint64_t hits = srv.cache().hits();
+  ASSERT_NE(srv.query({.algo = algorithm::bfs, .params = {.source = 5}}), nullptr);
+  EXPECT_EQ(srv.cache().hits(), hits + 1);
+  auto rs = srv.repair_query(qs);
+  ASSERT_NE(rs, nullptr);
+  EXPECT_TRUE(rs->warm_repair);
+  const auto dist = algo::dijkstra(g, w, 0);
+  for (graph::vertex_id v = 0; v < kN; ++v)
+    EXPECT_EQ(rs->value_as_double(v), dist[v]) << "v=" << v;
+
+  // A batch whose removal is covered by its own addition is valid.
+  srv.apply_mutation(std::vector<graph::edge>{absent}, std::vector<graph::edge>{absent});
+  EXPECT_EQ(g.num_edges(), edges);
+  EXPECT_GT(srv.version(), version);
+}
+
 // The admission guarantee behind the serving throughput claim: N identical
 // queries — no matter how they interleave — cost exactly one solve. Late
 // arrivals hit the cache; concurrent arrivals merge onto the in-flight

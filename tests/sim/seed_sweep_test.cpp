@@ -284,6 +284,33 @@ TEST(SeedSweep, PageRank) {
   });
 }
 
+TEST(SeedSweep, PageRankHandlerThreads) {
+  // With dedicated handler threads, several threads apply scatter records
+  // to one rank's shard at once, so the scatter kernel commits under the
+  // lock map. The ranks must still match the sequential power iteration
+  // under every fault plan.
+  for (const unsigned threads : {1u, 2u}) {
+    SCOPED_TRACE(::testing::Message() << "handler_threads=" << threads);
+    sweep("pagerank_handler_threads", [threads](std::uint64_t seed, ampp::rank_t ranks,
+                                                const plan_spec& ps,
+                                                std::uint64_t& events) {
+      distributed_graph g(kN, sim_edges(seed, false), distribution::cyclic(kN, ranks));
+      const auto oracle = algo::pagerank(g, 0.85, 12);
+      ampp::transport tp(sim_config(ranks, seed, ps, 8, threads));
+      algo::pagerank_solver pr(tp, g);
+      ASSERT_TRUE(pr.plan().fast_path);
+      tp.run([&](ampp::transport_context& ctx) { pr.run(ctx, 0.85, 12); });
+      for (vertex_id v = 0; v < kN; ++v)
+        ASSERT_NEAR(pr.ranks()[v], oracle[v], 1e-12) << "v=" << v;
+      const auto s = tp.obs().snapshot();
+      assert_fault_consistency(s);
+      assert_occupancy_conserved(tp);
+      events += fault_events(s);
+    });
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
 TEST(SeedSweep, KCore) {
   sweep("kcore", [](std::uint64_t seed, ampp::rank_t ranks, const plan_spec& ps,
                     std::uint64_t& events) {
