@@ -23,25 +23,6 @@ BENCH_ARGS="${BENCH_ARGS:-}"
 names=("$@")
 if [ ${#names[@]} -eq 0 ]; then names=(epoch sssp); fi
 
-# SIMD provenance for the metadata block: the tier the batch kernels will
-# pick on this CPU (mirrors dpg::simd::detect()), any forced override, and
-# the raw vector-ISA CPU flags — so a committed BENCH_*.json records which
-# kernels produced its numbers.
-detect_simd() {
-  local flags
-  flags="$(grep -m1 '^flags' /proc/cpuinfo 2>/dev/null || true)"
-  if grep -qw avx512f <<<"$flags"; then echo avx512
-  elif grep -qw avx2 <<<"$flags"; then echo avx2
-  elif grep -qw sse4_2 <<<"$flags"; then echo sse4
-  else echo scalar; fi
-}
-simd_flags() {
-  grep -m1 '^flags' /proc/cpuinfo 2>/dev/null | tr ' ' '\n' |
-    grep -E '^(sse4_1|sse4_2|avx|avx2|avx512[a-z0-9]*)$' | paste -sd' ' - || true
-}
-SIMD_DETECTED="$(detect_simd)"
-SIMD_FORCED="${DPG_SIMD_LEVEL:-auto}"
-SIMD_CPU_FLAGS="$(simd_flags)"
 # Wire-backend provenance: the benchmark binaries run the in-process
 # machine unless a runner says otherwise (bench_backend hosts both ends of
 # the shm/tcp pipes in one process — still "inproc" process topology; the
@@ -61,10 +42,8 @@ for name in "${names[@]}"; do
     --benchmark_out="$out" --benchmark_out_format=json \
     ${BENCH_FILTER:+--benchmark_filter="$BENCH_FILTER"} \
     $BENCH_ARGS
-  # Stamp the SIMD provenance into the file's metadata block.
-  SIMD_DETECTED="$SIMD_DETECTED" SIMD_FORCED="$SIMD_FORCED" \
-    SIMD_CPU_FLAGS="$SIMD_CPU_FLAGS" BENCH_BACKEND="$BENCH_BACKEND" \
-    OUT="$out" python3 - <<'EOF'
+  # Stamp the provenance into the file's metadata block.
+  BENCH_BACKEND="$BENCH_BACKEND" OUT="$out" python3 - <<'EOF'
 import json, os
 path = os.environ["OUT"]
 with open(path) as f:
@@ -77,9 +56,6 @@ def peak(counter):
     return max((b.get(counter, 0) for b in doc.get("benchmarks", [])
                 if isinstance(b, dict)), default=0)
 doc["dpg_metadata"] = {
-    "simd_detected": os.environ["SIMD_DETECTED"],
-    "simd_forced": os.environ["SIMD_FORCED"],
-    "cpu_simd_flags": os.environ["SIMD_CPU_FLAGS"].split(),
     "backend": os.environ["BENCH_BACKEND"],
     # Multi-pattern fusion provenance: "on"/"off" when the run measured the
     # fused vs separate triple (bench_fusion), "n/a" for everything else.

@@ -20,15 +20,6 @@ echo "=== sim seed sweep (8 seeds) ==="
 DPG_SIM_SEEDS=1,2,3,4,5,6,7,8 \
   ctest --test-dir build-werror -L sim --output-on-failure --timeout 240 -j "$JOBS"
 
-echo "=== simd forced-ISA sweep ==="
-# The batch-kernel differential matrix: every kernel tier this host can
-# execute, compared bit-for-bit against the scalar reference — at the
-# kernel level, across the algorithm sweep under every fault plan, and
-# across mixed-tier concurrent serving sessions. Tiers above the host CPU
-# are reported and skipped inside the tests.
-DPG_SIM_SEEDS=1,2 \
-  ctest --test-dir build-werror -L simd --output-on-failure --timeout 240 -j "$JOBS"
-
 echo "=== tsan build ==="
 cmake --preset tsan >/dev/null
 cmake --build --preset tsan -j "$JOBS"
@@ -76,8 +67,7 @@ BUILD_DIR=build-werror BENCH_SUFFIX=.ci \
   scripts/bench_json.sh epoch sssp message_plan mutation pagerank
 
 echo "=== bench ratio guard (pattern vs hand-rolled SSSP) ==="
-# With the whole-envelope batch kernels the declarative relax pattern has
-# to stay within striking distance of the hand-written AM++-style SSSP at
+# The declarative relax pattern has to stay within striking distance of the hand-written AM++-style SSSP at
 # the same rank count — the acceptance bound is 1.1x on a quiet machine;
 # CI allows 1.3x so single-repetition smoke jitter cannot flake the gate.
 python3 - <<'EOF'

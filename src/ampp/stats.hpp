@@ -46,12 +46,13 @@ struct transport_stats {
   std::atomic<std::uint64_t> flush_lane_visits{0};    ///< lanes locked by a flush (incl. capacity flushes)
   std::atomic<std::uint64_t> flush_lane_skips{0};     ///< lanes a flush skipped via occupancy/dirty tracking
   std::atomic<std::uint64_t> pool_reuses{0};          ///< envelope byte buffers recycled from the pool
-  // Envelope-batch kernel counters (bumped by the pattern layer's batch
-  // dispatch; zero when no batch kernel is installed). Conservation law
-  // (asserted by the sim harness): batch_records <= handler_invocations —
-  // every batched record is also counted as a handled payload.
-  std::atomic<std::uint64_t> batch_records{0};      ///< fast records processed by batch kernels
-  std::atomic<std::uint64_t> batch_kernels_run{0};  ///< whole-envelope batch kernel invocations
+  // Envelope-loop counters (bumped by the pattern layer's whole-envelope
+  // dispatch of fast records; zero when no such loop is installed).
+  // Conservation law (asserted by the sim harness): batch_records <=
+  // handler_invocations — every batched record is also counted as a
+  // handled payload.
+  std::atomic<std::uint64_t> batch_records{0};      ///< fast records processed by envelope loops
+  std::atomic<std::uint64_t> batch_kernels_run{0};  ///< envelope-loop invocations
   // Topology-mutation counters (bumped by distributed_graph::apply_edges /
   // remove_edges when a graph is attached via attach_stats; mutation
   // happens outside epochs, so these appear in the summary's totals row,

@@ -318,11 +318,11 @@ class message_type final : public detail::message_type_base {
 
   /// Installs an envelope-batch handler: the receiver hands a whole
   /// envelope's payload bytes (`count` packed records) to `h` in one call
-  /// instead of dispatching per record — the entry point of the SIMD batch
-  /// kernels (see pattern::instantiated_action::batch_handle). Only taken
-  /// when no compact wire layout is installed (full payloads travel, so the
-  /// bytes are the records verbatim); a layout silently keeps the
-  /// per-record path. The batch handler fully replaces the per-record
+  /// instead of dispatching per record — the entry point of the pattern
+  /// layer's envelope loop (pattern::instantiated_action::fast_envelope).
+  /// Only taken when no compact wire layout is installed (full payloads
+  /// travel, so the bytes are the records verbatim); a layout silently
+  /// keeps the per-record path. The batch handler fully replaces the per-record
   /// handler for batched envelopes and must preserve its semantics.
   using batch_handler_fn =
       std::function<void(transport_context&, const std::byte*, std::uint32_t)>;
@@ -774,8 +774,8 @@ void message_type<Payload>::dispatch_thunk(detail::message_type_base* self,
   if (mt->layout_.empty()) {
     if (mt->batch_) {
       // Whole-envelope dispatch: the records sit packed in the wire buffer
-      // exactly as sent (no layout truncation), so the batch kernel can
-      // deinterleave them in place. received/handler accounting is done by
+      // exactly as sent (no layout truncation), so the batch handler can
+      // read them in place. received/handler accounting is done by
       // the caller per envelope count, identical to the per-record path.
       mt->batch_(ctx, data, count);
       return;

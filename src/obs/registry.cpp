@@ -7,7 +7,6 @@
 #include <cstring>
 
 #include "util/log.hpp"
-#include "util/simd.hpp"
 
 namespace dpg::obs {
 
@@ -212,9 +211,6 @@ std::string registry::epoch_summary() const {
                 static_cast<unsigned long long>(tot.tombstoned_edges));
   out += line;
 
-  std::snprintf(line, sizeof line, "simd level: %s (detected %s)\n",
-                simd::name(simd::active()), simd::name(simd::detect()));
-  out += line;
   out += "per-type totals (cumulative):\n";
   for (std::size_t i = 0; i < num_types(); ++i) {
     std::snprintf(line, sizeof line,

@@ -28,9 +28,7 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
-#include <bit>
 #include <cstddef>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <optional>
@@ -43,7 +41,6 @@
 #include "pattern/planner.hpp"
 #include "pattern/work_queue.hpp"
 #include "pmap/lock_map.hpp"
-#include "util/simd.hpp"
 
 namespace dpg::pattern {
 
@@ -144,7 +141,6 @@ struct plan_info {
   /// Single-locality kernel engaged: the relax kernel when atomic_path is
   /// set (compare-and-update), else the unconditional scatter kernel.
   bool fast_path = false;
-  bool batch_kernel = false; ///< whole-envelope SIMD batch dispatch engaged
   bool fast_reduction = false;  ///< sender-side combining cache on the relax lane
   std::size_t cse_hits = 0;  ///< duplicate reads sharing one arena slot
   /// Bytes each synthesized message carries on the wire, in send order:
@@ -570,40 +566,26 @@ constexpr unsigned whens_needs() {
   return (when_needs(static_cast<Whens*>(nullptr)) | ... | 0u);
 }
 
-/// Resolves a compile_options toggle against its environment override
-/// (set "0" to disable); auto_ means on unless the environment disables.
-inline bool resolve_toggle(int t, const char* env) {
-  if (t == 1) return false;  // toggle::off
-  if (t == 2) return true;   // toggle::on
-  const char* e = std::getenv(env);
-  return !(e != nullptr && e[0] == '0' && e[1] == '\0');
-}
-
 }  // namespace detail
 
 // ---------------------------------------------------------------------------
 // Compilation options
 // ---------------------------------------------------------------------------
 
-/// Per-instantiation switches over the plan compiler. The defaults engage
-/// every optimization whose shape matches; tests force paths off to compare
-/// results bit-for-bit. Environment overrides (checked when a toggle is
-/// auto_): DPG_PATTERN_FASTPATH=0, DPG_PATTERN_COMPACT=0, and
-/// DPG_PATTERN_BATCH=0 disable.
+/// Per-instantiation switches over the plan compiler. auto_ (the default)
+/// and on both engage an optimization wherever its shape matches; off runs
+/// the general path, which tests use to compare results bit-for-bit.
 struct compile_options {
   enum class toggle : std::uint8_t { auto_, off, on };
   toggle fast_path = toggle::auto_;     ///< single-locality relax kernel
   toggle compact_wire = toggle::auto_;  ///< truncated per-hop wire payloads
-  toggle batch_kernel = toggle::auto_;  ///< whole-envelope SIMD batch dispatch
   /// AM++-style sender-side combining on the fast relax lane: same-target
   /// candidates merge under the action's own monotone comparator before
   /// they reach an envelope (min for SSSP/CC/BFS shapes, max for widest
-  /// path). Environment override: DPG_PATTERN_REDUCE=0.
+  /// path).
   toggle fast_reduction = toggle::auto_;
-  /// Forced ISA tier for this instantiation's batch kernels (a
-  /// simd::level value); -1 follows the process-wide simd::active().
-  /// Lets concurrent serving sessions run at different tiers.
-  int simd_level = -1;
+
+  static bool enabled(toggle t) { return t != toggle::off; }
 };
 
 // ---------------------------------------------------------------------------
@@ -803,27 +785,17 @@ class instantiated_action final : public action_instance {
       // A `lit(false)` guard never fires; leave it to the general path.
       bool guard_holds = true;
       if constexpr (kScatter) guard_holds = w0.cond.value;
-      use_fast_ = guard_holds && detail::resolve_toggle(static_cast<int>(opts.fast_path),
-                                                        "DPG_PATTERN_FASTPATH");
+      use_fast_ = guard_holds && compile_options::enabled(opts.fast_path);
       fast_local_ = merged_;  // v-homed target: apply in place, no message
       fast_dep_ = when_dep_[0];
-      if constexpr (kRelax) {
-        // Whole-envelope batch dispatch rides on the fast record: it needs
-        // a wire message to batch (a fully local fast path has no
-        // envelopes) and the shape's compare pre-filter.
-        use_batch_ = use_fast_ && !fast_local_ &&
-                     detail::resolve_toggle(static_cast<int>(opts.batch_kernel),
-                                            "DPG_PATTERN_BATCH");
-        // Sender-side combining likewise needs a wire lane to cache on, and
-        // only the relax shape knows its own monotone comparator.
+      // Sender-side combining needs a wire lane to cache on (a fully local
+      // fast path has no envelopes), and only the relax shape knows its
+      // own monotone comparator.
+      if constexpr (kRelax)
         use_reduce_ = use_fast_ && !fast_local_ &&
-                      detail::resolve_toggle(static_cast<int>(opts.fast_reduction),
-                                             "DPG_PATTERN_REDUCE");
-        simd_level_ = opts.simd_level;
-      }
+                      compile_options::enabled(opts.fast_reduction);
     }
-    use_compact_ = detail::resolve_toggle(static_cast<int>(opts.compact_wire),
-                                          "DPG_PATTERN_COMPACT");
+    use_compact_ = compile_options::enabled(opts.compact_wire);
 
     plan_.gather_hops = static_cast<int>(hops_.size());
     plan_.final_merged = merged_;
@@ -837,7 +809,6 @@ class instantiated_action final : public action_instance {
     }
     plan_.final_locality = home_name(ml_);
     plan_.fast_path = use_fast_;
-    plan_.batch_kernel = use_batch_;
     plan_.fast_reduction = use_reduce_;
 
     compute_wire_layouts(pb, step_pos, kFinal);
@@ -1040,7 +1011,6 @@ class instantiated_action final : public action_instance {
         // none when the target is the invocation vertex itself (fully local
         // application).
         fast_label_ = name_ + (kScatter ? ".scatter" : ".relax");
-        batch_label_ = name_ + ".relax.batch";
         if (!fast_local_) {
           fast_msg_ = &tp_->make_message_type<fast_rec>(
               fast_label_,
@@ -1049,21 +1019,16 @@ class instantiated_action final : public action_instance {
               },
               [g](const fast_rec& r) { return g->owner(r.loc); });
           // Whole-envelope dispatch: the receiver hands each coalesced
-          // envelope to batch_handle in one call (SIMD pre-filter + CAS
-          // pass) instead of per-record fast_handle calls.
-          if (use_batch_)
-            fast_msg_->set_batch_handler(
-                [this](ampp::transport_context& ctx, const std::byte* data,
-                       std::uint32_t n) { batch_handle(ctx, data, n); });
-          if constexpr (kScatter)
-            fast_msg_->set_batch_handler(
-                [this](ampp::transport_context& ctx, const std::byte* data,
-                       std::uint32_t n) { scatter_envelope(ctx, data, n); });
+          // envelope to fast_envelope in one call instead of per-record
+          // fast_handle calls.
+          fast_msg_->set_batch_handler(
+              [this](ampp::transport_context& ctx, const std::byte* data,
+                     std::uint32_t n) { fast_envelope(ctx, data, n); });
           // Sender-side combining cache (AM++ reduction): same-target relax
           // candidates merge under the shape's own monotone comparator
-          // before they reach an envelope. Sound for the same reason the
-          // batch pre-filter is: the losing proposal of a monotone pair can
-          // never win a CAS the surviving proposal would lose.
+          // before they reach an envelope. Sound because the slot moves
+          // monotonically: the losing proposal of a pair can never win a
+          // CAS the surviving proposal would lose.
           if (use_reduce_)
             fast_msg_->enable_reduction(
                 [](const fast_rec& r) {
@@ -1173,30 +1138,25 @@ class instantiated_action final : public action_instance {
     }
   }
 
+  /// One record — a fully local application, or a record the transport
+  /// delivers one at a time: CAS (relax) or F application (scatter)
+  /// through the checked owner-sync access.
   void fast_handle(ampp::transport_context& ctx, const fast_rec& r) {
     if constexpr (kFastShape) {
       obs::trace_span sp(&tp_->obs().trace(), "plan", fast_label_.c_str(), ctx.rank());
-      fast_commit(ctx, r.loc, r.val);
+      DPG_DEBUG_ASSERT(g_->owner(r.loc) == ctx.rank());
+      if constexpr (kScatter) {
+        scatter_apply(ctx, (*fast_pm_)[r.loc], r.loc, r.val);
+        mods_[ctx.rank()].n.fetch_add(1, std::memory_order_relaxed);
+      } else {
+        fast_commit_slot(ctx, r.loc, (*fast_pm_)[r.loc], r.val);
+      }
     }
   }
 
-  /// CAS (relax) or F application (scatter) + modification accounting +
-  /// work hook for one record — the shared tail of the per-record and
-  /// batch paths.
-  void fast_commit(ampp::transport_context& ctx, graph::vertex_id loc,
-                   typename fshape::value_type val) {
-    if constexpr (kScatter) {
-      scatter_apply(ctx, fast_pm_->local(ctx.rank()), loc, val);
-      mods_[ctx.rank()].n.fetch_add(1, std::memory_order_relaxed);
-    } else if constexpr (kRelax) {
-      DPG_DEBUG_ASSERT(g_->owner(loc) == ctx.rank());
-      fast_commit_slot(ctx, loc, (*fast_pm_)[loc], val);
-    }
-  }
-
-  /// Relax fast_commit against an already-resolved shard slot — the batch
-  /// kernel resolves the shard once per envelope instead of paying the
-  /// checked owner-sync property access for every record.
+  /// Relax commit against an already-resolved shard slot: load, compare
+  /// and CAS under the shape's comparator, then modification accounting
+  /// and the work hook when the CAS applied.
   void fast_commit_slot(ampp::transport_context& ctx, graph::vertex_id loc,
                         typename fshape::slot_type& slot,
                         typename fshape::value_type val) {
@@ -1211,15 +1171,13 @@ class instantiated_action final : public action_instance {
     }
   }
 
-  /// One scatter record against the rank's resolved shard: F on the
-  /// target's slot (under its lock only with handler threads), then the
-  /// work hook when the action has a dependency. The shape's condition
-  /// always holds, so every record is a firing.
-  void scatter_apply(ampp::transport_context& ctx, std::span<typename fshape::slot_type> shard,
+  /// One scatter record against its resolved slot: F on the slot (under
+  /// the target's lock only with handler threads), then the work hook when
+  /// the action has a dependency. The shape's condition always holds, so
+  /// every record is a firing; the caller counts it.
+  void scatter_apply(ampp::transport_context& ctx, typename fshape::slot_type& slot,
                      graph::vertex_id loc, typename fshape::value_type val) {
     if constexpr (kScatter) {
-      DPG_DEBUG_ASSERT(g_->owner(loc) == ctx.rank());
-      auto& slot = shard[g_->dist().local_index(loc)];
       if (scatter_locked_) {
         auto guard = locks_->guard(loc);
         (*fast_fn_)(slot, val);
@@ -1230,128 +1188,33 @@ class instantiated_action final : public action_instance {
     }
   }
 
-  /// Whole-envelope scatter dispatch: resolves the shard and counts the
-  /// firings once per envelope instead of once per record. A plain loop
-  /// in arrival order — no SIMD and no pre-filter (an accumulate has
-  /// nothing to reject).
-  void scatter_envelope(ampp::transport_context& ctx, const std::byte* data,
-                        std::uint32_t n) {
-    if constexpr (kScatter) {
+  /// Whole-envelope dispatch for the relax and scatter records: resolves
+  /// the rank's shard once (send routing guarantees every record in the
+  /// envelope is owned here), then copies each record out and runs the
+  /// same per-record commit fast_handle runs. A plain loop in arrival
+  /// order, so final pmap state, modification counts and hook firings
+  /// equal per-record dispatch, duplicate targets within one envelope
+  /// included.
+  void fast_envelope(ampp::transport_context& ctx, const std::byte* data,
+                     std::uint32_t n) {
+    if constexpr (kFastShape) {
       obs::trace_span sp(&tp_->obs().trace(), "plan", fast_label_.c_str(), ctx.rank());
-      const auto shard = fast_pm_->local(ctx.rank());
-      for (std::uint32_t i = 0; i < n; ++i) {
-        fast_rec r;
-        std::memcpy(&r, data + i * sizeof(fast_rec), sizeof(fast_rec));
-        scatter_apply(ctx, shard, r.loc, r.val);
-      }
-      mods_[ctx.rank()].n.fetch_add(n, std::memory_order_relaxed);
-    }
-  }
-
-  /// Per-thread SoA scratch for batch_handle. thread_local: concurrent
-  /// transports' handler threads never share one (the serving layer's
-  /// cross-session isolation), and the busy flag downgrades a re-entrant
-  /// dispatch on the same thread to the per-record path instead of
-  /// clobbering a live batch.
-  struct batch_scratch {
-    std::vector<std::uint64_t> loc, val, cur;
-    std::vector<std::uint8_t> mask;
-    bool busy = false;
-    void resize(std::size_t n) {
-      loc.resize(n);
-      val.resize(n);
-      cur.resize(n);
-      mask.resize(n);
-    }
-  };
-  static batch_scratch& scratch() {
-    thread_local batch_scratch s;
-    return s;
-  }
-
-  /// Envelope-batch kernel: deinterleaves a whole envelope's fast records
-  /// into struct-of-arrays scratch, snapshots the current property values,
-  /// runs the vectorized compare pre-filter at the selected ISA tier, and
-  /// CASes only the surviving candidates. Exact by construction: a lane
-  /// the filter rejects is sound to skip because the fast shape moves the
-  /// slot monotonically (min keeps shrinking / max keeps growing, so a
-  /// proposal that lost against a stale snapshot also loses against every
-  /// later value — the same stable-predicate contract atomic_update_if
-  /// documents), and every survivor is re-validated by the identical CAS
-  /// loop the per-record path runs. Final pmap state, modification counts,
-  /// and hook firings are therefore bit-identical to per-record dispatch
-  /// at every tier, duplicate targets within one envelope included.
-  void batch_handle(ampp::transport_context& ctx, const std::byte* data,
-                    std::uint32_t n) {
-    if constexpr (kRelax) {
-      if (n == 0) return;
-      obs::trace_span sp(&tp_->obs().trace(), "plan", batch_label_.c_str(), ctx.rank());
       auto& core = tp_->obs().core();
       core.batch_kernels_run.fetch_add(1, std::memory_order_relaxed);
       core.batch_records.fetch_add(n, std::memory_order_relaxed);
-      using VT = typename fshape::value_type;
-      constexpr bool k16 = sizeof(fast_rec) == 16 && sizeof(VT) == 8 &&
-                           sizeof(graph::vertex_id) == 8;
-      constexpr bool kF64 = std::is_same_v<VT, double>;
-      constexpr bool kU64 =
-          std::is_integral_v<VT> && std::is_unsigned_v<VT> && sizeof(VT) == 8;
-      if constexpr (k16 && (kF64 || kU64)) {
-        batch_scratch& sc = scratch();
-        if (!sc.busy) {
-          sc.busy = true;
-          sc.resize(n);
-          const simd::level lvl = simd_level_ >= 0
-                                      ? static_cast<simd::level>(simd_level_)
-                                      : simd::active();
-          const simd::kernel_table& kt = simd::kernels(lvl);
-          kt.deinterleave2_u64(data, n, sc.loc.data(), sc.val.data());
-          // Shard-local addressing, hoisted: every record in the envelope is
-          // owned by this rank (send routing guarantees it), so one local()
-          // resolution replaces the checked owner-sync property access per
-          // record — the record loop indexes a flat slab like hand-written
-          // relax handlers do.
-          const std::span<VT> shard = fast_pm_->local(ctx.rank());
-          const graph::distribution& dd = g_->dist();
-          for (std::uint32_t i = 0; i < n; ++i) {
-            const auto loc = static_cast<graph::vertex_id>(sc.loc[i]);
-            DPG_DEBUG_ASSERT(g_->owner(loc) == ctx.rank());
-            // Relaxed atomic snapshot, like the gather reads elsewhere: the
-            // pre-filter tolerates staleness, the CAS below does not.
-            const VT cur = std::atomic_ref<VT>(shard[dd.local_index(loc)])
-                               .load(std::memory_order_relaxed);
-            sc.cur[i] = std::bit_cast<std::uint64_t>(cur);
-          }
-          std::size_t hits;
-          if constexpr (kF64)
-            hits = fshape::min_update
-                       ? kt.filter_lt_f64(sc.val.data(), sc.cur.data(), n,
-                                          sc.mask.data())
-                       : kt.filter_gt_f64(sc.val.data(), sc.cur.data(), n,
-                                          sc.mask.data());
-          else
-            hits = fshape::min_update
-                       ? kt.filter_lt_u64(sc.val.data(), sc.cur.data(), n,
-                                          sc.mask.data())
-                       : kt.filter_gt_u64(sc.val.data(), sc.cur.data(), n,
-                                          sc.mask.data());
-          if (hits != 0)
-            for (std::uint32_t i = 0; i < n; ++i)
-              if (sc.mask[i]) {
-                const auto loc = static_cast<graph::vertex_id>(sc.loc[i]);
-                fast_commit_slot(ctx, loc, shard[dd.local_index(loc)],
-                                 std::bit_cast<VT>(sc.val[i]));
-              }
-          sc.busy = false;
-          return;
-        }
-      }
-      // Value types without a SIMD filter, or a re-entrant dispatch while
-      // the scratch is live up-stack: per-record semantics, one call.
+      const auto shard = fast_pm_->local(ctx.rank());
+      const graph::distribution& dd = g_->dist();
       for (std::uint32_t i = 0; i < n; ++i) {
         fast_rec r;
         std::memcpy(&r, data + i * sizeof(fast_rec), sizeof(fast_rec));
-        fast_commit(ctx, r.loc, r.val);
+        DPG_DEBUG_ASSERT(g_->owner(r.loc) == ctx.rank());
+        auto& slot = shard[dd.local_index(r.loc)];
+        if constexpr (kScatter)
+          scatter_apply(ctx, slot, r.loc, r.val);
+        else
+          fast_commit_slot(ctx, r.loc, slot, r.val);
       }
+      if constexpr (kScatter) mods_[ctx.rank()].n.fetch_add(n, std::memory_order_relaxed);
     }
   }
 
@@ -1422,13 +1285,10 @@ class instantiated_action final : public action_instance {
   ampp::message_type<fast_rec>* fast_msg_ = nullptr;
   hoisted_reads fast_hoists_;  ///< per-application invariant loads for fast_val_
   std::string fast_label_;
-  std::string batch_label_;  ///< plan-span name of the envelope-batch kernel
   bool use_fast_ = false;
   bool fast_local_ = false;
   bool fast_dep_ = false;
-  bool use_batch_ = false;  ///< whole-envelope SIMD dispatch installed
-  bool use_reduce_ = false; ///< sender-side combining cache on the relax lane
-  int simd_level_ = -1;     ///< forced ISA tier; -1 follows simd::active()
+  bool use_reduce_ = false;  ///< sender-side combining cache on the relax lane
 
   bool use_compact_ = false;
   /// Truncated layouts per wire: gather wires in hop order, then the
@@ -1483,10 +1343,6 @@ inline std::string explain(const std::string& action_name, const plan_info& p) {
          (!p.fast_path     ? "off"
           : p.atomic_path ? "compiled single-locality relax kernel"
                           : "compiled single-locality scatter kernel") +
-         "\n";
-  out += std::string("  batch kernel: ") +
-         (p.batch_kernel ? "whole-envelope SIMD relax (runtime ISA dispatch)"
-                         : "off") +
          "\n";
   out += std::string("  sender reduction: ") +
          (p.fast_reduction ? "combining cache on the relax lane" : "off") +

@@ -33,10 +33,7 @@
 // members ships one fused record (idle slots carry a self-rejecting
 // sentinel); a wave that wakes exactly one member ships that member's
 // 16-byte solo record on a per-member solo lane, so single-member tails
-// never pay the widened record. The SIMD batch path keeps working on
-// both: fused envelopes dispatch per-member sub-batches (strided column
-// extraction, then the same filter kernels), solo envelopes reuse the
-// 16-byte deinterleave kernel unchanged.
+// never pay the widened record. Both lanes dispatch per record.
 #pragma once
 
 #include <array>
@@ -220,7 +217,6 @@ class fused_action final : public action_instance {
     bool skip_safe = false;   ///< change tracking captures the whole value input
     std::size_t words = 0;    ///< tracked hoist-arena words per vertex
     ampp::message_type<solo_rec>* solo_msg = nullptr;
-    std::string solo_batch_label;
     /// Last-emitted hoist state per rank, shard-parallel: `last[r]` holds
     /// `words` u64 words per local vertex, `seen[r]` one emitted-once
     /// flag. Accessed through atomic_ref (handler threads of one rank may
@@ -246,13 +242,8 @@ class fused_action final : public action_instance {
 
     // The fused family is itself the fast path; the fast_path /
     // compact_wire toggles have no general plan to fall back to here, so
-    // only the batch / reduction toggles (and their environment escape
-    // hatches) apply.
-    use_batch_ = detail::resolve_toggle(static_cast<int>(opts.batch_kernel),
-                                        "DPG_PATTERN_BATCH");
-    use_reduce_ = detail::resolve_toggle(static_cast<int>(opts.fast_reduction),
-                                         "DPG_PATTERN_REDUCE");
-    simd_level_ = opts.simd_level;
+    // only the reduction toggle applies.
+    use_reduce_ = compile_options::enabled(opts.fast_reduction);
 
     std::vector<ampp::fused_slot> slots;
     [&]<std::size_t... I>(std::index_sequence<I...>) {
@@ -271,7 +262,6 @@ class fused_action final : public action_instance {
     plan_.atomic_path = true;
     plan_.conditions = static_cast<int>(kMembers);
     plan_.fast_path = true;
-    plan_.batch_kernel = use_batch_;
     plan_.fast_reduction = use_reduce_;
     plan_.hop_localities = {"v"};
     plan_.hop_reads = {0};
@@ -331,17 +321,12 @@ class fused_action final : public action_instance {
   void register_messages() {
     const auto* g = g_;
     fused_label_ = name_ + ".fused";
-    fused_batch_label_ = name_ + ".fused.batch";
     fused_msg_ = &tp_->make_message_type<fused_rec>(
         fused_label_,
         [this](ampp::transport_context& ctx, const fused_rec& r) {
           fused_handle(ctx, r);
         },
         [g](const fused_rec& r) { return g->owner(r.loc); });
-    if (use_batch_)
-      fused_msg_->set_batch_handler(
-          [this](ampp::transport_context& ctx, const std::byte* data,
-                 std::uint32_t n) { fused_batch_handle(ctx, data, n); });
     // Sender-side combining, elementwise: two same-target fused records
     // merge slot by slot under each member's own comparator (sentinels
     // never win), so candidates from different waves coalesce into one
@@ -368,17 +353,12 @@ class fused_action final : public action_instance {
     using solo_rec = typename M::solo_rec;
     auto& m = std::get<I>(members_);
     const auto* g = g_;
-    m.solo_batch_label = m.name + ".solo.batch";
     m.solo_msg = &tp_->make_message_type<solo_rec>(
         m.name + ".solo",
         [this](ampp::transport_context& ctx, const solo_rec& r) {
           solo_handle<I>(ctx, r);
         },
         [g](const solo_rec& r) { return g->owner(r.loc); });
-    if (use_batch_)
-      m.solo_msg->set_batch_handler(
-          [this](ampp::transport_context& ctx, const std::byte* data,
-                 std::uint32_t n) { solo_batch_handle<I>(ctx, data, n); });
     if (use_reduce_)
       m.solo_msg->enable_reduction(
           [](const solo_rec& r) { return static_cast<std::uint64_t>(r.loc); },
@@ -520,26 +500,20 @@ class fused_action final : public action_instance {
 
   // ---- delivery ------------------------------------------------------------
 
-  /// Commit one member-I candidate: CAS under the member's comparator +
-  /// modification accounting. Returns whether the apply should make work.
-  template <std::size_t I>
-  bool commit_slot(ampp::transport_context& ctx,
-                   typename shape_t<I>::value_type& slot,
-                   typename shape_t<I>::value_type prop) {
-    const bool applied = pmap::atomic_update_if(
-        slot, prop,
-        [](const auto& cur, const auto& p) { return shape_t<I>::cmp(cur, p); });
-    if (!applied) return false;
-    mods_[ctx.rank()].n.fetch_add(1, std::memory_order_relaxed);
-    return std::get<I>(members_).dep;
-  }
-
+  /// Commit one member-I candidate (a value bit pattern): CAS under the
+  /// member's comparator + modification accounting. Returns whether the
+  /// apply should make work.
   template <std::size_t I>
   bool commit_member(ampp::transport_context& ctx, graph::vertex_id loc,
                      std::uint64_t bits) {
     using VT = typename shape_t<I>::value_type;
     auto& m = std::get<I>(members_);
-    return commit_slot<I>(ctx, (*m.pm)[loc], std::bit_cast<VT>(bits));
+    const bool applied = pmap::atomic_update_if(
+        (*m.pm)[loc], std::bit_cast<VT>(bits),
+        [](const auto& cur, const auto& p) { return shape_t<I>::cmp(cur, p); });
+    if (!applied) return false;
+    mods_[ctx.rank()].n.fetch_add(1, std::memory_order_relaxed);
+    return m.dep;
   }
 
   void fused_handle(ampp::transport_context& ctx, const fused_rec& r) {
@@ -560,185 +534,6 @@ class fused_action final : public action_instance {
       hook_(ctx, r.loc);
   }
 
-  // ---- batch dispatch ------------------------------------------------------
-
-  /// Per-thread SoA scratch shared by the fused and solo batch kernels
-  /// (same discipline as the single-pattern path: thread_local so
-  /// concurrent transports never share, busy flag downgrades re-entrant
-  /// dispatch to per-record).
-  struct batch_scratch {
-    std::vector<std::uint64_t> loc, val, cur;
-    std::vector<std::uint8_t> mask, fire;
-    bool busy = false;
-    void resize(std::size_t n) {
-      loc.resize(n);
-      val.resize(n);
-      cur.resize(n);
-      mask.resize(n);
-      fire.resize(n);
-    }
-  };
-  static batch_scratch& scratch() {
-    thread_local batch_scratch s;
-    return s;
-  }
-
-  const simd::kernel_table& kernels() const {
-    const simd::level lvl = simd_level_ >= 0 ? static_cast<simd::level>(simd_level_)
-                                             : simd::active();
-    return simd::kernels(lvl);
-  }
-
-  /// Member-I column filter over SoA scratch (values and current-state
-  /// snapshots as bit patterns). Returns survivors in sc.mask.
-  template <std::size_t I>
-  std::size_t filter_member(const simd::kernel_table& kt, batch_scratch& sc,
-                            std::uint32_t n) {
-    using VT = typename shape_t<I>::value_type;
-    if constexpr (std::is_same_v<VT, double>) {
-      return shape_t<I>::min_update
-                 ? kt.filter_lt_f64(sc.val.data(), sc.cur.data(), n, sc.mask.data())
-                 : kt.filter_gt_f64(sc.val.data(), sc.cur.data(), n, sc.mask.data());
-    } else if constexpr (std::is_integral_v<VT> && std::is_unsigned_v<VT>) {
-      return shape_t<I>::min_update
-                 ? kt.filter_lt_u64(sc.val.data(), sc.cur.data(), n, sc.mask.data())
-                 : kt.filter_gt_u64(sc.val.data(), sc.cur.data(), n, sc.mask.data());
-    } else {
-      // Signed 64-bit: no vector filter in the table — scalar pre-filter
-      // with the same stable-predicate semantics.
-      std::size_t hits = 0;
-      for (std::uint32_t i = 0; i < n; ++i) {
-        const VT cur = std::bit_cast<VT>(sc.cur[i]);
-        const VT prop = std::bit_cast<VT>(sc.val[i]);
-        sc.mask[i] = shape_t<I>::cmp(cur, prop) ? 1 : 0;
-        hits += sc.mask[i];
-      }
-      return hits;
-    }
-  }
-
-  /// Whole-envelope dispatch for the fused family: per-member sub-batch
-  /// kernels. The loc column is extracted once; each member's live slots
-  /// are gathered by stride into the same contiguous scratch the 16-byte
-  /// kernels use, so the existing filter tiers run unmodified. Exact for
-  /// the same reason the single-pattern batch kernel is: each member's
-  /// slot moves monotonically, so a candidate rejected against a stale
-  /// snapshot also loses every later CAS, and survivors re-validate in
-  /// the commit. Hooks fire once per record that advanced any member,
-  /// after all member columns committed — same count as the per-record
-  /// handler, deferred to the envelope tail.
-  void fused_batch_handle(ampp::transport_context& ctx, const std::byte* data,
-                          std::uint32_t n) {
-    if (n == 0) return;
-    obs::trace_span sp(&tp_->obs().trace(), "plan", fused_batch_label_.c_str(),
-                       ctx.rank());
-    auto& core = tp_->obs().core();
-    core.batch_kernels_run.fetch_add(1, std::memory_order_relaxed);
-    core.batch_records.fetch_add(n, std::memory_order_relaxed);
-    batch_scratch& sc = scratch();
-    if (sc.busy) {
-      for (std::uint32_t i = 0; i < n; ++i) {
-        fused_rec r;
-        std::memcpy(&r, data + i * sizeof(fused_rec), sizeof(fused_rec));
-        fused_handle(ctx, r);
-      }
-      return;
-    }
-    sc.busy = true;
-    sc.resize(n);
-    constexpr std::size_t kStride = sizeof(fused_rec);
-    for (std::uint32_t i = 0; i < n; ++i) {
-      std::memcpy(&sc.loc[i], data + i * kStride, 8);
-      sc.fire[i] = 0;
-    }
-    const simd::kernel_table& kt = kernels();
-    const graph::distribution& dd = g_->dist();
-    [&]<std::size_t... I>(std::index_sequence<I...>) {
-      ((fused_batch_member<I>(ctx, kt, dd, data, n, sc)), ...);
-    }(std::index_sequence_for<Whens...>{});
-    if (hook_)
-      for (std::uint32_t i = 0; i < n; ++i)
-        if (sc.fire[i]) hook_(ctx, static_cast<graph::vertex_id>(sc.loc[i]));
-    sc.busy = false;
-  }
-
-  template <std::size_t I>
-  void fused_batch_member(ampp::transport_context& ctx, const simd::kernel_table& kt,
-                          const graph::distribution& dd, const std::byte* data,
-                          std::uint32_t n, batch_scratch& sc) {
-    using VT = typename shape_t<I>::value_type;
-    auto& m = std::get<I>(members_);
-    constexpr std::size_t kStride = sizeof(fused_rec);
-    constexpr std::size_t kSlot = sizeof(graph::vertex_id) + I * 8;
-    for (std::uint32_t i = 0; i < n; ++i)
-      std::memcpy(&sc.val[i], data + i * kStride + kSlot, 8);
-    const std::span<VT> shard = m.pm->local(ctx.rank());
-    for (std::uint32_t i = 0; i < n; ++i) {
-      const auto loc = static_cast<graph::vertex_id>(sc.loc[i]);
-      DPG_DEBUG_ASSERT(g_->owner(loc) == ctx.rank());
-      const VT cur = std::atomic_ref<VT>(shard[dd.local_index(loc)])
-                         .load(std::memory_order_relaxed);
-      sc.cur[i] = std::bit_cast<std::uint64_t>(cur);
-    }
-    if (filter_member<I>(kt, sc, n) == 0) return;
-    for (std::uint32_t i = 0; i < n; ++i)
-      if (sc.mask[i]) {
-        const auto loc = static_cast<graph::vertex_id>(sc.loc[i]);
-        if (commit_slot<I>(ctx, shard[dd.local_index(loc)],
-                           std::bit_cast<VT>(sc.val[i])))
-          sc.fire[i] = 1;
-      }
-  }
-
-  /// Whole-envelope dispatch for a member's solo lane: the records are the
-  /// member's own 16-byte fast records, so the pairwise deinterleave
-  /// kernel applies unchanged.
-  template <std::size_t I>
-  void solo_batch_handle(ampp::transport_context& ctx, const std::byte* data,
-                         std::uint32_t n) {
-    using VT = typename shape_t<I>::value_type;
-    using solo_rec = typename member_t<I>::solo_rec;
-    if (n == 0) return;
-    auto& m = std::get<I>(members_);
-    obs::trace_span sp(&tp_->obs().trace(), "plan", m.solo_batch_label.c_str(),
-                       ctx.rank());
-    auto& core = tp_->obs().core();
-    core.batch_kernels_run.fetch_add(1, std::memory_order_relaxed);
-    core.batch_records.fetch_add(n, std::memory_order_relaxed);
-    batch_scratch& sc = scratch();
-    if (sc.busy) {
-      for (std::uint32_t i = 0; i < n; ++i) {
-        solo_rec r;
-        std::memcpy(&r, data + i * sizeof(solo_rec), sizeof(solo_rec));
-        solo_handle<I>(ctx, r);
-      }
-      return;
-    }
-    sc.busy = true;
-    sc.resize(n);
-    const simd::kernel_table& kt = kernels();
-    kt.deinterleave2_u64(data, n, sc.loc.data(), sc.val.data());
-    const std::span<VT> shard = m.pm->local(ctx.rank());
-    const graph::distribution& dd = g_->dist();
-    for (std::uint32_t i = 0; i < n; ++i) {
-      const auto loc = static_cast<graph::vertex_id>(sc.loc[i]);
-      DPG_DEBUG_ASSERT(g_->owner(loc) == ctx.rank());
-      const VT cur = std::atomic_ref<VT>(shard[dd.local_index(loc)])
-                         .load(std::memory_order_relaxed);
-      sc.cur[i] = std::bit_cast<std::uint64_t>(cur);
-    }
-    if (filter_member<I>(kt, sc, n) != 0)
-      for (std::uint32_t i = 0; i < n; ++i)
-        if (sc.mask[i]) {
-          const auto loc = static_cast<graph::vertex_id>(sc.loc[i]);
-          if (commit_slot<I>(ctx, shard[dd.local_index(loc)],
-                             std::bit_cast<VT>(sc.val[i])) &&
-              hook_)
-            hook_(ctx, loc);
-        }
-    sc.busy = false;
-  }
-
   ampp::transport* tp_;
   const graph::distributed_graph* g_;
   std::tuple<member<Whens>...> members_;
@@ -746,10 +541,7 @@ class fused_action final : public action_instance {
   ampp::fused_layout layout_;
   ampp::message_type<fused_rec>* fused_msg_ = nullptr;
   std::string fused_label_;
-  std::string fused_batch_label_;
-  bool use_batch_ = false;
   bool use_reduce_ = false;
-  int simd_level_ = -1;
 };
 
 // ---------------------------------------------------------------------------
@@ -778,10 +570,6 @@ std::string explain_fused(const fused_action<Gen, Whens...>& a) {
   std::string out = a.layout().describe(a.name());
   out += "  group dispatch: fused lane for multi-member waves, per-member solo "
          "lanes for single-member tails\n";
-  out += std::string("  batch kernel: ") +
-         (p.batch_kernel ? "per-member sub-batch SIMD dispatch (runtime ISA)"
-                         : "off") +
-         "\n";
   out += std::string("  sender reduction: ") +
          (p.fast_reduction ? "elementwise combining cache on the fused lane"
                            : "off") +

@@ -575,16 +575,11 @@ class analyzer {
         const bool val_ok =
             reads_all_at_v(val) &&
             (th.k == home::kind::at_gen || !contains_read(val));
-        if (idx_ok && val_ok && pmap_of(*m.target)->on_vertices)
-          out.fast_path = pattern::detail::resolve_toggle(0, "DPG_PATTERN_FASTPATH");
-        // Mirrors instantiated_action: batch dispatch rides on the fast
-        // record and needs a wire message to batch (not fully local).
-        out.batch_kernel = out.fast_path && !out.final_merged &&
-                           pattern::detail::resolve_toggle(0, "DPG_PATTERN_BATCH");
-        // ... and so does the sender-side combining cache.
-        out.fast_reduction =
-            out.fast_path && !out.final_merged &&
-            pattern::detail::resolve_toggle(0, "DPG_PATTERN_REDUCE");
+        if (idx_ok && val_ok && pmap_of(*m.target)->on_vertices) out.fast_path = true;
+        // Mirrors instantiated_action: the sender-side combining cache
+        // rides on the fast record and needs a wire message (not fully
+        // local).
+        out.fast_reduction = out.fast_path && !out.final_merged;
       }
     }
     // Unconditional scatter (mirrors detail::scatter_shape): a literal
@@ -604,8 +599,7 @@ class analyzer {
         // An edge handle is not a scalar: it cannot ride in the record.
         const bool val_ok = arg.kind != expr::node::gen_edge && reads_all_at_v(arg) &&
                             (th.k == home::kind::at_gen || !contains_read(arg));
-        if (idx_ok && val_ok)
-          out.fast_path = pattern::detail::resolve_toggle(0, "DPG_PATTERN_FASTPATH");
+        if (idx_ok && val_ok) out.fast_path = true;
       }
     }
 
@@ -624,7 +618,6 @@ class analyzer {
       if (!out.final_merged) out.wire_bytes.push_back(16);
       return;
     }
-    const bool compact = pattern::detail::resolve_toggle(0, "DPG_PATTERN_COMPACT");
     const std::size_t H = hop_homes_.size();
     const std::size_t final_pos = out.final_merged ? H - 1 : H;
     for (auto& p : rpos)
@@ -669,10 +662,6 @@ class analyzer {
     };
     const std::size_t wires = (H - 1) + (out.final_merged ? 0 : 1);
     for (std::size_t w = 0; w < wires; ++w) {
-      if (!compact) {
-        out.wire_bytes.push_back(sizeof(gather_state));
-        continue;
-      }
       unsigned hdr = 0;
       for (std::size_t p = w + 1; p < pos_needs.size(); ++p) hdr |= pos_needs[p];
       std::size_t b = hdr_bytes(hdr);
@@ -1010,7 +999,6 @@ std::string explain(const analyzed_action& a) {
   info.hop_reads = a.hop_reads;
   info.final_locality = a.final_locality;
   info.fast_path = a.fast_path;
-  info.batch_kernel = a.batch_kernel;
   info.fast_reduction = a.fast_reduction;
   info.cse_hits = a.cse_hits;
   info.wire_bytes = a.wire_bytes;

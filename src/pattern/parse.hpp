@@ -154,7 +154,6 @@ struct analyzed_action {
   std::vector<int> hop_reads;
   std::string final_locality;
   bool fast_path = false;           ///< single-locality relax or scatter kernel engaged
-  bool batch_kernel = false;        ///< whole-envelope SIMD batch dispatch engaged
   bool fast_reduction = false;      ///< sender-side combining cache engaged
   std::size_t cse_hits = 0;         ///< duplicate reads sharing one arena slot
   std::vector<std::size_t> wire_bytes;  ///< bytes per synthesized message

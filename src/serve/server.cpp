@@ -23,6 +23,12 @@ std::uint64_t now_us() {
 /// cache, the in-flight table or a session, so a bad request leaves no
 /// trace in the server.
 void validate(const serve::query& q, graph::vertex_id n) {
+  // algorithm::pagerank is the last enumerator; a value past it would
+  // reach the session pool's slot assert and abort every tenant.
+  if (q.algo > algorithm::pagerank)
+    throw std::invalid_argument("serve: algorithm " +
+                                std::to_string(static_cast<unsigned>(q.algo)) +
+                                " is not a serve::algorithm");
   if (q.params.source >= n)
     throw std::invalid_argument("serve: source " + std::to_string(q.params.source) +
                                 " out of range for a graph of " + std::to_string(n) +

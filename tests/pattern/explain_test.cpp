@@ -110,7 +110,6 @@ TEST(Explain, CompiledPlanShowsWireBytesCseAndFastPath) {
   EXPECT_NE(fast.find("gather read CSE: 2 shared slot(s)"), std::string::npos);
   EXPECT_NE(fast.find("fast path: compiled single-locality relax kernel"),
             std::string::npos);
-  EXPECT_NE(fast.find("batch kernel: whole-envelope SIMD relax"), std::string::npos);
   EXPECT_NE(fast.find("sender reduction: combining cache on the relax lane"),
             std::string::npos);
 
@@ -118,26 +117,20 @@ TEST(Explain, CompiledPlanShowsWireBytesCseAndFastPath) {
       explain("relax", mk({.fast_path = tog::off, .compact_wire = tog::on})->plan());
   EXPECT_NE(general.find("compiled wire payloads: eval=24B"), std::string::npos);
   EXPECT_NE(general.find("fast path: off"), std::string::npos);
-  EXPECT_NE(general.find("batch kernel: off"), std::string::npos);
   EXPECT_NE(general.find("sender reduction: off"), std::string::npos);
 
-  // Batching can be held off independently of the fast path (and the
-  // sender-side combining cache stays on).
-  const std::string nobatch = explain(
-      "relax",
-      mk({.fast_path = tog::on, .batch_kernel = tog::off})->plan());
-  EXPECT_NE(nobatch.find("fast path: compiled single-locality relax kernel"),
+  // The fast path alone, compact wire left at its default, keeps the
+  // sender-side combining cache on.
+  const std::string fastonly = explain("relax", mk({.fast_path = tog::on})->plan());
+  EXPECT_NE(fastonly.find("fast path: compiled single-locality relax kernel"),
             std::string::npos);
-  EXPECT_NE(nobatch.find("batch kernel: off"), std::string::npos);
-  EXPECT_NE(nobatch.find("sender reduction: combining cache on the relax lane"),
+  EXPECT_NE(fastonly.find("sender reduction: combining cache on the relax lane"),
             std::string::npos);
 
-  // ... and vice versa: no combining cache, batching untouched.
+  // The combining cache can be held off independently of the fast path.
   const std::string noreduce = explain(
       "relax",
       mk({.fast_path = tog::on, .fast_reduction = tog::off})->plan());
-  EXPECT_NE(noreduce.find("batch kernel: whole-envelope SIMD relax"),
-            std::string::npos);
   EXPECT_NE(noreduce.find("sender reduction: off"), std::string::npos);
 
   const std::string full =
@@ -176,7 +169,6 @@ TEST(Explain, ScatterPlanLabelsTheScatterRecord) {
   EXPECT_NE(fast.find("fast path: compiled single-locality scatter kernel"),
             std::string::npos);
   EXPECT_NE(fast.find("synchronization: lock map"), std::string::npos);
-  EXPECT_NE(fast.find("batch kernel: off"), std::string::npos);
   EXPECT_NE(fast.find("sender reduction: off"), std::string::npos);
   EXPECT_NE(fast.find("dependencies: yes"), std::string::npos);  // reads+writes d
   const std::string general = explain(
@@ -244,8 +236,8 @@ TEST(Explain, FusedPlanShowsWireLayoutAndGroupDispatch) {
   EXPECT_EQ(p.wire_bytes[2], 16u);
   EXPECT_EQ(p.wire_bytes[3], 16u);
 
-  // Toggled-off batch/reduction renders as off (the environment default
-  // path is covered above via the default compile_options).
+  // Toggled-off reduction renders as off (the default is covered above
+  // via the default compile_options).
   pmap::vertex_property_map<double> dist2(w.g, 1e100);
   pmap::vertex_property_map<double> width2(w.g, 0.0);
   property d2(dist2);
@@ -253,7 +245,7 @@ TEST(Explain, FusedPlanShowsWireLayoutAndGroupDispatch) {
   using tog = compile_options::toggle;
   auto off = fuse(
       w.tp, w.g,
-      compile_options{.batch_kernel = tog::off, .fast_reduction = tog::off},
+      compile_options{.fast_reduction = tog::off},
       make_action("a", out_edges_gen{},
                   when(d2(trg(e_)) > d2(v_) + wt(e_),
                        assign(d2(trg(e_)), d2(v_) + wt(e_)))),
@@ -261,7 +253,6 @@ TEST(Explain, FusedPlanShowsWireLayoutAndGroupDispatch) {
                   when(wd2(trg(e_)) < min_(wd2(v_), cp(e_)),
                        assign(wd2(trg(e_)), min_(wd2(v_), cp(e_))))));
   const std::string offtext = explain_fused(*off);
-  EXPECT_NE(offtext.find("batch kernel: off"), std::string::npos);
   EXPECT_NE(offtext.find("sender reduction: off"), std::string::npos);
   EXPECT_NE(offtext.find("for 2 members"), std::string::npos);
 }

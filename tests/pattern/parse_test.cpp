@@ -109,7 +109,6 @@ TEST(Parse, ParserPlanEqualsEdslPlan) {
   EXPECT_EQ(analyzed.hop_localities, edsl.hop_localities);
   EXPECT_EQ(analyzed.final_locality, edsl.final_locality);
   EXPECT_EQ(analyzed.fast_path, edsl.fast_path);
-  EXPECT_EQ(analyzed.batch_kernel, edsl.batch_kernel);
   EXPECT_EQ(analyzed.fast_reduction, edsl.fast_reduction);
   EXPECT_EQ(explain(analyzed), pattern::explain("relax", edsl));
 }
@@ -218,7 +217,6 @@ pattern PageRank {
   EXPECT_EQ(analyzed.hop_localities, edsl.hop_localities);
   EXPECT_EQ(analyzed.final_locality, edsl.final_locality);
   EXPECT_EQ(analyzed.fast_path, edsl.fast_path);
-  EXPECT_EQ(analyzed.batch_kernel, edsl.batch_kernel);
   EXPECT_EQ(analyzed.fast_reduction, edsl.fast_reduction);
   EXPECT_EQ(analyzed.wire_bytes, edsl.wire_bytes);
   EXPECT_EQ(explain(analyzed), pattern::explain("scatter", edsl));

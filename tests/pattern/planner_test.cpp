@@ -211,7 +211,6 @@ TEST(Planner, UnconditionalScatterCompilesToSixteenByteRecord) {
   const plan_info& p = fast->plan();
   EXPECT_TRUE(p.fast_path);
   EXPECT_FALSE(p.atomic_path);
-  EXPECT_FALSE(p.batch_kernel);
   EXPECT_FALSE(p.fast_reduction);
   EXPECT_FALSE(p.has_dependencies);
   EXPECT_EQ(p.wire_bytes, std::vector<std::size_t>{16});
@@ -236,6 +235,10 @@ TEST(Planner, UnconditionalScatterCompilesToSixteenByteRecord) {
     const obs::stats_snapshot& delta = sc.finish();
     // One message per edge; every application fires (the guard is true).
     EXPECT_EQ(delta.core.messages_sent, g.num_edges());
+    // The fast lane's envelope loop counts every scatter record it
+    // consumes; the general gather chain has no envelope loop.
+    EXPECT_EQ(delta.core.batch_records, act == fast.get() ? g.num_edges() : 0u);
+    EXPECT_LE(delta.core.batch_kernels_run, delta.core.batch_records);
     for (vertex_id v = 0; v < n; ++v)
       EXPECT_DOUBLE_EQ(next_map[v], v == 0 || v == n - 1 ? 1.0 : 2.0) << "v=" << v;
   }

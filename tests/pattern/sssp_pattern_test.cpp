@@ -8,6 +8,7 @@
 #include <utility>
 #include <vector>
 
+#include "algo/baselines.hpp"
 #include "ampp/epoch.hpp"
 #include "ampp/transport.hpp"
 #include "graph/generators.hpp"
@@ -263,6 +264,82 @@ TEST(SsspPattern, CompactWireReducesBytesOnTheWire) {
   EXPECT_EQ(measure(tog::on, tog::on), 16u * (n - 1));   // fast relax record
   EXPECT_EQ(measure(tog::off, tog::on), 24u * (n - 1));  // compact eval payload
   EXPECT_EQ(measure(tog::off, tog::off), sizeof(gather_state) * (n - 1));
+}
+
+// ---------------------------------------------------------------------------
+// Whole-envelope dispatch of the fast relax record: the receiver runs one
+// loop over each coalesced envelope. Each case is checked against the
+// sequential Dijkstra oracle.
+// ---------------------------------------------------------------------------
+
+struct envelope_run {
+  std::vector<double> dist;
+  obs::stats_snapshot delta;
+};
+
+/// Runs the fast relax pattern from vertex 0 to its fixed point with the
+/// given coalescing size and sender-side reduction toggle.
+envelope_run run_envelopes(const std::vector<graph::edge>& edges, vertex_id n,
+                           ampp::rank_t ranks, std::size_t coalescing,
+                           compile_options::toggle reduce = compile_options::toggle::auto_) {
+  sssp_fixture fx(n, edges, ranks);
+  fx.weight_map = pmap::edge_property_map<double>(fx.g, [](const edge_handle& e) {
+    return graph::edge_weight(e.src, e.dst, 11, 7.0);
+  });
+  ampp::transport tp(
+      ampp::transport_config{.n_ranks = ranks, .coalescing_size = coalescing});
+  property dist(fx.dist_map);
+  property weight(fx.weight_map);
+  auto relax = instantiate(tp, fx.g, fx.locks,
+                           make_action("relax", out_edges_gen{},
+                                       when(dist(trg(e_)) > dist(v_) + weight(e_),
+                                            assign(dist(trg(e_)), dist(v_) + weight(e_)))),
+                           compile_options{.fast_path = compile_options::toggle::on,
+                                           .fast_reduction = reduce});
+  EXPECT_TRUE(relax->plan().fast_path);
+  relax->work([&](ampp::transport_context& ctx, vertex_id dep) { (*relax)(ctx, dep); });
+  fx.dist_map[0] = 0.0;
+  obs::stats_scope sc(tp.obs());
+  tp.run([&](ampp::transport_context& ctx) {
+    ampp::epoch ep(ctx);
+    if (fx.g.owner(0) == ctx.rank()) (*relax)(ctx, 0);
+  });
+  envelope_run out{std::vector<double>(n), sc.finish()};
+  for (vertex_id v = 0; v < n; ++v) out.dist[v] = fx.dist_map[v];
+  EXPECT_EQ(out.dist, algo::dijkstra(fx.g, fx.weight_map, 0));
+  return out;
+}
+
+TEST(SsspPattern, EnvelopeWithDuplicateTargets) {
+  // A multigraph hub: four parallel edges to each spoke, so one coalesced
+  // envelope carries several records for the same target vertex, each
+  // with its own weight, and the loop must keep the best of them. The
+  // sender-side combining cache is pinned off: it would merge the
+  // duplicates before they reach an envelope.
+  const vertex_id n = 9;
+  std::vector<graph::edge> edges;
+  for (vertex_id v = 1; v < n; ++v)
+    for (int dup = 0; dup < 4; ++dup) edges.push_back(graph::edge{0, v});
+  const envelope_run r = run_envelopes(edges, n, 3, 64, compile_options::toggle::off);
+  EXPECT_GT(r.delta.core.batch_records, 0u);
+}
+
+TEST(SsspPattern, SingleRecordEnvelopes) {
+  // coalescing_size = 1: the smallest envelopes the sender flushes.
+  const vertex_id n = 24;
+  const envelope_run r = run_envelopes(graph::erdos_renyi(n, 90, 5), n, 3, 1);
+  EXPECT_GT(r.delta.core.batch_records, 0u);
+}
+
+TEST(SsspPattern, EnvelopeCountersObeyTheirLaws) {
+  // Every record the envelope loop consumes is a handled payload, and
+  // every loop run consumes at least one record.
+  const vertex_id n = 96;
+  const envelope_run r = run_envelopes(graph::erdos_renyi(n, 700, 31), n, 3, 5);
+  const auto& c = r.delta.core;
+  EXPECT_GT(c.batch_records, 0u);
+  EXPECT_LE(c.batch_records, c.handler_invocations);
+  EXPECT_LE(c.batch_kernels_run, c.batch_records);
 }
 
 }  // namespace

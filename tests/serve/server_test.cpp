@@ -130,6 +130,10 @@ TEST(ServerTest, RejectsInvalidQueriesAndKeepsServing) {
       {.algo = algorithm::sssp, .params = {.source = 0, .delta = nan}},
       {.algo = algorithm::sssp, .params = {.source = 0, .delta = inf}},
       {.algo = algorithm::bfs, .params = {.source = 0, .delta = -1.0}},
+      // Not a serve::algorithm: one past the last enumerator, and the top
+      // of the underlying type.
+      {.algo = static_cast<algorithm>(5), .params = {.source = 0}},
+      {.algo = static_cast<algorithm>(255), .params = {.source = 0}},
   };
   for (const serve::query& q : bad) {
     EXPECT_THROW(srv.query(q), std::invalid_argument);

@@ -201,9 +201,9 @@ TEST(FusionSweep, TripleBitIdenticalToSeparateSolves) {
 }
 
 TEST(FusionSweep, TogglesBitIdentical) {
-  // The fused lane's batch kernels and sender reduction are pure
-  // transport optimizations: forcing both toggles both ways under every
-  // fault plan must produce bit-identical triples.
+  // The fused lane's sender reduction is a pure transport optimization:
+  // forcing the toggle both ways under every fault plan must produce
+  // bit-identical triples.
   sweep("fused_toggles", [](std::uint64_t seed, ampp::rank_t ranks,
                             const plan_spec& ps, std::uint64_t& events) {
     distributed_graph g(kN, fusion_edges(seed), distribution::cyclic(kN, ranks));
@@ -215,8 +215,7 @@ TEST(FusionSweep, TogglesBitIdentical) {
       ampp::transport tp(sim_config(ranks, seed, ps));
       algo::fused_triple_solver fused(
           tp, g, weight, cap,
-          pattern::compile_options{.batch_kernel = t, .fast_reduction = t});
-      ASSERT_EQ(fused.action().plan().batch_kernel, t == tog::on);
+          pattern::compile_options{.fast_reduction = t});
       ASSERT_EQ(fused.action().plan().fast_reduction, t == tog::on);
       ASSERT_EQ(fused.action().plan().conditions, 3);
       ASSERT_TRUE(fused.action().plan().fast_path);
@@ -230,7 +229,7 @@ TEST(FusionSweep, TogglesBitIdentical) {
       events += fault_events(s);
       runs.push_back(bits_of(fused.dist(), fused.width(), fused.depth()));
     }
-    ASSERT_EQ(runs[0], runs[1]) << "batch/reduction toggles changed the fixed point";
+    ASSERT_EQ(runs[0], runs[1]) << "reduction toggle changed the fixed point";
   });
 }
 

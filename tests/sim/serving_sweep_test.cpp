@@ -17,7 +17,6 @@
 #include "algo/sessions.hpp"
 #include "graph/generators.hpp"
 #include "sim_harness.hpp"
-#include "util/simd.hpp"
 
 namespace dpg::sim {
 namespace {
@@ -108,70 +107,6 @@ TEST(ServingSweep, ConcurrentSessionsBitIdenticalToSoloUnderFaults) {
     }
   }
   // The sweep must actually have exercised the fault layer.
-  EXPECT_GT(events, 0u) << "no fault events fired across the whole grid";
-}
-
-void run_mixed_tier_point(std::uint64_t seed, const plan_spec& ps,
-                          std::uint64_t& events) {
-  world wd(seed);
-  const std::vector<simd::level> tiers = simd::available_levels();
-
-  // Solo baseline pinned to the scalar tier.
-  auto solo_env = wd.env(seed, ps, std::make_shared<ampp::wire_pool>(2));
-  solo_env.copts.simd_level = static_cast<int>(simd::level::scalar);
-  auto solo_sssp = algo::make_solver_session(serve::algorithm::sssp, solo_env);
-  auto solo_bfs = algo::make_solver_session(serve::algorithm::bfs, solo_env);
-  const serve::session_result base_sssp = solo_sssp->run({.source = 0});
-  const serve::session_result base_bfs = solo_bfs->run({.source = 0});
-  events += fault_events(base_sssp.stats_delta);
-
-  // Concurrent sessions, each pinned to a different tier via its own
-  // compile_options — they share one wire pool, and their batch scratch
-  // must never alias across sessions. Every one must still produce the
-  // solo scalar bits.
-  auto shared_pool = std::make_shared<ampp::wire_pool>(2);
-  const int n_sessions =
-      std::max<int>(kConcurrent, static_cast<int>(tiers.size()));
-  std::vector<serve::session_result> got_sssp(n_sessions), got_bfs(n_sessions);
-  {
-    std::vector<std::jthread> workers;
-    for (int i = 0; i < n_sessions; ++i) {
-      auto env = wd.env(seed, ps, shared_pool);
-      env.copts.simd_level = static_cast<int>(tiers[i % tiers.size()]);
-      workers.emplace_back([&, env, i] {
-        auto s = algo::make_solver_session(serve::algorithm::sssp, env);
-        got_sssp[i] = s->run({.source = 0});
-      });
-      workers.emplace_back([&, env, i] {
-        auto s = algo::make_solver_session(serve::algorithm::bfs, env);
-        got_bfs[i] = s->run({.source = 0});
-      });
-    }
-  }
-  for (int i = 0; i < n_sessions; ++i) {
-    const char* tier = simd::name(tiers[i % tiers.size()]);
-    EXPECT_EQ(got_sssp[i].values, base_sssp.values)
-        << "sssp session " << i << " tier=" << tier;
-    EXPECT_EQ(got_bfs[i].values, base_bfs.values)
-        << "bfs session " << i << " tier=" << tier;
-    assert_fault_consistency(got_sssp[i].stats_delta);
-    assert_fault_consistency(got_bfs[i].stats_delta);
-    events += fault_events(got_sssp[i].stats_delta);
-  }
-}
-
-TEST(ServingSweep, MixedSimdTierSessionsBitIdenticalToScalarSolo) {
-  // Forced-ISA serving regression: sessions running concurrently at
-  // *different* batch-kernel tiers (the per-instantiation pin the serving
-  // layer exposes through session_env.copts) must all reproduce the solo
-  // scalar solve bit for bit under every fault plan.
-  std::uint64_t events = 0;
-  for (const plan_spec& ps : fault_plans()) {
-    for (const std::uint64_t seed : sweep_seeds()) {
-      SCOPED_TRACE(repro("serving_simd", ps.name, 2, seed));
-      run_mixed_tier_point(seed, ps, events);
-    }
-  }
   EXPECT_GT(events, 0u) << "no fault events fired across the whole grid";
 }
 

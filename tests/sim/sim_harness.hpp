@@ -95,7 +95,7 @@ inline void assert_fault_consistency(const obs::stats_snapshot& s) {
   EXPECT_EQ(s.core.envelopes_duplicated, s.core.duplicates_suppressed);
   EXPECT_LE(s.core.envelopes_sent, s.core.flush_lane_visits);
   EXPECT_LE(s.core.pool_reuses, s.core.envelopes_sent);
-  // Every record a batch kernel consumed was also counted as a handled
+  // Every record an envelope loop consumed was also counted as a handled
   // payload (batch dispatch replaces the per-record calls, not the
   // envelope-level accounting).
   EXPECT_LE(s.core.batch_records, s.core.handler_invocations);
