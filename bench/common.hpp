@@ -65,6 +65,7 @@ struct workload {
 inline void report_stats(benchmark::State& state, const obs::stats_snapshot& d,
                          const std::string& prefix = "") {
   state.counters[prefix + "messages"] = static_cast<double>(d.core.messages_sent);
+  state.counters[prefix + "local_applies"] = static_cast<double>(d.core.local_applies);
   state.counters[prefix + "envelopes"] = static_cast<double>(d.core.envelopes_sent);
   state.counters[prefix + "bytes"] = static_cast<double>(d.core.bytes_sent);
   state.counters[prefix + "wire_bytes"] = static_cast<double>(d.core.wire_bytes_sent);

@@ -73,7 +73,7 @@ class betweenness_solver {
                                 },
                                 S(v_), Del(v_), S(u_)))));
     harvest_ = [this](ampp::transport_context& c, vertex_id dep) {
-      next_frontier_[c.rank()].push_back(dep);
+      next_frontier_.push(c.rank(), dep);
     };
   }
 
@@ -101,7 +101,7 @@ class betweenness_solver {
       sigma_[source] = 1.0;
       frontier.push_back(source);
     }
-    next_frontier_[r].clear();
+    (void)next_frontier_.take(r);
     strategy::install_hook_collective(ctx, *forward_, harvest_);
 
     // Forward sweep: one epoch per level; the dependency hook harvests
@@ -115,8 +115,7 @@ class betweenness_solver {
         ampp::epoch ep(ctx);
         for (const vertex_id v : frontier) (*forward_)(ctx, v);
       }
-      frontier = std::move(next_frontier_[r]);
-      next_frontier_[r].clear();
+      frontier = next_frontier_.take(r);
       // The σ-accumulation arm also fires the dependency hook (it writes a
       // map the action reads), so a vertex reached along several same-level
       // edges is harvested once per edge: deduplicate.
@@ -165,7 +164,7 @@ class betweenness_solver {
   std::unique_ptr<pattern::action_instance> forward_;
   std::unique_ptr<pattern::action_instance> backward_;
   pattern::action_instance::work_hook harvest_;
-  std::vector<std::vector<vertex_id>> next_frontier_;
+  strategy::frontier_harvest next_frontier_;
 };
 
 }  // namespace dpg::algo

@@ -61,7 +61,7 @@ class bfs_dir_opt_solver {
     // fires the work hook at the discovered vertex's owner: the strategy
     // harvests it as next level's frontier.
     harvest_ = [this](ampp::transport_context& c, vertex_id dep) {
-      next_frontier_[c.rank()].push_back(dep);
+      next_frontier_.push(c.rank(), dep);
     };
   }
 
@@ -76,7 +76,7 @@ class bfs_dir_opt_solver {
       depth_[source] = 0;
       frontier.push_back(source);
     }
-    next_frontier_[r].clear();
+    (void)next_frontier_.take(r);
     if (ctx.rank() == 0) modes_.clear();
     strategy::install_hook_collective(ctx, *push_, harvest_);
     strategy::install_hook_collective(ctx, *pull_, harvest_);
@@ -111,8 +111,7 @@ class bfs_dir_opt_solver {
           for (const vertex_id v : frontier) (*push_)(ctx, v);
         }
       }
-      frontier = std::move(next_frontier_[r]);
-      next_frontier_[r].clear();
+      frontier = next_frontier_.take(r);
       ++levels;
     }
     return levels;
@@ -133,7 +132,7 @@ class bfs_dir_opt_solver {
   std::unique_ptr<pattern::action_instance> push_;
   std::unique_ptr<pattern::action_instance> pull_;
   pattern::action_instance::work_hook harvest_;
-  std::vector<std::vector<vertex_id>> next_frontier_;
+  strategy::frontier_harvest next_frontier_;
   std::vector<char> modes_;
 };
 

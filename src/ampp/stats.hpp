@@ -19,6 +19,11 @@ namespace dpg::ampp {
 /// transport's lifetime; callers snapshot-and-subtract to measure a region.
 struct transport_stats {
   std::atomic<std::uint64_t> messages_sent{0};      ///< user payloads enqueued to a remote inbox
+  /// Compiled relax/scatter/fused records committed in place by the rank
+  /// that generated them, because it owns their target: never sent, so
+  /// not in messages_sent. Bumped once per application by the pattern
+  /// layer's owner-local apply.
+  std::atomic<std::uint64_t> local_applies{0};
   std::atomic<std::uint64_t> envelopes_sent{0};     ///< coalesced buffers delivered
   std::atomic<std::uint64_t> bytes_sent{0};         ///< logical payload bytes delivered
   std::atomic<std::uint64_t> wire_bytes_sent{0};    ///< envelope bytes on the wire (<= bytes_sent; compact layouts truncate)
@@ -64,7 +69,7 @@ struct transport_stats {
   /// Plain-value snapshot. Manual snapshot-and-subtract in tests/benches is
   /// deprecated — use obs::stats_scope, which also captures per-type deltas.
   struct snapshot {
-    std::uint64_t messages_sent, envelopes_sent, bytes_sent, wire_bytes_sent,
+    std::uint64_t messages_sent, local_applies, envelopes_sent, bytes_sent, wire_bytes_sent,
         handler_invocations,
         self_deliveries, cache_hits, cache_evictions, td_rounds, barriers, epochs,
         control_messages, envelopes_dropped, envelopes_retried, envelopes_duplicated,
@@ -74,6 +79,7 @@ struct transport_stats {
 
     snapshot operator-(const snapshot& o) const {
       return {messages_sent - o.messages_sent,
+              local_applies - o.local_applies,
               envelopes_sent - o.envelopes_sent,
               bytes_sent - o.bytes_sent,
               wire_bytes_sent - o.wire_bytes_sent,
@@ -102,6 +108,7 @@ struct transport_stats {
 
     snapshot operator+(const snapshot& o) const {
       return {messages_sent + o.messages_sent,
+              local_applies + o.local_applies,
               envelopes_sent + o.envelopes_sent,
               bytes_sent + o.bytes_sent,
               wire_bytes_sent + o.wire_bytes_sent,
@@ -130,7 +137,7 @@ struct transport_stats {
   };
 
   snapshot snap() const {
-    return {messages_sent.load(), envelopes_sent.load(), bytes_sent.load(),
+    return {messages_sent.load(), local_applies.load(), envelopes_sent.load(), bytes_sent.load(),
             wire_bytes_sent.load(), handler_invocations.load(), self_deliveries.load(), cache_hits.load(),
             cache_evictions.load(), td_rounds.load(), barriers.load(), epochs.load(),
             control_messages.load(), envelopes_dropped.load(), envelopes_retried.load(),

@@ -147,9 +147,9 @@ std::string registry::epoch_summary() const {
   std::string out;
   char line[256];
   std::snprintf(line, sizeof line,
-                "%5s %9s %10s %9s %12s %12s %9s %9s %10s %8s %8s %9s %9s %9s %9s "
+                "%5s %9s %10s %10s %9s %12s %12s %9s %9s %10s %8s %8s %9s %9s %9s %9s "
                 "%5s %8s %8s\n",
-                "epoch", "wall_ms", "msgs", "envs", "bytes", "wire_b", "handlers",
+                "epoch", "wall_ms", "msgs", "local", "envs", "bytes", "wire_b", "handlers",
                 "td_rnds", "cache_hit", "drops", "retries", "ln_visit", "ln_skip",
                 "batch_rec", "batch_krn", "muts", "delta_e", "tomb_e");
   out += line;
@@ -158,10 +158,11 @@ std::string registry::epoch_summary() const {
   for (const epoch_record& e : eps) {
     const counters& d = e.delta.core;
     std::snprintf(line, sizeof line,
-                  "%5llu %9.3f %10llu %9llu %12llu %12llu %9llu %9llu %10llu %8llu %8llu "
-                  "%9llu %9llu %9llu %9llu %5llu %8llu %8llu\n",
+                  "%5llu %9.3f %10llu %10llu %9llu %12llu %12llu %9llu %9llu %10llu %8llu "
+                  "%8llu %9llu %9llu %9llu %9llu %5llu %8llu %8llu\n",
                   static_cast<unsigned long long>(e.index), e.dur_us / 1e3,
                   static_cast<unsigned long long>(d.messages_sent),
+                  static_cast<unsigned long long>(d.local_applies),
                   static_cast<unsigned long long>(d.envelopes_sent),
                   static_cast<unsigned long long>(d.bytes_sent),
                   static_cast<unsigned long long>(d.wire_bytes_sent),
@@ -191,9 +192,10 @@ std::string registry::epoch_summary() const {
     tot.tombstoned_edges = cum.tombstoned_edges;
   }
   std::snprintf(line, sizeof line,
-                "%5s %9.3f %10llu %9llu %12llu %12llu %9llu %9llu %10llu %8llu %8llu "
-                "%9llu %9llu %9llu %9llu %5llu %8llu %8llu\n",
+                "%5s %9.3f %10llu %10llu %9llu %12llu %12llu %9llu %9llu %10llu %8llu "
+                "%8llu %9llu %9llu %9llu %9llu %5llu %8llu %8llu\n",
                 "total", tot_us / 1e3, static_cast<unsigned long long>(tot.messages_sent),
+                static_cast<unsigned long long>(tot.local_applies),
                 static_cast<unsigned long long>(tot.envelopes_sent),
                 static_cast<unsigned long long>(tot.bytes_sent),
                 static_cast<unsigned long long>(tot.wire_bytes_sent),

@@ -18,6 +18,11 @@
 // (strategy::fixed_point installs a hook that files `dep` in the owner's
 // work queue instead and applies it from its epoch loop.)
 //
+// A compiled relax or scatter record whose target the sending rank owns is
+// committed in place, not sent (owner-local apply). A record generated
+// inside the hook of such a commit — the immediate re-application above —
+// goes on the wire instead, so the hook cannot recurse without bound.
+//
 // Instantiation performs the paper's §IV-A translation: locality analysis,
 // hop planning, merging of the final gather with evaluate+modify, message
 // type registration (with auto-generated address maps, §IV-D), and the
@@ -32,6 +37,7 @@
 #include <cstring>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -415,6 +421,28 @@ struct scatter_shape<when_clause<lit_expr<bool>, modify_stmt<PM, Idx, F, Arg>>, 
   using slot_type = typename PM::value_type;
   using fn_type = F;
   static constexpr bool min_update = false;
+};
+
+// ---------------------------------------------------------------------------
+// Owner-local apply re-entrancy
+// ---------------------------------------------------------------------------
+
+/// Set while this thread commits a compiled record in place, work hook
+/// included. A record generated meanwhile (by a hook that re-applies an
+/// action immediately) is sent instead of committed, which bounds the
+/// nesting at one local commit per thread.
+inline thread_local bool in_local_commit = false;
+
+/// Marks the current thread as inside a local commit for its lifetime.
+class local_commit_scope {
+ public:
+  local_commit_scope() : prev_(in_local_commit) { in_local_commit = true; }
+  ~local_commit_scope() { in_local_commit = prev_; }
+  local_commit_scope(const local_commit_scope&) = delete;
+  local_commit_scope& operator=(const local_commit_scope&) = delete;
+
+ private:
+  bool prev_;
 };
 
 // ---------------------------------------------------------------------------
@@ -1089,112 +1117,121 @@ class instantiated_action final : public action_instance {
 
   // ---- execution -----------------------------------------------------------
 
+  /// This rank's slots of the fast kernel's target map.
+  using shard_t = std::span<typename fshape::slot_type>;
+
+  /// Per-application state of the owner-local apply.
+  struct local_tally {
+    shard_t shard;
+    bool nested = false;  ///< generated inside a local commit: send everything
+    std::uint64_t applied = 0;  ///< records committed in place
+    std::uint64_t fired = 0;    ///< of those, firings
+  };
+
   /// Fast-path generator loop: evaluates destination and proposed value
   /// directly from the generator state — no arena, no gather chain. Like
   /// the arena path, iterates base + overlay ranges, so the fast kernel is
-  /// equally mutation-oblivious.
+  /// equally mutation-oblivious. Local applies and their firings reach the
+  /// shared counters once per application, not once per record.
   void fast_generate(ampp::transport_context& ctx, graph::vertex_id v) {
     if constexpr (kFastShape) {
       gather_state s;
       s.v = v;
       fast_hoists_.run(s);  // v-homed reads: once per application, not per edge
+      local_tally t{fast_pm_->local(ctx.rank()), detail::in_local_commit};
       if constexpr (std::is_same_v<Gen, out_edges_gen>) {
         for (const graph::edge_handle e : g_->out_edges(v)) {
           s.e = e;
-          fast_apply(ctx, s);
+          fast_apply(ctx, s, t);
         }
       } else if constexpr (std::is_same_v<Gen, in_edges_gen>) {
         for (const graph::edge_handle e : g_->in_edges(v)) {
           s.e = e;
-          fast_apply(ctx, s);
+          fast_apply(ctx, s, t);
         }
       } else if constexpr (std::is_same_v<Gen, adj_gen>) {
         for (const graph::vertex_id u : g_->adjacent(v)) {
           s.u = u;
-          fast_apply(ctx, s);
+          fast_apply(ctx, s, t);
         }
       } else if constexpr (is_pmap_gen<Gen>) {
         for (const graph::vertex_id u : std::as_const(*gen_.pm)[v]) {
           s.u = u;
-          fast_apply(ctx, s);
+          fast_apply(ctx, s, t);
         }
       } else {
-        fast_apply(ctx, s);
+        fast_apply(ctx, s, t);
       }
+      if (t.applied != 0)
+        tp_->obs().core().local_applies.fetch_add(t.applied, std::memory_order_relaxed);
+      if (t.fired != 0) mods_[ctx.rank()].n.fetch_add(t.fired, std::memory_order_relaxed);
     }
   }
 
-  void fast_apply(ampp::transport_context& ctx, const gather_state& s) {
+  void fast_apply(ampp::transport_context& ctx, const gather_state& s, local_tally& t) {
     if constexpr (kFastShape) {
       fast_rec r;
       r.loc = (*fast_idx_)(s);
       r.val = static_cast<typename fshape::value_type>((*fast_val_)(s));
-      if (fast_local_)
-        fast_handle(ctx, r);  // target is v itself: apply in place
-      else
-        // Explicit destination: same routing as the registered address map
-        // (§IV-D), minus its type-erased call — this loop is the hot path.
-        fast_msg_->send(ctx, g_->owner(r.loc), r);
+      // Explicit destination: same routing as the registered address map
+      // (§IV-D), minus its type-erased call — this loop is the hot path.
+      const ampp::rank_t dest = g_->owner(r.loc);
+      // Owner-local apply: no message when this rank owns the target (the
+      // §IV-A rule for coinciding localities, one level up). A v-homed
+      // target has no wire lane, so it commits in place even when nested.
+      if (dest == ctx.rank() && (fast_local_ || !t.nested)) {
+        detail::local_commit_scope in_commit;
+        ++t.applied;
+        t.fired += fast_commit(ctx, t.shard, r);
+      } else {
+        fast_msg_->send(ctx, dest, r);
+      }
     }
   }
 
-  /// One record — a fully local application, or a record the transport
-  /// delivers one at a time: CAS (relax) or F application (scatter)
-  /// through the checked owner-sync access.
+  /// One record the transport delivers on its own.
   void fast_handle(ampp::transport_context& ctx, const fast_rec& r) {
     if constexpr (kFastShape) {
       obs::trace_span sp(&tp_->obs().trace(), "plan", fast_label_.c_str(), ctx.rank());
+      if (fast_commit(ctx, fast_pm_->local(ctx.rank()), r))
+        mods_[ctx.rank()].n.fetch_add(1, std::memory_order_relaxed);
+    }
+  }
+
+  /// The one commit of a relax or scatter record, shared by the envelope
+  /// loop, the per-record handler and the owner-local apply. Resolves the
+  /// target's slot in this rank's shard, then either CASes it under the
+  /// shape's comparator (relax) or applies F to it, under the target's
+  /// lock only with handler threads (scatter). A firing runs the work hook.
+  /// Returns whether the record fired — a scatter always does; callers add
+  /// firings to the modification count in bulk.
+  bool fast_commit(ampp::transport_context& ctx, shard_t shard, const fast_rec& r) {
+    if constexpr (kFastShape) {
       DPG_DEBUG_ASSERT(g_->owner(r.loc) == ctx.rank());
+      auto& slot = shard[g_->dist().local_index(r.loc)];
       if constexpr (kScatter) {
-        scatter_apply(ctx, (*fast_pm_)[r.loc], r.loc, r.val);
-        mods_[ctx.rank()].n.fetch_add(1, std::memory_order_relaxed);
+        if (scatter_locked_) {
+          auto guard = locks_->guard(r.loc);
+          (*fast_fn_)(slot, r.val);
+        } else {
+          (*fast_fn_)(slot, r.val);
+        }
       } else {
-        fast_commit_slot(ctx, r.loc, (*fast_pm_)[r.loc], r.val);
+        const auto cmp = [](const auto& cur, const auto& prop) { return fshape::cmp(cur, prop); };
+        if (!pmap::atomic_update_if(slot, r.val, cmp)) return false;
       }
+      if (fast_dep_ && hook_) hook_(ctx, r.loc);
+      return true;
     }
-  }
-
-  /// Relax commit against an already-resolved shard slot: load, compare
-  /// and CAS under the shape's comparator, then modification accounting
-  /// and the work hook when the CAS applied.
-  void fast_commit_slot(ampp::transport_context& ctx, graph::vertex_id loc,
-                        typename fshape::slot_type& slot,
-                        typename fshape::value_type val) {
-    if constexpr (kRelax) {
-      const bool applied = pmap::atomic_update_if(
-          slot, val,
-          [](const auto& cur, const auto& prop) { return fshape::cmp(cur, prop); });
-      if (applied) {
-        mods_[ctx.rank()].n.fetch_add(1, std::memory_order_relaxed);
-        if (fast_dep_ && hook_) hook_(ctx, loc);
-      }
-    }
-  }
-
-  /// One scatter record against its resolved slot: F on the slot (under
-  /// the target's lock only with handler threads), then the work hook when
-  /// the action has a dependency. The shape's condition always holds, so
-  /// every record is a firing; the caller counts it.
-  void scatter_apply(ampp::transport_context& ctx, typename fshape::slot_type& slot,
-                     graph::vertex_id loc, typename fshape::value_type val) {
-    if constexpr (kScatter) {
-      if (scatter_locked_) {
-        auto guard = locks_->guard(loc);
-        (*fast_fn_)(slot, val);
-      } else {
-        (*fast_fn_)(slot, val);
-      }
-      if (fast_dep_ && hook_) hook_(ctx, loc);
-    }
+    return false;
   }
 
   /// Whole-envelope dispatch for the relax and scatter records: resolves
   /// the rank's shard once (send routing guarantees every record in the
-  /// envelope is owned here), then copies each record out and runs the
-  /// same per-record commit fast_handle runs. A plain loop in arrival
-  /// order, so final pmap state, modification counts and hook firings
-  /// equal per-record dispatch, duplicate targets within one envelope
-  /// included.
+  /// envelope is owned here), then copies each record out and commits it.
+  /// A plain loop in arrival order, so final pmap state, modification
+  /// counts and hook firings equal per-record dispatch, duplicate targets
+  /// within one envelope included.
   void fast_envelope(ampp::transport_context& ctx, const std::byte* data,
                      std::uint32_t n) {
     if constexpr (kFastShape) {
@@ -1202,19 +1239,14 @@ class instantiated_action final : public action_instance {
       auto& core = tp_->obs().core();
       core.batch_kernels_run.fetch_add(1, std::memory_order_relaxed);
       core.batch_records.fetch_add(n, std::memory_order_relaxed);
-      const auto shard = fast_pm_->local(ctx.rank());
-      const graph::distribution& dd = g_->dist();
+      const shard_t shard = fast_pm_->local(ctx.rank());
+      std::uint64_t fired = 0;
       for (std::uint32_t i = 0; i < n; ++i) {
         fast_rec r;
         std::memcpy(&r, data + i * sizeof(fast_rec), sizeof(fast_rec));
-        DPG_DEBUG_ASSERT(g_->owner(r.loc) == ctx.rank());
-        auto& slot = shard[dd.local_index(r.loc)];
-        if constexpr (kScatter)
-          scatter_apply(ctx, slot, r.loc, r.val);
-        else
-          fast_commit_slot(ctx, r.loc, slot, r.val);
+        fired += fast_commit(ctx, shard, r);
       }
-      if constexpr (kScatter) mods_[ctx.rank()].n.fetch_add(n, std::memory_order_relaxed);
+      if (fired != 0) mods_[ctx.rank()].n.fetch_add(fired, std::memory_order_relaxed);
     }
   }
 

@@ -33,7 +33,9 @@
 // members ships one fused record (idle slots carry a self-rejecting
 // sentinel); a wave that wakes exactly one member ships that member's
 // 16-byte solo record on a per-member solo lane, so single-member tails
-// never pay the widened record. Both lanes dispatch per record.
+// never pay the widened record. Both lanes dispatch per record, and a
+// record whose target the generating rank owns commits in place without
+// being sent (owner-local apply, as in action.hpp).
 #pragma once
 
 #include <array>
@@ -402,14 +404,16 @@ class fused_action final : public action_instance {
     ((active |= prepare_member<I>(ctx.rank(), v, li, gs[I]) ? (1u << I) : 0u), ...);
     if (active == 0) return;  // every member would repeat its last emission
     const bool multi = (active & (active - 1)) != 0;
+    const bool nested = detail::in_local_commit;
+    std::uint64_t applied = 0;  // records committed in place (owner-local apply)
     const auto emit = [&](const graph::edge_handle& e) {
       ((gs[I].e = e), ...);
       if (multi) {
-        emit_fused(ctx, gs, active, std::index_sequence<I...>{});
+        applied += emit_fused(ctx, gs, active, nested, std::index_sequence<I...>{});
       } else {
         const auto one = [&](auto ic) {
           constexpr std::size_t J = decltype(ic)::value;
-          if ((active >> J) & 1u) emit_solo<J>(ctx, gs[J]);
+          if ((active >> J) & 1u) applied += emit_solo<J>(ctx, gs[J], nested);
         };
         (one(std::integral_constant<std::size_t, I>{}), ...);
       }
@@ -424,6 +428,8 @@ class fused_action final : public action_instance {
                     "record's shared addressing is the generated edge endpoint");
       for (const graph::edge_handle e : g_->in_edges(v)) emit(e);
     }
+    if (applied != 0)
+      tp_->obs().core().local_applies.fetch_add(applied, std::memory_order_relaxed);
   }
 
   /// Loads member I's hoisted v-state into `s` and decides whether the
@@ -473,10 +479,14 @@ class fused_action final : public action_instance {
     return changed;
   }
 
+  /// Ships or commits one fused record; returns whether it was committed
+  /// in place. Like the single-pattern fast path, a record whose target
+  /// this rank owns is not sent, unless it was generated inside a local
+  /// commit's hook (see detail::in_local_commit).
   template <std::size_t... I>
-  void emit_fused(ampp::transport_context& ctx,
+  bool emit_fused(ampp::transport_context& ctx,
                   const std::array<gather_state, kMembers>& gs, std::uint32_t active,
-                  std::index_sequence<I...>) {
+                  bool nested, std::index_sequence<I...>) {
     fused_rec r;
     r.loc = (*std::get<0>(members_).idx)(gs[0]);
     ((r.val[I] =
@@ -486,16 +496,31 @@ class fused_action final : public action_instance {
                         (*std::get<I>(members_).val)(gs[I])))
               : detail::sentinel_bits<shape_t<I>>()),
      ...);
-    fused_msg_->send(ctx, g_->owner(r.loc), r);
+    const ampp::rank_t dest = g_->owner(r.loc);
+    if (dest != ctx.rank() || nested) {
+      fused_msg_->send(ctx, dest, r);
+      return false;
+    }
+    detail::local_commit_scope in_commit;
+    fused_commit(ctx, r);
+    return true;
   }
 
+  /// The solo-lane counterpart of emit_fused.
   template <std::size_t I>
-  void emit_solo(ampp::transport_context& ctx, const gather_state& s) {
+  bool emit_solo(ampp::transport_context& ctx, const gather_state& s, bool nested) {
     auto& m = std::get<I>(members_);
     typename member_t<I>::solo_rec r;
     r.loc = (*m.idx)(s);
     r.val = static_cast<typename shape_t<I>::value_type>((*m.val)(s));
-    m.solo_msg->send(ctx, g_->owner(r.loc), r);
+    const ampp::rank_t dest = g_->owner(r.loc);
+    if (dest != ctx.rank() || nested) {
+      m.solo_msg->send(ctx, dest, r);
+      return false;
+    }
+    detail::local_commit_scope in_commit;
+    solo_handle<I>(ctx, r);
+    return true;
   }
 
   // ---- delivery ------------------------------------------------------------
@@ -518,6 +543,11 @@ class fused_action final : public action_instance {
 
   void fused_handle(ampp::transport_context& ctx, const fused_rec& r) {
     obs::trace_span sp(&tp_->obs().trace(), "plan", fused_label_.c_str(), ctx.rank());
+    fused_commit(ctx, r);
+  }
+
+  /// The fused lane's one commit, shared by delivery and owner-local apply.
+  void fused_commit(ampp::transport_context& ctx, const fused_rec& r) {
     bool fire = false;
     [&]<std::size_t... I>(std::index_sequence<I...>) {
       ((fire = commit_member<I>(ctx, r.loc, r.val[I]) || fire), ...);
@@ -527,6 +557,7 @@ class fused_action final : public action_instance {
     if (fire && hook_) hook_(ctx, r.loc);
   }
 
+  /// The solo lane's one commit, shared by delivery and owner-local apply.
   template <std::size_t I>
   void solo_handle(ampp::transport_context& ctx,
                    const typename member_t<I>::solo_rec& r) {

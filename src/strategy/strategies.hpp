@@ -10,14 +10,18 @@
 // transport counters.
 #pragma once
 
+#include <mutex>
 #include <optional>
 #include <span>
+#include <utility>
+#include <vector>
 
 #include "ampp/epoch.hpp"
 #include "ampp/transport.hpp"
 #include "graph/distributed_graph.hpp"
 #include "obs/obs.hpp"
 #include "pattern/action.hpp"
+#include "util/spinlock.hpp"
 
 namespace dpg::strategy {
 
@@ -69,6 +73,33 @@ inline void install_hook_collective(ampp::transport_context& ctx,
   ctx.barrier();
 }
 
+/// Per-rank lists of the vertices a work hook harvests, e.g. the next
+/// frontier of a level-synchronous strategy. The hook runs on whichever
+/// thread commits the firing: the rank's own thread for an owner-local
+/// apply, a handler thread for a delivered record. So push() takes the
+/// rank's lock. take() runs between epochs, when no hook fires.
+class frontier_harvest {
+ public:
+  explicit frontier_harvest(ampp::rank_t ranks) : slots_(ranks) {}
+
+  void push(ampp::rank_t r, vertex_id v) {
+    slot& s = slots_[r];
+    std::lock_guard<dpg::spinlock> g(s.mu);
+    s.vertices.push_back(v);
+  }
+  /// Rank r's harvest since the last take(), leaving it empty.
+  std::vector<vertex_id> take(ampp::rank_t r) {
+    return std::exchange(slots_[r].vertices, {});
+  }
+
+ private:
+  struct alignas(64) slot {
+    dpg::spinlock mu;
+    std::vector<vertex_id> vertices;
+  };
+  std::vector<slot> slots_;  // sized once: slots hold locks and cannot move
+};
+
 /// Applies `fn` to every vertex the calling rank owns.
 template <class F>
 void for_each_local_vertex(ampp::transport_context& ctx,
@@ -115,9 +146,11 @@ inline result fixed_point(ampp::transport_context& ctx, pattern::action_instance
     obs::trace_span sp(&reg.trace(), "strategy", "fixed_point", r);
     ampp::epoch ep(ctx);
     for (const vertex_id v : seeds) a(ctx, v);
-    // Every push follows a counted receipt, so a TD round that declares the
-    // epoch done proves no push happened since this rank's previous
-    // report, and the queue was emptied after that report.
+    // A push follows either a counted receipt or an owner-local commit
+    // made on this thread inside these loops, which pop it before
+    // try_finish. So a TD round that declares the epoch done proves no
+    // handler pushed since this rank's previous report, and the queue was
+    // emptied after that report.
     for (;;) {
       while (const auto li = q.pop()) a(ctx, d.global(r, *li));
       if (ep.try_finish()) break;

@@ -57,9 +57,11 @@ std::vector<double> brandes_oracle(const distributed_graph& g,
 }
 
 void expect_bc_matches(const distributed_graph& g, ampp::rank_t ranks,
-                       const std::vector<vertex_id>& sources) {
+                       const std::vector<vertex_id>& sources,
+                       unsigned handler_threads = 0) {
   const auto oracle = brandes_oracle(g, sources);
-  ampp::transport tp(ampp::transport_config{.n_ranks = ranks});
+  ampp::transport tp(
+      ampp::transport_config{.n_ranks = ranks, .handler_threads = handler_threads});
   betweenness_solver solver(tp, g);
   tp.run([&](ampp::transport_context& ctx) {
     solver.reset_bc(ctx);
@@ -107,6 +109,18 @@ TEST(Betweenness, MatchesOracleOnRandomGraphs) {
         graph::symmetrize(graph::simplify(graph::erdos_renyi(n, 200, seed)));
     distributed_graph g(n, edges, distribution::cyclic(n, 3));
     expect_bc_matches(g, 3, {0, 7, 23});
+  }
+}
+
+TEST(Betweenness, HandlerThreadsMatchOracle) {
+  // The forward sweep's harvest hook fires from the rank's own thread and
+  // from its handler threads concurrently.
+  const vertex_id n = 60;
+  const auto edges = graph::symmetrize(graph::simplify(graph::erdos_renyi(n, 200, 4)));
+  distributed_graph g(n, edges, distribution::cyclic(n, 2));
+  for (const unsigned threads : {1u, 2u}) {
+    SCOPED_TRACE(testing::Message() << "handler_threads=" << threads);
+    expect_bc_matches(g, 2, {0, 7, 23}, threads);
   }
 }
 

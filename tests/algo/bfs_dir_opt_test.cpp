@@ -98,6 +98,26 @@ TEST(BfsDirOpt, HugeAlphaForcesPullHeavy) {
   }
 }
 
+TEST(BfsDirOpt, HandlerThreadsMatchOracle) {
+  // With handler threads, the harvest hook runs on the rank's own thread
+  // (owner-local discoveries) and on its helpers (delivered ones) at once.
+  const vertex_id n = 400;
+  const auto edges = graph::symmetrize(graph::erdos_renyi(n, 1600, 11));
+  distributed_graph g(n, edges, distribution::cyclic(n, 2), /*bidirectional=*/true);
+  const auto oracle = bfs_levels(g, 0);
+  for (const unsigned threads : {1u, 2u}) {
+    SCOPED_TRACE(testing::Message() << "handler_threads=" << threads);
+    ampp::transport tp(ampp::transport_config{.n_ranks = 2, .handler_threads = threads});
+    bfs_dir_opt_solver bfs(tp, g);
+    tp.run([&](ampp::transport_context& ctx) { bfs.run(ctx, 0); });
+    for (vertex_id v = 0; v < n; ++v) {
+      const auto want = oracle[v] < 0 ? bfs.unreachable_depth()
+                                      : static_cast<std::uint64_t>(oracle[v]);
+      ASSERT_EQ(bfs.depth()[v], want) << "v=" << v;
+    }
+  }
+}
+
 TEST(BfsDirOpt, RequiresBidirectionalStorage) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   const auto edges = graph::path_graph(4);

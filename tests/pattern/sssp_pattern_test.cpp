@@ -9,6 +9,11 @@
 #include <vector>
 
 #include "algo/baselines.hpp"
+#include "algo/bfs.hpp"
+#include "algo/fused.hpp"
+#include "algo/pagerank.hpp"
+#include "algo/sssp.hpp"
+#include "algo/widest_path.hpp"
 #include "ampp/epoch.hpp"
 #include "ampp/transport.hpp"
 #include "graph/generators.hpp"
@@ -130,7 +135,9 @@ TEST(SsspPattern, HookNotCalledWithoutDependencyFiring) {
 
 TEST(SsspPattern, MessageCountMatchesPlan) {
   // Each relax application on a vertex of out-degree d must produce exactly
-  // d payloads of the single synthesized message type.
+  // d records of the single synthesized message type. A record whose
+  // target its sender owns is committed in place instead of sent: the hub
+  // sits on rank 0 of 2 cyclic ranks, so only the odd spokes are messages.
   const vertex_id n = 8;
   sssp_fixture fx(n, graph::star_graph(n), 2, 1.0);
   ampp::transport tp(ampp::transport_config{.n_ranks = 2, .coalescing_size = 4});
@@ -142,7 +149,8 @@ TEST(SsspPattern, MessageCountMatchesPlan) {
     if (fx.g.owner(0) == ctx.rank()) (*relax)(ctx, 0);
   });
   const obs::stats_snapshot& delta = sc.finish();
-  EXPECT_EQ(delta.core.messages_sent, n - 1);  // one message per out-edge
+  EXPECT_EQ(delta.core.messages_sent + delta.core.local_applies, n - 1);  // one per out-edge
+  EXPECT_EQ(delta.core.messages_sent, n / 2);  // spokes 1, 3, 5, 7
 }
 
 TEST(SsspPattern, AtomicAndLockedPathsAgree) {
@@ -236,11 +244,16 @@ TEST(SsspPattern, CompiledPathsAreBitIdentical) {
 }
 
 TEST(SsspPattern, CompactWireReducesBytesOnTheWire) {
-  // One relax at the hub of a star produces exactly n-1 payloads of the
+  // One relax at the hub of a star produces exactly n-1 records of the
   // synthesized type; the wire-byte counters must show each compilation
-  // mode's per-payload footprint exactly.
+  // mode's per-payload footprint exactly. The fast kernel commits the
+  // records its sender owns in place, so only those it sends are on the
+  // wire; the general path sends every record.
   const vertex_id n = 32;
   using tog = compile_options::toggle;
+  struct traffic {
+    std::uint64_t wire, sent, local;
+  };
   auto measure = [&](tog fast, tog compact) {
     sssp_fixture fx(n, graph::star_graph(n), 2, 1.0);
     ampp::transport tp(ampp::transport_config{.n_ranks = 2, .coalescing_size = 4});
@@ -256,14 +269,110 @@ TEST(SsspPattern, CompactWireReducesBytesOnTheWire) {
       ampp::epoch ep(ctx);
       if (fx.g.owner(0) == ctx.rank()) (*relax)(ctx, 0);
     });
-    std::uint64_t wire = 0;
-    for (const obs::type_counters& t : tp.obs().snapshot().per_type)
-      if (!t.internal) wire += t.wire_bytes;
-    return wire;
+    const obs::stats_snapshot snap = tp.obs().snapshot();
+    traffic t{0, snap.core.messages_sent, snap.core.local_applies};
+    for (const obs::type_counters& c : snap.per_type)
+      if (!c.internal) t.wire += c.wire_bytes;
+    return t;
   };
-  EXPECT_EQ(measure(tog::on, tog::on), 16u * (n - 1));   // fast relax record
-  EXPECT_EQ(measure(tog::off, tog::on), 24u * (n - 1));  // compact eval payload
-  EXPECT_EQ(measure(tog::off, tog::off), sizeof(gather_state) * (n - 1));
+  const traffic fast = measure(tog::on, tog::on);
+  EXPECT_EQ(fast.sent + fast.local, n - 1);
+  EXPECT_EQ(fast.sent, n / 2);           // the odd spokes live on rank 1
+  EXPECT_EQ(fast.wire, 16u * fast.sent);  // fast relax record
+  EXPECT_EQ(measure(tog::off, tog::on).wire, 24u * (n - 1));  // compact eval payload
+  EXPECT_EQ(measure(tog::off, tog::off).wire, sizeof(gather_state) * (n - 1));
+}
+
+// ---------------------------------------------------------------------------
+// Owner-local apply: compiled records whose target the sending rank owns are
+// committed in place instead of sent.
+// ---------------------------------------------------------------------------
+
+TEST(SsspPattern, OneRankSendsNoUserMessages) {
+  // At one rank the sender owns every target, so the fixed-point SSSP
+  // relax, the PageRank scatter and the fused triple send no user message
+  // at all, and each still equals its oracle.
+  const vertex_id n = 300;
+  const auto edges = graph::erdos_renyi(n, 2400, 13);
+  distributed_graph g(n, edges, distribution::cyclic(n, 1));
+  pmap::edge_property_map<double> weight(g, [](const edge_handle& e) {
+    return graph::edge_weight(e.src, e.dst, 3, 9.0);
+  });
+  const auto expect_all_local = [](const obs::stats_snapshot& d) {
+    EXPECT_EQ(d.core.messages_sent, 0u);
+    EXPECT_GT(d.core.local_applies, 0u);
+  };
+  {
+    SCOPED_TRACE("sssp fixed point");
+    ampp::transport tp(ampp::transport_config{.n_ranks = 1});
+    algo::sssp_solver sssp(tp, g, weight);
+    obs::stats_scope sc(tp.obs());
+    tp.run([&](ampp::transport_context& ctx) { sssp.run_fixed_point(ctx, 0); });
+    expect_all_local(sc.finish());
+    const auto oracle = algo::dijkstra(g, weight, 0);
+    for (vertex_id v = 0; v < n; ++v) ASSERT_EQ(sssp.dist()[v], oracle[v]) << "v=" << v;
+  }
+  {
+    SCOPED_TRACE("pagerank");
+    ampp::transport tp(ampp::transport_config{.n_ranks = 1});
+    algo::pagerank_solver pr(tp, g);
+    obs::stats_scope sc(tp.obs());
+    tp.run([&](ampp::transport_context& ctx) { pr.run(ctx, 0.85, 20); });
+    expect_all_local(sc.finish());
+    const auto oracle = algo::pagerank(g, 0.85, 20);
+    for (vertex_id v = 0; v < n; ++v)
+      ASSERT_NEAR(pr.ranks()[v], oracle[v], 1e-12) << "v=" << v;
+  }
+  {
+    SCOPED_TRACE("fused triple");
+    ampp::transport tp(ampp::transport_config{.n_ranks = 1});
+    algo::fused_triple_solver fused(tp, g, weight, weight);
+    algo::sssp_solver sssp(tp, g, weight);
+    algo::widest_path_solver widest(tp, g, weight);
+    algo::bfs_solver bfs(tp, g);
+    obs::stats_scope sc(tp.obs());
+    tp.run([&](ampp::transport_context& ctx) {
+      fused.run(ctx, {.sssp = 0, .widest = 1, .bfs = 2});
+      sssp.run_fixed_point(ctx, 0);
+      widest.run(ctx, 1);
+      bfs.run_fixed_point(ctx, 2);
+    });
+    expect_all_local(sc.finish());
+    for (vertex_id v = 0; v < n; ++v) {
+      ASSERT_EQ(fused.dist()[v], sssp.dist()[v]) << "v=" << v;
+      ASSERT_EQ(fused.width()[v], widest.width()[v]) << "v=" << v;
+      ASSERT_EQ(fused.depth()[v], bfs.depth()[v]) << "v=" << v;
+    }
+  }
+}
+
+TEST(SsspPattern, ImmediateHookOnLongPath) {
+  // The header's immediate-apply hook re-invokes relax from inside the
+  // work hook. At one rank every record of a path is owner-local; a record
+  // generated inside a local commit's hook goes on the wire instead, so the
+  // re-application nests one local commit deep rather than once per vertex
+  // (which overflows the stack long before 200,000 vertices).
+  const vertex_id n = 200000;
+  for (const ampp::rank_t ranks : {1u, 4u}) {
+    SCOPED_TRACE(testing::Message() << "ranks=" << ranks);
+    sssp_fixture fx(n, graph::path_graph(n), ranks, 2.0);
+    ampp::transport tp(ampp::transport_config{.n_ranks = ranks});
+    auto relax = make_relax(tp, fx);
+    relax->work([&](ampp::transport_context& ctx, vertex_id dep) { (*relax)(ctx, dep); });
+    fx.dist_map[0] = 0.0;
+    obs::stats_scope sc(tp.obs());
+    tp.run([&](ampp::transport_context& ctx) {
+      ampp::epoch ep(ctx);
+      if (fx.g.owner(0) == ctx.rank()) (*relax)(ctx, 0);
+    });
+    const obs::stats_snapshot& d = sc.finish();
+    for (vertex_id v = 0; v < n; ++v) ASSERT_DOUBLE_EQ(fx.dist_map[v], 2.0 * v) << "v=" << v;
+    EXPECT_EQ(d.core.messages_sent + d.core.local_applies, n - 1);
+    // One rank: relaxations from even vertices commit in place, those from
+    // odd vertices run nested in a local commit's hook and are sent. Four
+    // cyclic ranks: every edge of the path crosses ranks.
+    EXPECT_EQ(d.core.local_applies, ranks == 1 ? n / 2 : 0u);
+  }
 }
 
 // ---------------------------------------------------------------------------
