@@ -7,7 +7,10 @@
 //     recorded, and pointer-jump rounds;
 //   * the epoch_flush ablation (Q6): flushing between seeds lets running
 //     searches claim territory first, so fewer redundant searches start
-//     and fewer conflicts need rewriting.
+//     and fewer conflicts need rewriting;
+//   * claim records sent against directed edges on a denser graph, where
+//     owner-local apply and exact-repeat suppression keep most of them
+//     off the wire.
 #include <benchmark/benchmark.h>
 
 #include "algo/baselines.hpp"
@@ -24,17 +27,27 @@ const workload& wl() {
   return w;
 }
 
-void BM_CcParallelSearch(benchmark::State& state) {
+// A denser power-law graph, where one search reaches a vertex over many of
+// its edges: the claim record's exact-repeat suppression has work to do.
+const workload& dense_wl() {
+  static workload w = workload::rmat(11, 16, 5);
+  return w;
+}
+
+void run_search(benchmark::State& state, const workload& w) {
   const auto ranks = static_cast<ampp::rank_t>(state.range(0));
   const bool flush = state.range(1) != 0;
-  auto g = wl().build_symmetric(ranks);
+  auto g = w.build_symmetric(ranks);
   algo::cc_solver cc(g, ampp::transport_config{.n_ranks = ranks});
   for (auto _ : state) cc.solve(flush);
   state.counters["seeded"] = static_cast<double>(cc.searches_seeded());
   state.counters["conflicts"] = static_cast<double>(cc.conflict_pairs());
   state.counters["jump_rounds"] = static_cast<double>(cc.jump_rounds());
   state.counters["search_msgs"] = static_cast<double>(cc.search_messages());
+  state.counters["edges"] = static_cast<double>(g.num_edges());
 }
+
+void BM_CcParallelSearch(benchmark::State& state) { run_search(state, wl()); }
 BENCHMARK(BM_CcParallelSearch)
     ->Args({1, 1})
     ->Args({2, 1})
@@ -42,6 +55,9 @@ BENCHMARK(BM_CcParallelSearch)
     ->Args({2, 0})   // Q6 ablation: no epoch_flush between seeds
     ->Args({4, 0})
     ->Unit(benchmark::kMillisecond)->UseRealTime();
+
+void BM_CcDenseSearch(benchmark::State& state) { run_search(state, dense_wl()); }
+BENCHMARK(BM_CcDenseSearch)->Args({4, 1})->Unit(benchmark::kMillisecond)->UseRealTime();
 
 void BM_CcUnionFindBaseline(benchmark::State& state) {
   auto g = wl().build_symmetric(1);

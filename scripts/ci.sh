@@ -64,7 +64,7 @@ echo "=== bench smoke (1 repetition, JSON out) ==="
 # inspection. The werror tree already built the bench binaries.
 BUILD_DIR=build-werror BENCH_SUFFIX=.ci \
   BENCH_ARGS="--benchmark_min_time=0.01 --benchmark_repetitions=1" \
-  scripts/bench_json.sh epoch sssp message_plan mutation pagerank
+  scripts/bench_json.sh epoch sssp message_plan mutation pagerank cc
 
 echo "=== bench ratio guard (pattern vs hand-rolled SSSP) ==="
 # The declarative relax pattern has to stay within striking distance of the hand-written AM++-style SSSP at
@@ -87,6 +87,39 @@ ratio = pattern / hand
 print(f"pattern fixed-point / hand-rolled @2 ranks: {ratio:.2f}x (limit 1.3x)")
 if ratio >= 1.3:
     raise SystemExit("ratio guard FAILED: compiled pattern SSSP regressed vs hand-rolled")
+EOF
+
+echo "=== bench structural guard (CC claim record, Q6 ablation) ==="
+# CC's search compiles to the 16-byte claim record: a record whose target
+# the sending rank owns commits in place, and an exact repeat is dropped
+# before the wire. On the dense R-MAT graph at 4 ranks the search sends
+# 0.11-0.13 records per directed edge (measured); the limit is 0.3, over 2x
+# that, and well under the ~0.75 that owner-local apply alone would leave,
+# so the suppression cannot silently switch off. The Q6 ablation must keep
+# the paper's effect: without epoch_flush, more searches start and more
+# root pairs collide.
+python3 - <<'EOF'
+import json
+with open("BENCH_cc.ci.json") as f:
+    rows = json.load(f)["benchmarks"]
+
+def row(name):
+    for r in rows:
+        if r["name"] == name and r.get("run_type", "iteration") == "iteration":
+            return r
+    raise SystemExit(f"cc guard: benchmark '{name}' missing from BENCH_cc.ci.json")
+
+dense = row("BM_CcDenseSearch/4/1/real_time")
+frac = dense["search_msgs"] / dense["edges"]
+print(f"cc search messages per directed edge @4 ranks: {frac:.3f} (limit 0.3)")
+if frac >= 0.3:
+    raise SystemExit("cc guard FAILED: claim records are reaching the wire un-suppressed")
+flush = row("BM_CcParallelSearch/4/1/real_time")
+noflush = row("BM_CcParallelSearch/4/0/real_time")
+print(f"Q6 @4 ranks: seeded {noflush['seeded']:.0f} vs {flush['seeded']:.0f}, "
+      f"conflicts {noflush['conflicts']:.0f} vs {flush['conflicts']:.0f} (no flush vs flush)")
+if not (noflush["seeded"] > flush["seeded"] and noflush["conflicts"] > flush["conflicts"]):
+    raise SystemExit("cc guard FAILED: the epoch_flush ablation no longer reproduces the paper's effect")
 EOF
 
 echo "=== bench ratio guard (pattern vs hand-rolled PageRank) ==="

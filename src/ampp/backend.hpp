@@ -65,7 +65,7 @@ struct backend_config {
   /// How long construction waits for peers to appear before failing.
   std::uint32_t attach_timeout_ms = 30000;
   /// Channel index distinguishing multiple transports in one process
-  /// (e.g. cc_solver's rewrite transport). -1 = assign automatically from
+  /// (e.g. one per solver). -1 = assign automatically from
   /// a process-global counter — correct whenever every rank process
   /// constructs its transports in the same order, which the SPMD model
   /// guarantees. Tests pairing two backends inside one process set it

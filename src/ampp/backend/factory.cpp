@@ -11,8 +11,8 @@ namespace {
 // every rank process, so transports are constructed in the same order
 // everywhere and a per-process counter yields matching channel ids (the
 // handshake verifies this instead of trusting it). Deliberately never
-// reset — a second transport in the same process (cc_solver's rewrite
-// pass, serving sessions) gets a fresh shm segment / port block.
+// reset — a second transport in the same process (an example's second
+// solver, serving sessions) gets a fresh shm segment / port block.
 std::atomic<std::uint32_t> next_channel{0};
 
 }  // namespace

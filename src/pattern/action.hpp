@@ -18,10 +18,11 @@
 // (strategy::fixed_point installs a hook that files `dep` in the owner's
 // work queue instead and applies it from its epoch loop.)
 //
-// A compiled relax or scatter record whose target the sending rank owns is
-// committed in place, not sent (owner-local apply). A record generated
-// inside the hook of such a commit — the immediate re-application above —
-// goes on the wire instead, so the hook cannot recurse without bound.
+// A compiled relax, scatter or claim record whose target the sending rank
+// owns is committed in place, not sent (owner-local apply). A record
+// generated inside the hook of such a commit — the immediate re-application
+// above — goes on the wire instead, so the hook cannot recurse without
+// bound.
 //
 // Instantiation performs the paper's §IV-A translation: locality analysis,
 // hop planning, merging of the final gather with evaluate+modify, message
@@ -82,6 +83,35 @@ template <class PM, class Idx, class F, class... Args>
 auto modify(read_expr<PM, Idx> target, F fn, Args... args) {
   return modify_stmt<PM, Idx, F, decltype(as_expr(args))...>{
       target, std::move(fn), std::tuple<decltype(as_expr(args))...>{as_expr(args)...}};
+}
+
+/// insert: adds value to the std::vector set target-pmap[idx] unless it is
+/// already present — the text front end's `.insert` on a `vertex_list`.
+/// Unlike an opaque modify it is idempotent, which is what lets the claim
+/// kernel drop repeated records before they reach the wire.
+template <class PM, class Idx, class Val>
+struct insert_stmt {
+  read_expr<PM, Idx> target;
+  Val value;
+};
+
+template <class T>
+inline constexpr bool is_std_vector = false;
+template <class T, class A>
+inline constexpr bool is_std_vector<std::vector<T, A>> = true;
+
+template <class PM, class Idx, class V>
+auto insert(read_expr<PM, Idx> target, V value) {
+  static_assert(is_std_vector<typename PM::value_type>,
+                "insert targets a property map of std::vector sets");
+  auto val = as_expr(value);
+  return insert_stmt<PM, Idx, decltype(val)>{target, val};
+}
+
+/// Set insert into a vector: appends x unless present.
+template <class T, class U>
+void insert_absent(std::vector<T>& set, const U& x) {
+  if (std::find(set.begin(), set.end(), x) == set.end()) set.push_back(static_cast<T>(x));
 }
 
 // ---------------------------------------------------------------------------
@@ -145,9 +175,13 @@ struct plan_info {
   std::vector<int> hop_reads;  ///< gather reads performed per hop
   std::string final_locality;
   /// Single-locality kernel engaged: the relax kernel when atomic_path is
-  /// set (compare-and-update), else the unconditional scatter kernel.
+  /// set (compare-and-update), the claim kernel when claim is set, else the
+  /// unconditional scatter kernel.
   bool fast_path = false;
-  bool fast_reduction = false;  ///< sender-side combining cache on the relax lane
+  bool claim = false;  ///< the fast kernel is CC's two-arm claim record
+  /// Sender-side cache on the fast lane: combining for relax, exact-repeat
+  /// suppression for claim.
+  bool fast_reduction = false;
   std::size_t cse_hits = 0;  ///< duplicate reads sharing one arena slot
   /// Bytes each synthesized message carries on the wire, in send order:
   /// gather wires first (into hop 1, hop 2, …), then the evaluate message
@@ -423,11 +457,72 @@ struct scatter_shape<when_clause<lit_expr<bool>, modify_stmt<PM, Idx, F, Arg>>, 
   static constexpr bool min_update = false;
 };
 
+/// The third single-locality fast shape: the two-arm claim of CC's search
+///
+///   when(P(t) == lit(sentinel), assign(P(t), X))
+///   when(P(t) != X, insert(F(t), X))
+///
+/// compiles to a 16-byte {t, X} record. The receiver CASes P(t) from the
+/// sentinel to X (arm 1); when that fails against a value other than X it
+/// inserts X into the set F(t), under t's lock with handler threads (arm 2). Because the insert is
+/// idempotent, a repeated record changes nothing, so exact repeats are
+/// dropped on the sender. The types fix the shape; build() additionally
+/// checks that P, t and X are the same map and expressions in every place.
+/// Requirements: P is atomic-capable, F holds std::vector<P's value type>,
+/// and t and X obey the relax kernel's locality rules.
+template <class W0, class W1, class Gen>
+struct claim_shape : std::false_type {
+  using pm_type = void;
+  using idx_expr = v_expr;
+  using val_expr = lit_expr<int>;
+  using value_type = int;
+  using slot_type = int;
+  using set_pm_type = void;
+  static constexpr bool min_update = false;
+};
+
+template <class PM, class Idx, class T, class Val, class FM, class Gen>
+  requires (atomic_eligible_map<PM> && !is_edge_map<FM> &&
+            std::is_same_v<typename FM::value_type, std::vector<typename PM::value_type>> &&
+            std::is_convertible_v<T, typename PM::value_type> &&
+            fast_idx_ok<PM, Idx, Gen> && fast_val_ok<PM, Idx, Val, Gen>)
+struct claim_shape<when_clause<bin_expr<op_eq, read_expr<PM, Idx>, lit_expr<T>>,
+                               assign_stmt<PM, Idx, Val>>,
+                   when_clause<bin_expr<op_ne, read_expr<PM, Idx>, Val>,
+                               insert_stmt<FM, Idx, Val>>,
+                   Gen> : std::true_type {
+  using pm_type = PM;
+  using idx_expr = Idx;
+  using val_expr = Val;
+  using value_type = typename PM::value_type;
+  using slot_type = value_type;
+  using set_pm_type = FM;
+  static constexpr bool min_update = false;
+};
+
+/// Structural equality of two same-typed expressions: same maps, same
+/// literals. Node types alone cannot tell two maps of one type apart.
+template <class E>
+bool same_expr(const E& a, const E& b) {
+  if constexpr (detail::is_read_expr<E>::value) {
+    return a.pm == b.pm && same_expr(a.idx, b.idx);
+  } else if constexpr (detail::is_lit_expr<E>::value) {
+    return a.value == b.value;
+  } else if constexpr (detail::is_src_expr<E>::value || detail::is_trg_expr<E>::value ||
+                       detail::is_not_expr<E>::value) {
+    return same_expr(a.inner, b.inner);
+  } else if constexpr (detail::is_bin_expr<E>::value) {
+    return same_expr(a.lhs, b.lhs) && same_expr(a.rhs, b.rhs);
+  } else {
+    return true;  // v_, e_, u_
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Owner-local apply re-entrancy
 // ---------------------------------------------------------------------------
 
-/// Set while this thread commits a compiled record in place, work hook
+/// Set while this thread commits compiled records in place, work hooks
 /// included. A record generated meanwhile (by a hook that re-applies an
 /// action immediately) is sent instead of committed, which bounds the
 /// nesting at one local commit per thread.
@@ -491,6 +586,18 @@ auto compile_mod(plan_builder<Gen>& pb, compile_ctx& cx, assign_stmt<PM, Idx, Va
     } else {
       (*pm)[idx_fn(s)] = val_fn(s);
     }
+  };
+}
+
+template <class Gen, class PM, class Idx, class Val>
+auto compile_mod(plan_builder<Gen>& pb, compile_ctx& cx, insert_stmt<PM, Idx, Val>& m) {
+  note_ml(cx, pb, m.target);
+  cx.written.back().push_back(m.target.pm);
+  auto idx_fn = pb.compile(m.target.idx);
+  auto val_fn = pb.compile(m.value);
+  PM* pm = m.target.pm;
+  return [pm, idx_fn, val_fn](gather_state& s) {
+    insert_absent((*pm)[idx_fn(s)], val_fn(s));
   };
 }
 
@@ -576,6 +683,10 @@ template <class PM, class Idx, class Val>
 constexpr unsigned mod_needs(const assign_stmt<PM, Idx, Val>*) {
   return header_needs<Idx>() | header_needs<Val>();
 }
+template <class PM, class Idx, class Val>
+constexpr unsigned mod_needs(const insert_stmt<PM, Idx, Val>*) {
+  return header_needs<Idx>() | header_needs<Val>();
+}
 template <class PM, class Idx, class F, class... Args>
 constexpr unsigned mod_needs(const modify_stmt<PM, Idx, F, Args...>*) {
   return header_needs<Idx>() | (header_needs<Args>() | ... | 0u);
@@ -605,12 +716,12 @@ constexpr unsigned whens_needs() {
 /// the general path, which tests use to compare results bit-for-bit.
 struct compile_options {
   enum class toggle : std::uint8_t { auto_, off, on };
-  toggle fast_path = toggle::auto_;     ///< single-locality relax kernel
+  toggle fast_path = toggle::auto_;     ///< single-locality relax/scatter/claim kernels
   toggle compact_wire = toggle::auto_;  ///< truncated per-hop wire payloads
-  /// AM++-style sender-side combining on the fast relax lane: same-target
+  /// AM++-style sender-side cache on the fast lane: same-target relax
   /// candidates merge under the action's own monotone comparator before
-  /// they reach an envelope (min for SSSP/CC/BFS shapes, max for widest
-  /// path).
+  /// they reach an envelope (min for SSSP/BFS shapes, max for widest path);
+  /// exact repeats of a claim record are dropped.
   toggle fast_reduction = toggle::auto_;
 
   static bool enabled(toggle t) { return t != toggle::off; }
@@ -677,6 +788,8 @@ class instantiated_action final : public action_instance {
 
  private:
   using FirstWhen = std::tuple_element_t<0, std::tuple<Whens...>>;
+  using SecondWhen =
+      std::tuple_element_t<(sizeof...(Whens) > 1 ? 1 : 0), std::tuple<Whens...>>;
   /// Statically: a one-when compare-and-update whose proposed value and
   /// target owner are computable at the invocation site — compilable into
   /// the minimal relax record instead of the general gather chain.
@@ -686,13 +799,19 @@ class instantiated_action final : public action_instance {
   /// rules — compilable into the same minimal record, applied by F.
   static constexpr bool kScatter =
       sizeof...(Whens) == 1 && detail::scatter_shape<FirstWhen, Gen>::value;
-  static constexpr bool kFastShape = kRelax || kScatter;
-  using fshape = std::conditional_t<kScatter, detail::scatter_shape<FirstWhen, Gen>,
-                                    detail::fast_shape<FirstWhen, Gen>>;
+  /// Statically: CC's two-arm claim (see detail::claim_shape) — the same
+  /// minimal record, committed by CAS from the sentinel or set insert.
+  static constexpr bool kClaim =
+      sizeof...(Whens) == 2 && detail::claim_shape<FirstWhen, SecondWhen, Gen>::value;
+  static constexpr bool kFastShape = kRelax || kScatter || kClaim;
+  using fshape = std::conditional_t<
+      kScatter, detail::scatter_shape<FirstWhen, Gen>,
+      std::conditional_t<kClaim, detail::claim_shape<FirstWhen, SecondWhen, Gen>,
+                         detail::fast_shape<FirstWhen, Gen>>>;
 
-  /// The compact fast-path payload: destination vertex + proposed value or
-  /// scatter argument (16 bytes for SSSP/CC/PageRank — the hand-written
-  /// AM++ relax message).
+  /// The compact fast-path payload: destination vertex + proposed value,
+  /// scatter argument or claimed label (16 bytes for SSSP/CC/PageRank — the
+  /// hand-written AM++ relax message).
   struct fast_rec {
     graph::vertex_id loc = graph::invalid_vertex;
     typename fshape::value_type val{};
@@ -803,9 +922,6 @@ class instantiated_action final : public action_instance {
         fast_val_.emplace(
             plan_builder<Gen>::compile_direct_hoisted(std::get<0>(a0.args), fast_hoists_));
         fast_fn_.emplace(a0.fn);
-        // Under polling progress only the owner's thread touches its shard;
-        // helper threads may apply records for one vertex concurrently.
-        scatter_locked_ = tp_->config().handler_threads > 0;
       } else {
         fast_val_.emplace(
             plan_builder<Gen>::compile_direct_hoisted(a0.value, fast_hoists_));
@@ -813,13 +929,31 @@ class instantiated_action final : public action_instance {
       // A `lit(false)` guard never fires; leave it to the general path.
       bool guard_holds = true;
       if constexpr (kScatter) guard_holds = w0.cond.value;
+      if constexpr (kClaim) {
+        // The types fix the shape; the claim also needs the same map P,
+        // target t and label X wherever the two arms name them. The commit
+        // keeps F and the sentinel.
+        auto& w1 = std::get<1>(def.whens);
+        auto& ins = std::get<0>(w1.mods);
+        guard_holds = w0.cond.lhs.pm == a0.target.pm && w1.cond.lhs.pm == a0.target.pm &&
+                      detail::same_expr(w0.cond.lhs.idx, a0.target.idx) &&
+                      detail::same_expr(w1.cond.lhs.idx, a0.target.idx) &&
+                      detail::same_expr(ins.target.idx, a0.target.idx) &&
+                      detail::same_expr(w1.cond.rhs, a0.value) &&
+                      detail::same_expr(ins.value, a0.value);
+        claim_set_pm_ = ins.target.pm;
+        claim_sentinel_ = static_cast<typename fshape::value_type>(w0.cond.rhs.value);
+      }
       use_fast_ = guard_holds && compile_options::enabled(opts.fast_path);
       fast_local_ = merged_;  // v-homed target: apply in place, no message
       fast_dep_ = when_dep_[0];
-      // Sender-side combining needs a wire lane to cache on (a fully local
-      // fast path has no envelopes), and only the relax shape knows its
-      // own monotone comparator.
-      if constexpr (kRelax)
+      // Under polling progress only the owner's thread touches its shard;
+      // helper threads may commit records for one vertex concurrently.
+      locked_commit_ = tp_->config().handler_threads > 0;
+      // The sender-side cache needs a wire lane (a fully local fast path
+      // has no envelopes) and a rule that makes it sound: the relax
+      // shape's monotone comparator, or the claim's idempotent insert.
+      if constexpr (kRelax || kClaim)
         use_reduce_ = use_fast_ && !fast_local_ &&
                       compile_options::enabled(opts.fast_reduction);
     }
@@ -837,6 +971,7 @@ class instantiated_action final : public action_instance {
     }
     plan_.final_locality = home_name(ml_);
     plan_.fast_path = use_fast_;
+    plan_.claim = use_fast_ && kClaim;
     plan_.fast_reduction = use_reduce_;
 
     compute_wire_layouts(pb, step_pos, kFinal);
@@ -1035,10 +1170,10 @@ class instantiated_action final : public action_instance {
     const auto* g = g_;
     if constexpr (kFastShape) {
       if (use_fast_) {
-        // Compiled relax or scatter kernel: one minimal message type, or
+        // Compiled relax, scatter or claim kernel: one minimal message type, or
         // none when the target is the invocation vertex itself (fully local
         // application).
-        fast_label_ = name_ + (kScatter ? ".scatter" : ".relax");
+        fast_label_ = name_ + (kScatter ? ".scatter" : kClaim ? ".claim" : ".relax");
         if (!fast_local_) {
           fast_msg_ = &tp_->make_message_type<fast_rec>(
               fast_label_,
@@ -1052,12 +1187,19 @@ class instantiated_action final : public action_instance {
           fast_msg_->set_batch_handler(
               [this](ampp::transport_context& ctx, const std::byte* data,
                      std::uint32_t n) { fast_envelope(ctx, data, n); });
+          // Claim records are idempotent at the receiver (a repeat finds
+          // P(t) set and X already in F(t)), so an exact repeat is dropped.
+          if (kClaim && use_reduce_)
+            fast_msg_->enable_suppression([](const fast_rec& r) {
+              return (static_cast<std::uint64_t>(r.loc) << 32) ^
+                     static_cast<std::uint64_t>(r.val);
+            });
           // Sender-side combining cache (AM++ reduction): same-target relax
           // candidates merge under the shape's own monotone comparator
           // before they reach an envelope. Sound because the slot moves
           // monotonically: the losing proposal of a pair can never win a
           // CAS the surviving proposal would lose.
-          if (use_reduce_)
+          if (kRelax && use_reduce_)
             fast_msg_->enable_reduction(
                 [](const fast_rec& r) {
                   return static_cast<std::uint64_t>(r.loc);
@@ -1139,6 +1281,9 @@ class instantiated_action final : public action_instance {
       s.v = v;
       fast_hoists_.run(s);  // v-homed reads: once per application, not per edge
       local_tally t{fast_pm_->local(ctx.rank()), detail::in_local_commit};
+      // Every hook this loop runs is a local commit's, so the flag is set
+      // once per application rather than once per record.
+      detail::local_commit_scope in_commit;
       if constexpr (std::is_same_v<Gen, out_edges_gen>) {
         for (const graph::edge_handle e : g_->out_edges(v)) {
           s.e = e;
@@ -1180,7 +1325,6 @@ class instantiated_action final : public action_instance {
       // §IV-A rule for coinciding localities, one level up). A v-homed
       // target has no wire lane, so it commits in place even when nested.
       if (dest == ctx.rank() && (fast_local_ || !t.nested)) {
-        detail::local_commit_scope in_commit;
         ++t.applied;
         t.fired += fast_commit(ctx, t.shard, r);
       } else {
@@ -1198,19 +1342,23 @@ class instantiated_action final : public action_instance {
     }
   }
 
-  /// The one commit of a relax or scatter record, shared by the envelope
-  /// loop, the per-record handler and the owner-local apply. Resolves the
-  /// target's slot in this rank's shard, then either CASes it under the
-  /// shape's comparator (relax) or applies F to it, under the target's
-  /// lock only with handler threads (scatter). A firing runs the work hook.
+  /// The one commit of a relax, scatter or claim record, shared by the
+  /// envelope loop, the per-record handler and the owner-local apply.
+  /// Resolves the target's slot in this rank's shard, then CASes it under
+  /// the shape's comparator (relax), applies F to it (scatter) or claims it
+  /// (claim_commit); a scatter or set insert takes the target's lock only
+  /// with handler threads. A firing of a dependency arm runs the work hook.
   /// Returns whether the record fired — a scatter always does; callers add
   /// firings to the modification count in bulk.
   bool fast_commit(ampp::transport_context& ctx, shard_t shard, const fast_rec& r) {
     if constexpr (kFastShape) {
       DPG_DEBUG_ASSERT(g_->owner(r.loc) == ctx.rank());
-      auto& slot = shard[g_->dist().local_index(r.loc)];
-      if constexpr (kScatter) {
-        if (scatter_locked_) {
+      const std::uint64_t li = g_->dist().local_index(r.loc);
+      auto& slot = shard[li];
+      if constexpr (kClaim) {
+        return claim_commit(ctx, slot, li, r);
+      } else if constexpr (kScatter) {
+        if (locked_commit_) {
           auto guard = locks_->guard(r.loc);
           (*fast_fn_)(slot, r.val);
         } else {
@@ -1226,7 +1374,39 @@ class instantiated_action final : public action_instance {
     return false;
   }
 
-  /// Whole-envelope dispatch for the relax and scatter records: resolves
+  /// The claim commit. Arm 1: CAS P(t) from the sentinel to X; success
+  /// claims t and runs the work hook. Arm 2, when the CAS observed a label
+  /// other than X: under t's lock (with handler threads), re-check the
+  /// guard and insert X into F(t) unless present. Returns whether an arm
+  /// fired.
+  bool claim_commit(ampp::transport_context& ctx, typename fshape::slot_type& slot,
+                    std::uint64_t li, const fast_rec& r) {
+    if constexpr (kClaim) {
+      using VT = typename fshape::value_type;
+      std::atomic_ref<VT> p(slot);
+      // Most records find t claimed already: a plain load settles those
+      // without a locked instruction, which would serialize the misses.
+      VT seen = p.load(std::memory_order_relaxed);
+      if (seen == claim_sentinel_ &&
+          p.compare_exchange_strong(seen, r.val, std::memory_order_relaxed)) {
+        if (fast_dep_ && hook_) hook_(ctx, r.loc);
+        return true;
+      }
+      if (seen == r.val) return false;
+      auto& set = claim_set_pm_->local(ctx.rank())[li];
+      if (!locked_commit_) {
+        insert_absent(set, r.val);
+        return true;
+      }
+      auto guard = locks_->guard(r.loc);
+      if (p.load(std::memory_order_relaxed) == r.val) return false;
+      insert_absent(set, r.val);
+      return true;
+    }
+    return false;
+  }
+
+  /// Whole-envelope dispatch for the compiled records: resolves
   /// the rank's shard once (send routing guarantees every record in the
   /// envelope is owned here), then copies each record out and commits it.
   /// A plain loop in arrival order, so final pmap state, modification
@@ -1313,7 +1493,11 @@ class instantiated_action final : public action_instance {
   std::optional<fast_val_fn_t> fast_val_;
   /// Scatter only: the modify's F.
   std::optional<typename detail::scatter_shape<FirstWhen, Gen>::fn_type> fast_fn_;
-  bool scatter_locked_ = false;  ///< scatter commits take the lock-map guard
+  /// Claim only: the collision set map F and the unclaimed sentinel.
+  typename detail::claim_shape<FirstWhen, SecondWhen, Gen>::set_pm_type* claim_set_pm_ =
+      nullptr;
+  typename fshape::value_type claim_sentinel_{};
+  bool locked_commit_ = false;  ///< scatter and set-insert commits take the lock-map guard
   ampp::message_type<fast_rec>* fast_msg_ = nullptr;
   hoisted_reads fast_hoists_;  ///< per-application invariant loads for fast_val_
   std::string fast_label_;
@@ -1349,7 +1533,10 @@ inline std::string explain(const std::string& action_name, const plan_info& p) {
   out += ": " + std::to_string(p.final_reads) + " synchronized read(s), " +
          std::to_string(p.conditions) + " condition(s)\n";
   out += std::string("  synchronization: ") +
-         (p.atomic_path ? "atomic compare-and-update" : "lock map") + "\n";
+         (p.atomic_path ? "atomic compare-and-update"
+          : p.claim     ? "atomic claim from the sentinel, lock map on collision"
+                        : "lock map") +
+         "\n";
   out += "  dependencies: " + std::string(p.has_dependencies ? "yes (work hook fires)"
                                                              : "none") + "\n";
   out += "  messages per application: " + std::to_string(p.messages_per_application()) +
@@ -1361,7 +1548,7 @@ inline std::string explain(const std::string& action_name, const plan_info& p) {
     for (std::size_t i = 0; i < p.wire_bytes.size(); ++i) {
       std::string label;
       if (p.fast_path)
-        label = p.atomic_path ? "relax" : "scatter";
+        label = p.atomic_path ? "relax" : p.claim ? "claim" : "scatter";
       else if (!p.final_merged && i + 1 == p.wire_bytes.size())
         label = "eval";
       else
@@ -1374,10 +1561,13 @@ inline std::string explain(const std::string& action_name, const plan_info& p) {
   out += std::string("  fast path: ") +
          (!p.fast_path     ? "off"
           : p.atomic_path ? "compiled single-locality relax kernel"
+          : p.claim       ? "compiled single-locality claim kernel"
                           : "compiled single-locality scatter kernel") +
          "\n";
   out += std::string("  sender reduction: ") +
-         (p.fast_reduction ? "combining cache on the relax lane" : "off") +
+         (!p.fast_reduction ? "off"
+          : p.claim         ? "exact-repeat suppression on the claim lane"
+                            : "combining cache on the relax lane") +
          "\n";
   return out;
 }

@@ -603,6 +603,46 @@ class analyzer {
       }
     }
 
+    // Two-arm claim (mirrors detail::claim_shape): `t` unclaimed takes the
+    // label X, else a different label inserts X into a vertex_list at t.
+    if (act_.conditions.size() == 2 && act_.conditions[0].mods.size() == 1 &&
+        act_.conditions[1].mods.size() == 1) {
+      const condition& c0 = act_.conditions[0];
+      const condition& c1 = act_.conditions[1];
+      const modification& a = c0.mods[0];
+      const modification& ins = c1.mods[0];
+      const expr& g0 = *c0.guard;
+      const expr& g1 = *c1.guard;
+      if (a.is_assignment && !ins.is_assignment && ins.method == "insert" &&
+          ins.arguments.size() == 1 && g0.kind == expr::node::binary && g0.op == "==" &&
+          g1.kind == expr::node::binary && g1.op == "!=") {
+        const std::string target = print(*a.target);
+        const std::string label = print(*a.arguments[0]);
+        const parsed_property* pm = pmap_of(*a.target);
+        const parsed_property* set = pmap_of(*ins.target);
+        const bool shape = print(*g0.children[0]) == target &&
+                           g0.children[1]->kind == expr::node::literal &&
+                           print(*g1.children[0]) == target &&
+                           print(*g1.children[1]) == label &&
+                           print(*ins.target->children[0]) == print(*a.target->children[0]) &&
+                           print(*ins.arguments[0]) == label;
+        const bool maps = pm->on_vertices && pm->type == value_kind::vertex &&
+                          set->on_vertices && set->type_text == "vertex_list";
+        if (shape && maps) {
+          const home th = classify_index(*a.target->children[0]);
+          const expr& val = *a.arguments[0];
+          const bool idx_ok = th.k != home::kind::chase;
+          const bool val_ok =
+              reads_all_at_v(val) && (th.k == home::kind::at_gen || !contains_read(val));
+          if (idx_ok && val_ok) {
+            out.fast_path = true;
+            out.claim = true;
+            out.fast_reduction = !out.final_merged;
+          }
+        }
+      }
+    }
+
     compute_wire_bytes(out, rpos, kFinal);
     return out;
   }
@@ -613,8 +653,8 @@ class analyzer {
   void compute_wire_bytes(analyzed_action& out, std::vector<std::size_t>& rpos,
                           std::size_t kFinal) const {
     if (out.fast_path) {
-      // relax or scatter record: destination vertex + 8-byte value; none at
-      // all when the target is the invocation vertex itself.
+      // relax, scatter or claim record: destination vertex + 8-byte value;
+      // none at all when the target is the invocation vertex itself.
       if (!out.final_merged) out.wire_bytes.push_back(16);
       return;
     }
@@ -999,6 +1039,7 @@ std::string explain(const analyzed_action& a) {
   info.hop_reads = a.hop_reads;
   info.final_locality = a.final_locality;
   info.fast_path = a.fast_path;
+  info.claim = a.claim;
   info.fast_reduction = a.fast_reduction;
   info.cse_hits = a.cse_hits;
   info.wire_bytes = a.wire_bytes;

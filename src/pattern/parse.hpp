@@ -33,7 +33,9 @@
 // pasting in the expression"). Conditions chain as if / else-if. A
 // modification is either an assignment `pmap[idx] = expr;` or an opaque
 // in-place call `pmap[idx].update(args...);` (the grammar's general
-// modification — the method name is not interpreted).
+// modification). One method name is interpreted: `.insert(x)` on a
+// `vertex_list` is set insert, the EDSL's `insert(F(t), x)`, which CC's
+// claim kernel needs; any other name stays opaque.
 #pragma once
 
 #include <memory>
@@ -153,8 +155,9 @@ struct analyzed_action {
   std::vector<std::string> hop_localities;
   std::vector<int> hop_reads;
   std::string final_locality;
-  bool fast_path = false;           ///< single-locality relax or scatter kernel engaged
-  bool fast_reduction = false;      ///< sender-side combining cache engaged
+  bool fast_path = false;           ///< single-locality fast kernel engaged
+  bool claim = false;               ///< the fast kernel is the two-arm claim record
+  bool fast_reduction = false;      ///< sender-side combining or suppression engaged
   std::size_t cse_hits = 0;         ///< duplicate reads sharing one arena slot
   std::vector<std::size_t> wire_bytes;  ///< bytes per synthesized message
 

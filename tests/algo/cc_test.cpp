@@ -1,11 +1,13 @@
 // Connected components (the paper's Fig. 3 parallel search) against the
 // union-find oracle: partitions must match exactly on every graph family,
-// distribution, and rank count; plus diagnostics (conflicts, jump rounds)
-// and the epoch_flush ablation.
+// distribution, and rank count; plus diagnostics (conflicts, jump rounds),
+// the claim record's accounting, handler threads, and the epoch_flush
+// ablation.
 #include "algo/cc.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <tuple>
 #include <vector>
@@ -146,6 +148,71 @@ TEST(Cc, BaselinesAgree) {
   const auto a = cc_union_find(g);
   const auto b = cc_label_propagation(g);
   for (vertex_id v = 0; v < 150; ++v) ASSERT_EQ(a[v], b[v]);
+}
+
+/// A hub joined to every odd vertex, over R-MAT scale 10: searches seeded
+/// on different ranks keep running into each other around the hub.
+distributed_graph hub_and_rmat(ampp::rank_t ranks) {
+  graph::rmat_params p;
+  p.scale = 10;
+  p.edge_factor = 4;
+  std::vector<graph::edge> e = graph::rmat(p, 21);
+  const vertex_id n = vertex_id{1} << p.scale;
+  for (vertex_id v = 1; v < n; v += 2) e.push_back({0, v});
+  return distributed_graph(n, graph::symmetrize(e), distribution::cyclic(n, ranks));
+}
+
+/// Checks one solve of `cc` on `g`: labels against union-find, duplicate-free
+/// collision sets, and the search's record accounting. Every vertex runs
+/// the search exactly once (as a seed or once claimed), so it generates one
+/// claim record per directed edge, and each record is sent, dropped as an
+/// exact repeat, or committed in place.
+void expect_clean_solve(const distributed_graph& g, const cc_solver& cc) {
+  expect_same_partition(cc_union_find(g), cc.components(), g.num_vertices());
+  for (vertex_id v = 0; v < g.num_vertices(); ++v) {
+    std::vector<vertex_id> roots = cc.collisions()[v];
+    std::sort(roots.begin(), roots.end());
+    ASSERT_EQ(std::adjacent_find(roots.begin(), roots.end()), roots.end()) << "v=" << v;
+  }
+  const obs::counters& s = cc.search_stats().core;
+  EXPECT_EQ(g.num_edges(), s.messages_sent + s.cache_hits + s.local_applies);
+}
+
+using collision_params = std::tuple<bool /*flush*/, unsigned /*handler threads*/>;
+
+class CcCollisions : public ::testing::TestWithParam<collision_params> {};
+
+TEST_P(CcCollisions, RecordsEachCollisionOnce) {
+  const auto [flush, helpers] = GetParam();
+  const distributed_graph g = hub_and_rmat(4);
+  cc_solver cc(g, ampp::transport_config{.n_ranks = 4, .handler_threads = helpers});
+  for (int solve = 0; solve < 2; ++solve) {
+    SCOPED_TRACE(solve);
+    cc.solve(flush);
+    expect_clean_solve(g, cc);
+  }
+  if (!flush) {
+    EXPECT_GT(cc.conflict_pairs(), 0u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    HubAndRmat, CcCollisions,
+    ::testing::Combine(::testing::Bool(), ::testing::Values(0u, 1u, 2u)),
+    [](const ::testing::TestParamInfo<collision_params>& info) {
+      return std::string(std::get<0>(info.param) ? "flush" : "noflush") + "_h" +
+             std::to_string(std::get<1>(info.param));
+    });
+
+TEST(Cc, OneRankSendsNoUserMessages) {
+  // At one rank every claim target is owned by the sender, so the search
+  // commits each record in place and sends nothing.
+  const distributed_graph g = hub_and_rmat(1);
+  cc_solver cc(g, ampp::transport_config{.n_ranks = 1});
+  cc.solve();
+  expect_clean_solve(g, cc);
+  EXPECT_EQ(cc.search_stats().core.messages_sent, 0u);
+  EXPECT_EQ(cc.search_stats().core.local_applies, g.num_edges());
 }
 
 TEST(Cc, SolveIsRepeatable) {

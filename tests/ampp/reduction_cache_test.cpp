@@ -121,6 +121,30 @@ TEST_F(ReductionCacheTest, FlushOnEpochEndDeliversCachedEntries) {
   EXPECT_EQ(delivered.load(), 3u);
 }
 
+TEST_F(ReductionCacheTest, SuppressionDropsOnlyExactRepeats) {
+  // Suppression mode (idempotent payloads): a send equal to its slot's
+  // payload is dropped; one that only shares the key is evicted to the
+  // wire. The constant key makes every distinct payload a key-only match.
+  transport tp(transport_config{.n_ranks = 2});
+  std::map<std::uint64_t, int> seen;
+  auto& mt = tp.make_message_type<relax_msg>(
+      "claim", [&](transport_context&, const relax_msg& m) {
+        std::lock_guard<std::mutex> g(mu);
+        ++seen[m.vertex];
+      });
+  mt.enable_suppression([](const relax_msg&) { return std::uint64_t{5}; }, 4);
+  tp.run([&](transport_context& ctx) {
+    epoch ep(ctx);
+    if (ctx.rank() == 0)
+      for (std::uint64_t v = 0; v < 50; ++v)
+        for (int rep = 0; rep < 3; ++rep) mt.send(ctx, 1, relax_msg{v, 9});
+  });
+  ASSERT_EQ(seen.size(), 50u);  // no distinct payload lost
+  for (const auto& [v, n] : seen) EXPECT_EQ(n, 1) << "v=" << v;
+  EXPECT_EQ(tp.stats().cache_hits.load(), 100u);
+  EXPECT_EQ(tp.stats().cache_evictions.load(), 49u);
+}
+
 TEST_F(ReductionCacheTest, WithoutReductionAllMessagesDeliver) {
   transport tp(transport_config{.n_ranks = 2});
   std::atomic<std::uint64_t> delivered{0};

@@ -121,6 +121,58 @@ TEST(Parse, CcPatternAnalyzes) {
   EXPECT_TRUE(search.has_dependencies);      // pnt read & written
   EXPECT_FALSE(search.atomic_path);          // two arms
   EXPECT_EQ(search.messages_per_application(), 1);
+  // The two arms compile to the claim record, with exact-repeat suppression.
+  EXPECT_TRUE(search.fast_path);
+  EXPECT_TRUE(search.claim);
+  EXPECT_TRUE(search.fast_reduction);
+  EXPECT_EQ(search.wire_bytes, std::vector<std::size_t>{16});
+
+  // The EDSL's cc.search (algo/cc.hpp) plans the same, field for field.
+  graph::distributed_graph g(8, graph::path_graph(8), graph::distribution::cyclic(8, 2));
+  pmap::vertex_property_map<vertex_id> pnt_map(g, graph::invalid_vertex);
+  pmap::vertex_property_map<std::vector<vertex_id>> conf_map(g);
+  pmap::lock_map locks(g.dist(), pmap::lock_scheme::per_vertex);
+  ampp::transport tp(ampp::transport_config{.n_ranks = 2});
+  property pnt(pnt_map);
+  property conf(conf_map);
+  auto edsl_search = instantiate(
+      tp, g, locks,
+      make_action("cc_search", out_edges_gen{},
+                  when(pnt(trg(e_)) == lit(graph::invalid_vertex),
+                       assign(pnt(trg(e_)), pnt(v_))),
+                  when(pnt(trg(e_)) != pnt(v_), insert(conf(trg(e_)), pnt(v_)))));
+  const plan_info& edsl = edsl_search->plan();
+  EXPECT_EQ(search.fast_path, edsl.fast_path);
+  EXPECT_EQ(search.claim, edsl.claim);
+  EXPECT_EQ(search.fast_reduction, edsl.fast_reduction);
+  EXPECT_EQ(search.wire_bytes, edsl.wire_bytes);
+  EXPECT_EQ(explain(search), pattern::explain("cc_search", edsl));
+
+  // An opaque second arm is not known to be idempotent: the general path.
+  const auto opaque = analyze(parse_pattern(R"(pattern CC {
+    vertex_property<vertex> pnt;
+    vertex_property<vertex_list> conf;
+    action cc_search(v) {
+      generator e : out_edges;
+      when (pnt[trg(e)] == null_vertex) { pnt[trg(e)] = pnt[v]; }
+      when (pnt[trg(e)] != pnt[v]) { conf[trg(e)].push(pnt[v]); }
+    }
+  })")).actions[0];
+  EXPECT_FALSE(opaque.fast_path);
+  EXPECT_FALSE(opaque.claim);
+  EXPECT_FALSE(opaque.fast_reduction);
+  auto edsl_opaque = instantiate(
+      tp, g, locks,
+      make_action("cc_search", out_edges_gen{},
+                  when(pnt(trg(e_)) == lit(graph::invalid_vertex),
+                       assign(pnt(trg(e_)), pnt(v_))),
+                  when(pnt(trg(e_)) != pnt(v_),
+                       modify(conf(trg(e_)),
+                              [](std::vector<vertex_id>& s, vertex_id r) { s.push_back(r); },
+                              pnt(v_)))));
+  EXPECT_FALSE(edsl_opaque->plan().fast_path);
+  EXPECT_EQ(explain(opaque), pattern::explain("cc_search", edsl_opaque->plan()));
+
   const auto& jump = analyzed.actions[1];
   EXPECT_EQ(jump.gather_hops, 2);            // v -> chase
   EXPECT_EQ(jump.final_locality, "v");

@@ -57,8 +57,8 @@ std::string hash_of(const std::string& out) {
 }
 
 /// Each multi-process launch gets its own shm session and a disjoint port
-/// block (48 ports is more than the widest machine: cc opens two channels
-/// of at most 4 ports each).
+/// block (48 ports is more than the widest machine: a channel of at most 4
+/// ports per solver).
 struct launch_ids {
   std::string session;
   std::uint16_t base_port;

@@ -142,7 +142,7 @@ TEST(SeedSweep, FixedPointHandlerThreads) {
       assert_occupancy_conserved(tp);
       events += fault_events(s);
 
-      // CC's propagate phase is a fixed point too.
+      // CC: a queue-drained search epoch, then the pointer-jump rewrite.
       distributed_graph sg(kN, sim_edges(seed, true), distribution::cyclic(kN, ranks));
       const auto cc_oracle = algo::cc_union_find(sg);
       algo::cc_solver cc(sg, config);

@@ -269,7 +269,7 @@ TEST(FixedPointQueue, VertexImprovedTwiceWhilePendingIsAppliedOnce) {
 TEST(FixedPointQueue, AppliesAtMostOncePerModification) {
   // Every application past the seeds is owed to a modification that filed
   // its vertex; deduplication can only lower the count. Checked on the
-  // sssp, bfs, fused-triple and cc-propagate fixed points.
+  // sssp, bfs, fused-triple and min-label-flooding fixed points.
   const vertex_id n = 300;
   const auto edges = graph::erdos_renyi(n, 2400, 17);
   for (const ampp::rank_t ranks : {1, 2, 4}) {
@@ -294,7 +294,7 @@ TEST(FixedPointQueue, AppliesAtMostOncePerModification) {
     const auto oracle = algo::dijkstra(g, weight, 0);
     for (vertex_id v = 0; v < n; ++v) ASSERT_EQ(sssp.dist()[v], oracle[v]) << "v=" << v;
 
-    // CC's propagate phase: min-label flooding seeded at every vertex with
+    // Min-label flooding (label-propagation CC) seeded at every vertex with
     // an out-edge.
     pmap::vertex_property_map<vertex_id> label(g, 0);
     for (ampp::rank_t r = 0; r < ranks; ++r) {
