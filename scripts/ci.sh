@@ -89,6 +89,39 @@ if ratio >= 1.3:
     raise SystemExit("ratio guard FAILED: compiled pattern SSSP regressed vs hand-rolled")
 EOF
 
+echo "=== bench structural guard (Δ-stepping: each vertex pending at most once) ==="
+# Δ-stepping drains the action's work queue in Δ-bucketed order, with each
+# vertex pending at most once. On the scale-11 R-MAT graph (2048
+# vertices) at 4 ranks, Δ=50 applies the relax action 1.88-2.14k times per
+# run (0.92-1.04 per vertex, measured at 0.01 s and 0.2 s minimum times),
+# against 2.63-3.22k for the FIFO fixed point and 3.04-3.44k (1.49-1.68
+# per vertex) for the lazy-deletion buckets it replaced, which re-filed a
+# vertex on every improvement. The bucketed order must keep applying less
+# than the fixed point. The per-vertex limit of 1.4 is about 1.4x the
+# measured value rather than 2x: 2x would sit above the lazy-deletion
+# value, and the limit must catch duplicate entries coming back.
+python3 - <<'EOF'
+import json
+with open("BENCH_sssp.ci.json") as f:
+    rows = json.load(f)["benchmarks"]
+
+def row(name):
+    for r in rows:
+        if r["name"] == name and r.get("run_type", "iteration") == "iteration":
+            return r
+    raise SystemExit(f"delta guard: benchmark '{name}' missing from BENCH_sssp.ci.json")
+
+delta = row("BM_SsspDelta/4/50/real_time")
+fp = row("BM_SsspFixedPoint/4/real_time")
+per_vertex = delta["applications"] / delta["vertices"]
+print(f"relax applications @4 ranks: delta(50) {delta['applications']:.0f} vs "
+      f"fixed point {fp['applications']:.0f}; delta per vertex {per_vertex:.2f} (limit 1.4)")
+if delta["applications"] >= fp["applications"]:
+    raise SystemExit("delta guard FAILED: bucketed order applies the action as often as the fixed point")
+if per_vertex > 1.4:
+    raise SystemExit("delta guard FAILED: duplicate bucket entries are back")
+EOF
+
 echo "=== bench structural guard (CC claim record, Q6 ablation) ==="
 # CC's search compiles to the 16-byte claim record: a record whose target
 # the sending rank owns commits in place, and an exact repeat is dropped

@@ -45,21 +45,10 @@ class bfs_solver {
   /// a label-setting frontier expansion.
   strategy::result run_level_sync(ampp::transport_context& ctx, vertex_id source,
                                   const strategy::options& opt = {}) {
-    // The level-sync driver is one object shared by every rank's thread;
-    // cross-process schedules use run_fixed_point (same fixed point).
-    DPG_ASSERT_MSG(!ctx.tp().cross_process(),
-                   "level-sync BFS shares its driver across ranks; use "
-                   "run_fixed_point over a cross-process backend");
     reset(ctx, source);
-    if (ctx.rank() == 0)
-      delta_ = std::make_unique<strategy::delta_stepping<std::uint64_t>>(
-          ctx.tp(), *g_, *explore_, depth_, 1.0);
-    ctx.barrier();
     std::vector<vertex_id> seeds;
     if (g_->owner(source) == ctx.rank()) seeds.push_back(source);
-    const strategy::result res = delta_->run(ctx, seeds, opt);
-    ctx.barrier();
-    return res;
+    return strategy::delta_stepping(ctx, *explore_, depth_, 1.0, seeds, opt);
   }
 
   pmap::vertex_property_map<std::uint64_t>& depth() { return depth_; }
@@ -78,7 +67,6 @@ class bfs_solver {
   pmap::vertex_property_map<std::uint64_t> depth_;
   pmap::lock_map locks_;
   std::unique_ptr<pattern::action_instance> explore_;
-  std::unique_ptr<strategy::delta_stepping<std::uint64_t>> delta_;
 };
 
 }  // namespace dpg::algo

@@ -105,14 +105,9 @@ class cc_solver {
     tp_.run([&](ampp::transport_context& ctx) {
       const ampp::rank_t r = ctx.rank();
       const graph::distribution& d = g_->dist();
-      pattern::work_queue& q = search_->pending_work(r);
       // As in strategy::fixed_point: the hook files a claimed vertex with
       // its owner, and the owner's thread searches on from it.
-      q.prepare(d.count(r), ctx.tp().config().handler_threads > 0);
-      strategy::install_hook_collective(
-          ctx, *search_, [this](ampp::transport_context& c, vertex_id dep) {
-            search_->pending_work(c.rank()).push(g_->dist().local_index(dep));
-          });
+      pattern::work_queue& q = strategy::queue_dependents(ctx, *search_);
       const auto drain = [&] {  // true if it applied anything
         bool any = false;
         for (; const auto li = q.pop(); any = true) (*search_)(ctx, d.global(r, *li));

@@ -5,7 +5,8 @@
 //   * fixed_point  — the label-correcting iteration of Fig. 1, with improved
 //                    vertices scheduled through a deduplicated per-rank
 //                    work queue (docs/runtime.md "fixed_point scheduling"),
-//   * Δ-stepping   — the bucketed strategy (coordinated, epoch per bucket),
+//   * Δ-stepping   — the same loop over a Δ-bucketed queue (coordinated,
+//                    epoch per bucket),
 //   * Δ-stepping (uncoordinated) — the try_finish form of §III-D.
 #pragma once
 
@@ -140,47 +141,21 @@ class sssp_solver {
     return frontier;
   }
 
-  /// Collective: Δ-stepping with one epoch per bucket level.
+  /// Collective: Δ-stepping with one epoch per bucket level. Throws
+  /// std::invalid_argument on every rank, leaving the last solution as it
+  /// was, unless Δ > 0.
   strategy::result run_delta(ampp::transport_context& ctx, vertex_id source, double delta,
                              const strategy::options& opt = {}) {
-    // The driver built below is one object shared by every rank's thread —
-    // an inherently in-process design. Cross-process schedules use
-    // run_fixed_point (same action, same fixed point).
-    DPG_ASSERT_MSG(!ctx.tp().cross_process(),
-                   "delta-stepping shares its driver across ranks; use "
-                   "run_fixed_point over a cross-process backend");
-    reset(ctx, source);
-    // The Δ-stepping driver is per-call state shared across ranks; build it
-    // collectively on rank 0 and publish through a barrier.
-    if (ctx.rank() == 0)
-      delta_ = std::make_unique<strategy::delta_stepping<double>>(ctx.tp(), *g_, *relax_,
-                                                                  dist_, delta);
-    ctx.barrier();
-    std::vector<vertex_id> seeds;
-    if (g_->owner(source) == ctx.rank()) seeds.push_back(source);
-    const strategy::result res = delta_->run(ctx, seeds, opt);
-    ctx.barrier();
-    return res;
+    return run_bucketed(ctx, source, delta, opt, strategy::delta_stepping<double>);
   }
 
   /// Collective: the §III-D uncoordinated variant (local buckets, a single
-  /// epoch terminated via try_finish).
+  /// epoch terminated via try_finish). Throws like run_delta.
   strategy::result run_delta_uncoordinated(ampp::transport_context& ctx, vertex_id source,
                                            double delta,
                                            const strategy::options& opt = {}) {
-    DPG_ASSERT_MSG(!ctx.tp().cross_process(),
-                   "delta-stepping shares its driver across ranks; use "
-                   "run_fixed_point over a cross-process backend");
-    reset(ctx, source);
-    if (ctx.rank() == 0)
-      delta_ = std::make_unique<strategy::delta_stepping<double>>(ctx.tp(), *g_, *relax_,
-                                                                  dist_, delta);
-    ctx.barrier();
-    std::vector<vertex_id> seeds;
-    if (g_->owner(source) == ctx.rank()) seeds.push_back(source);
-    const strategy::result res = delta_->run_uncoordinated(ctx, seeds, opt);
-    ctx.barrier();
-    return res;
+    return run_bucketed(ctx, source, delta, opt,
+                        strategy::delta_stepping_uncoordinated<double>);
   }
 
   pmap::vertex_property_map<double>& dist() { return dist_; }
@@ -189,15 +164,24 @@ class sssp_solver {
   /// Relaxations performed since construction (successful condition fires).
   std::uint64_t relaxations() const { return relax_->modifications(); }
   /// Epochs consumed by the last Δ-stepping run.
-  std::uint64_t delta_epochs() const { return delta_ ? delta_->epochs_used() : 0; }
+  std::uint64_t delta_epochs() const { return delta_epochs_; }
   /// Source of the last solve (meaningful once has_solution()).
   vertex_id last_source() const { return source_; }
   bool has_solution() const { return has_solution_; }
 
  private:
-  void reset(ampp::transport_context& ctx, vertex_id source) {
+  template <class Strategy>
+  strategy::result run_bucketed(ampp::transport_context& ctx, vertex_id source, double delta,
+                                const strategy::options& opt, Strategy strat) {
+    pattern::work_queue::check_width(delta);
+    // As in run_fixed_point, the strategy's hook-install barrier orders the
+    // reset before the first relax.
     reset_local(ctx, source);
-    ctx.barrier();
+    std::vector<vertex_id> seeds;
+    if (g_->owner(source) == ctx.rank()) seeds.push_back(source);
+    const strategy::result res = strat(ctx, *relax_, dist_, delta, seeds, opt);
+    if (ctx.rank() == 0 || ctx.tp().cross_process()) delta_epochs_ = res.rounds;
+    return res;
   }
 
   void reset_local(ampp::transport_context& ctx, vertex_id source) {
@@ -218,7 +202,7 @@ class sssp_solver {
   pmap::lock_map locks_;
   pmap::edge_property_map<double>* weight_;
   std::unique_ptr<pattern::action_instance> relax_;
-  std::unique_ptr<strategy::delta_stepping<double>> delta_;
+  std::uint64_t delta_epochs_ = 0;
   vertex_id source_ = 0;
   bool has_solution_ = false;
 };

@@ -13,8 +13,10 @@
 //     until this rank is locally quiescent), then return control.
 //   * epoch::try_finish() — participate in exactly one termination-
 //     detection round; returns true (and ends the epoch) iff no work was
-//     left anywhere in the system. Used by uncoordinated algorithms such as
-//     the per-thread-buckets Δ-stepping the paper describes.
+//     left anywhere in the system. Used by uncoordinated algorithms: every
+//     queue-driven strategy (fixed_point, and Δ-stepping over the same work
+//     queue in bucket order) drains its rank's queue, then tries to finish,
+//     and goes back to the queue when the round fails.
 #pragma once
 
 #include "ampp/transport.hpp"

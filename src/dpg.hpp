@@ -41,7 +41,6 @@
 #include "pattern/planner.hpp"
 
 // Strategies.
-#include "strategy/buckets.hpp"
 #include "strategy/delta_stepping.hpp"
 #include "strategy/strategies.hpp"
 

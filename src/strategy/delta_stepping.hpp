@@ -1,7 +1,5 @@
 // The Δ-stepping strategy of §II-A, in both the coordinated form the paper
-// lists and the uncoordinated try_finish form of §III-D.
-//
-// Coordinated (one epoch per bucket):
+// lists and the uncoordinated try_finish form of §III-D:
 //
 //   strategy delta(action a, container vertices, property-map m, delta Δ) {
 //     buckets B;  for (v in vertices) B.insert(v, m[v], Δ);
@@ -9,154 +7,92 @@
 //     while (!B.empty()) { while (!B[i].empty()) { v = B[i].pop(); a(v); } i++; }
 //   }
 //
-// Every rank keeps its own bucket structure for the vertices it owns; the
-// work hook runs on the owner of the dependent vertex and files it locally.
-// The per-bucket inner loop runs inside an epoch because in-flight actions
-// may refill the bucket after it tests empty (the paper's remark); we drain
-// and try_finish until the epoch truly ends, then reconcile globally.
-//
-// Uncoordinated (§III-D): a single epoch; each rank drains its local
-// buckets in priority order and calls try_finish when out of work — "if
-// ending the epoch is unsuccessful, the thread goes back to its local
-// bucket structure" (its buckets can refill while it tries to end).
+// The buckets are the action's per-rank work queue in its Δ-bucketed order
+// (pattern/work_queue.hpp): the hook files the dependent vertex with its
+// owner under its current priority m[v], at most once. Both forms are then
+// fixed_point's epoch loop draining that queue:
+//   * coordinated — one epoch per bucket level: the ranks agree on the
+//     lowest non-empty bucket (allreduce_min) and drain just that bucket;
+//   * uncoordinated — a single epoch; each rank pops its own lowest bucket
+//     and calls try_finish when out of work — "if ending the epoch is
+//     unsuccessful, the thread goes back to its local bucket structure".
 #pragma once
 
 #include <atomic>
-#include <limits>
 #include <span>
-#include <vector>
 
-#include "strategy/buckets.hpp"
+#include "pmap/vertex_map.hpp"
 #include "strategy/strategies.hpp"
 
 namespace dpg::strategy {
 
+namespace detail {
+
+/// Readies the calling rank's queue in Δ-bucketed order, installs the hook
+/// that files a dependent vertex under its priority m[v], and files the
+/// rank's seeds. Throws std::invalid_argument on every rank, before any
+/// collective, unless Δ > 0.
 template <class T>
-class delta_stepping {
- public:
-  /// `m` is the priority property map (the tentative distances); Δ the
-  /// bucket width. Construct before transport::run; call run()/
-  /// run_uncoordinated() collectively inside.
-  delta_stepping(ampp::transport& tp, const graph::distributed_graph& g,
-                 pattern::action_instance& a, pmap::vertex_property_map<T>& m,
-                 double delta)
-      : g_(&g), a_(&a), m_(&m), delta_(delta) {
-    for (ampp::rank_t r = 0; r < tp.size(); ++r) buckets_.emplace_back(delta);
-    // The work hook of §II-A line 4: file the dependent vertex into the
-    // owner rank's buckets under its (updated) priority. Built here, once,
-    // so concurrent SPMD ranks never race on assignment.
-    hook_ = [this](ampp::transport_context& c, vertex_id dep) {
-      buckets_[c.rank()].insert(dep, priority(dep));
-    };
-  }
+pattern::work_queue& file_seeds(ampp::transport_context& ctx, pattern::action_instance& a,
+                                pmap::vertex_property_map<T>& m, double delta,
+                                std::span<const vertex_id> seeds) {
+  // Atomic like the relax CAS it can race with: with handler threads, a
+  // concurrent handler may be lowering m[v] while the hook files v.
+  const auto priority = [&m](vertex_id v) {
+    return static_cast<double>(std::atomic_ref<T>(m[v]).load(std::memory_order_relaxed));
+  };
+  const ampp::rank_t r = ctx.rank();
+  const graph::distribution& d = a.vertex_dist();
+  pattern::work_queue& q = a.pending_work(r);
+  q.prepare(d.count(r), ctx.tp().config().handler_threads > 0, delta);
+  install_hook_collective(ctx, a, [&a, priority](ampp::transport_context& c, vertex_id dep) {
+    a.pending_work(c.rank()).push(a.vertex_dist().local_index(dep), priority(dep));
+  });
+  for (const vertex_id v : seeds) q.push(d.local_index(v), priority(v));
+  return q;
+}
 
-  /// Coordinated Δ-stepping: one epoch per bucket level. Collective.
-  /// result::rounds counts the epochs driven (a proxy for global
-  /// synchronization cost — the Δ sweep benchmark reports it).
-  result run(ampp::transport_context& ctx, std::span<const vertex_id> seeds,
-             const options& opt = {}) {
-    buckets& B = my_buckets(ctx);
-    B.clear();
-    install_hook_collective(ctx, *a_, hook_);
-    for (const vertex_id v : seeds) B.insert(v, priority(v));
+}  // namespace detail
 
-    obs::registry& reg = ctx.tp().obs();
-    std::optional<obs::stats_scope> sc;
-    if (opt.collect_stats) sc.emplace(reg);
-    const std::uint64_t before = a_->modifications();
-    obs::trace_span sp(&reg.trace(), "strategy", "delta", ctx.rank());
-
+/// Coordinated Δ-stepping: one epoch per bucket level, with `m` the
+/// priority map (the tentative distances) and Δ the bucket width.
+/// result::rounds counts the epochs driven (a proxy for global
+/// synchronization cost — the Δ sweep benchmark reports it). A level that
+/// refills while it drains is picked again by the next allreduce_min.
+/// Collective; `seeds` are the calling rank's.
+template <class T>
+result delta_stepping(ampp::transport_context& ctx, pattern::action_instance& a,
+                      pmap::vertex_property_map<T>& m, double delta,
+                      std::span<const vertex_id> seeds, const options& opt = {}) {
+  pattern::work_queue& q = detail::file_seeds(ctx, a, m, delta, seeds);
+  return detail::measured(ctx, a, opt, "delta", [&] {
     std::uint64_t epochs = 0;
-    for (;;) {
-      // Agree on the lowest globally non-empty bucket.
-      const std::uint64_t mine = B.first_nonempty();
-      const std::uint64_t level = ctx.allreduce_min(mine);
-      if (level == buckets::none) break;
-      obs::trace_span lsp(&reg.trace(), "strategy", "bucket", ctx.rank());
+    for (std::uint64_t level; (level = ctx.allreduce_min(q.first_nonempty())) !=
+                              pattern::work_queue::none;) {
+      obs::trace_span lsp(&ctx.tp().obs().trace(), "strategy", "bucket", ctx.rank());
       lsp.arg("level", level);
-
-      // Drain this level to a global fixed point. try_finish may succeed
-      // while a conflicting hook insertion has just refilled the bucket
-      // (bucket contents are invisible to termination detection), so
-      // reconcile with a reduction and re-enter the epoch if needed.
-      for (;;) {
-        {
-          ampp::epoch ep(ctx);
-          ++epochs;
-          do {
-            while (auto v = B.pop(level)) (*a_)(ctx, *v);
-          } while (!ep.try_finish());
-        }
-        if (!ctx.allreduce_or(!B.empty(level))) break;
-      }
-    }
-    if (ctx.rank() == 0) epochs_used_ = epochs;  // one writer; TSan-clean
-    sp.arg("epochs", epochs);
-    sp.finish();
-    ctx.barrier();
-
-    result res;
-    res.rounds = epochs;
-    res.modifications = a_->modifications() - before;
-    if (sc) res.stats_delta = sc->finish();
-    return res;
-  }
-
-  /// Uncoordinated Δ-stepping (§III-D): single epoch, local priority order,
-  /// termination purely via try_finish. Collective.
-  result run_uncoordinated(ampp::transport_context& ctx, std::span<const vertex_id> seeds,
-                           const options& opt = {}) {
-    buckets& B = my_buckets(ctx);
-    B.clear();
-    install_hook_collective(ctx, *a_, hook_);
-    for (const vertex_id v : seeds) B.insert(v, priority(v));
-
-    obs::registry& reg = ctx.tp().obs();
-    std::optional<obs::stats_scope> sc;
-    if (opt.collect_stats) sc.emplace(reg);
-    const std::uint64_t before = a_->modifications();
-    obs::trace_span sp(&reg.trace(), "strategy", "delta_uncoordinated", ctx.rank());
-
-    {
       ampp::epoch ep(ctx);
-      for (;;) {
-        while (auto v = B.pop_any()) (*a_)(ctx, *v);
-        if (B.empty() && ep.try_finish()) break;
-        // Either local work arrived while trying to finish, or some other
-        // rank still works: go back to the buckets.
-      }
+      ++epochs;
+      detail::drain(ctx, ep, a, [&q, level] { return q.pop(level); });
     }
-    if (ctx.rank() == 0) epochs_used_ = 1;
-    sp.finish();
-    ctx.barrier();
+    return epochs;
+  });
+}
 
-    result res;
-    res.rounds = 1;
-    res.modifications = a_->modifications() - before;
-    if (sc) res.stats_delta = sc->finish();
-    return res;
-  }
-
-  /// Epochs consumed by the last run (a proxy for global synchronization
-  /// cost; the Δ sweep benchmark reports it).
-  std::uint64_t epochs_used() const { return epochs_used_; }
-
- private:
-  buckets& my_buckets(ampp::transport_context& ctx) { return buckets_[ctx.rank()]; }
-
-  double priority(vertex_id v) const {
-    // Atomic like the relax CAS it can race with: with handler threads, a
-    // concurrent handler may be lowering m[v] while this hook files v.
-    return static_cast<double>(std::atomic_ref<T>((*m_)[v]).load(std::memory_order_relaxed));
-  }
-
-  const graph::distributed_graph* g_;
-  pattern::action_instance* a_;
-  pmap::vertex_property_map<T>* m_;
-  double delta_;
-  std::deque<buckets> buckets_;  // deque: buckets hold locks and cannot move
-  pattern::action_instance::work_hook hook_;
-  std::uint64_t epochs_used_ = 0;
-};
+/// Uncoordinated Δ-stepping (§III-D): a single epoch, local bucket order,
+/// termination purely via try_finish — fixed_point over the bucketed
+/// queue. Collective.
+template <class T>
+result delta_stepping_uncoordinated(ampp::transport_context& ctx, pattern::action_instance& a,
+                                    pmap::vertex_property_map<T>& m, double delta,
+                                    std::span<const vertex_id> seeds,
+                                    const options& opt = {}) {
+  pattern::work_queue& q = detail::file_seeds(ctx, a, m, delta, seeds);
+  return detail::measured(ctx, a, opt, "delta_uncoordinated", [&] {
+    ampp::epoch ep(ctx);
+    detail::drain(ctx, ep, a, [&q] { return q.pop(); });
+    return std::uint64_t{1};
+  });
+}
 
 }  // namespace dpg::strategy

@@ -1,8 +1,8 @@
 // The basic strategies shipped with the framework (§II-A): fixed_point and
 // once. Strategies are ordinary imperative SPMD programs that apply pattern
 // actions through the framework's primitives — epochs, work hooks, and
-// collectives. Users write their own the same way (Δ-stepping lives in
-// delta_stepping.hpp).
+// collectives. Users write their own the same way (Δ-stepping, in
+// delta_stepping.hpp, is fixed_point's epoch loop over a Δ-bucketed queue).
 //
 // Every strategy entry point takes a `strategy::options` and returns a
 // `strategy::result` {rounds, modifications, stats_delta} so callers can
@@ -109,6 +109,66 @@ void for_each_local_vertex(ampp::transport_context& ctx,
   for (std::uint64_t li = 0; li < cnt; ++li) fn(d.global(ctx.rank(), li));
 }
 
+namespace detail {
+
+/// Runs `body` under the strategy's trace span and returns its result:
+/// `body` returns the rounds it drove, and the global modification count
+/// and (if asked) the transport-counter delta are filled in around it.
+template <class Body>
+result measured(ampp::transport_context& ctx, pattern::action_instance& a,
+                const options& opt, const char* name, Body body) {
+  obs::registry& reg = ctx.tp().obs();
+  std::optional<obs::stats_scope> sc;
+  if (opt.collect_stats) sc.emplace(reg);
+  const std::uint64_t before = a.modifications();
+  result res;
+  {
+    obs::trace_span sp(&reg.trace(), "strategy", name, ctx.rank());
+    res.rounds = body();
+    sp.arg("rounds", res.rounds);
+  }
+  // Cross-process each process saw only its own firings. The sum is
+  // load-bearing: once_until_quiet ends on changed(), so all rank
+  // processes must agree on it or the synchronous rounds deadlock.
+  res.modifications = a.modifications() - before;
+  if (ctx.tp().cross_process()) res.modifications = ctx.allreduce_sum(res.modifications);
+  if (sc) res.stats_delta = sc->finish();
+  return res;
+}
+
+/// The epoch loop of every queue-driven strategy: apply what `pop` yields
+/// from the rank's work queue until the epoch ends everywhere. A push
+/// follows either a counted receipt or an owner-local commit made on this
+/// thread (here or in the caller's seed loop), which pops it before
+/// try_finish. So a TD round that declares the epoch done proves no
+/// handler pushed since this rank's previous report, and the queue was
+/// emptied after that report (docs/runtime.md "fixed_point scheduling").
+template <class Pop>
+void drain(ampp::transport_context& ctx, ampp::epoch& ep, pattern::action_instance& a,
+           Pop pop) {
+  const ampp::rank_t r = ctx.rank();
+  const graph::distribution& d = a.vertex_dist();
+  for (;;) {
+    while (const auto li = pop()) a(ctx, d.global(r, *li));
+    if (ep.try_finish()) return;
+  }
+}
+
+}  // namespace detail
+
+/// Readies the calling rank's work queue in FIFO order and installs the
+/// hook that files a dependent vertex there. Collective: the install
+/// barrier orders each rank's prepare before any handler can file work.
+inline pattern::work_queue& queue_dependents(ampp::transport_context& ctx,
+                                             pattern::action_instance& a) {
+  pattern::work_queue& q = a.pending_work(ctx.rank());
+  q.prepare(a.vertex_dist().count(ctx.rank()), ctx.tp().config().handler_threads > 0);
+  install_hook_collective(ctx, a, [&a](ampp::transport_context& c, vertex_id dep) {
+    a.pending_work(c.rank()).push(a.vertex_dist().local_index(dep));
+  });
+  return q;
+}
+
 /// The fixed_point strategy of §II-A. The paper writes it as
 ///
 ///   strategy fixed_point(action a, container vertices) {
@@ -117,11 +177,11 @@ void for_each_local_vertex(ampp::transport_context& ctx,
 ///   }
 ///
 /// Here the hook only files the dependent vertex in its owner rank's
-/// deduplicated work queue (action_instance::pending_work); the strategy
-/// applies it from its epoch loop. A vertex improved several times while it
-/// waits is applied once, against its current label, so every improvement
-/// that landed in the meantime goes out in a single sweep of its edges.
-/// The fixed point is the same; see docs/runtime.md "fixed_point
+/// deduplicated FIFO work queue (action_instance::pending_work); the
+/// strategy applies it from its epoch loop. A vertex improved several times
+/// while it waits is applied once, against its current label, so every
+/// improvement that landed in the meantime goes out in a single sweep of
+/// its edges. The fixed point is the same; see docs/runtime.md "fixed_point
 /// scheduling" for why termination detection stays sound.
 ///
 /// `seeds` holds the seed vertices owned by the calling rank (SPMD callers
@@ -129,42 +189,13 @@ void for_each_local_vertex(ampp::transport_context& ctx,
 /// reached everywhere.
 inline result fixed_point(ampp::transport_context& ctx, pattern::action_instance& a,
                           std::span<const vertex_id> seeds, const options& opt = {}) {
-  const ampp::rank_t r = ctx.rank();
-  const graph::distribution& d = a.vertex_dist();
-  pattern::work_queue& q = a.pending_work(r);
-  // Each rank readies its own queue; the install barrier orders this
-  // before any other rank's handler can file work here.
-  q.prepare(d.count(r), ctx.tp().config().handler_threads > 0);
-  install_hook_collective(ctx, a, [&a](ampp::transport_context& c, vertex_id dep) {
-    a.pending_work(c.rank()).push(a.vertex_dist().local_index(dep));
-  });
-  obs::registry& reg = ctx.tp().obs();
-  std::optional<obs::stats_scope> sc;
-  if (opt.collect_stats) sc.emplace(reg);
-  const std::uint64_t before = a.modifications();
-  {
-    obs::trace_span sp(&reg.trace(), "strategy", "fixed_point", r);
+  pattern::work_queue& q = queue_dependents(ctx, a);
+  return detail::measured(ctx, a, opt, "fixed_point", [&] {
     ampp::epoch ep(ctx);
     for (const vertex_id v : seeds) a(ctx, v);
-    // A push follows either a counted receipt or an owner-local commit
-    // made on this thread inside these loops, which pop it before
-    // try_finish. So a TD round that declares the epoch done proves no
-    // handler pushed since this rank's previous report, and the queue was
-    // emptied after that report.
-    for (;;) {
-      while (const auto li = q.pop()) a(ctx, d.global(r, *li));
-      if (ep.try_finish()) break;
-    }
-  }
-  result res;
-  res.rounds = 1;
-  // In-process the shared instance's counter is already the global count;
-  // cross-process each process saw only its local firings, so the global
-  // count is the sum over rank processes.
-  res.modifications = a.modifications() - before;
-  if (ctx.tp().cross_process()) res.modifications = ctx.allreduce_sum(res.modifications);
-  if (sc) res.stats_delta = sc->finish();
-  return res;
+    detail::drain(ctx, ep, a, [&q] { return q.pop(); });
+    return std::uint64_t{1};
+  });
 }
 
 /// The once strategy (§II-B): applies the action at every seed exactly once
@@ -174,24 +205,11 @@ inline result once(ampp::transport_context& ctx, pattern::action_instance& a,
                    std::span<const vertex_id> seeds, const options& opt = {}) {
   install_hook_collective(ctx, a, {});
   ctx.barrier();  // all ranks snapshot the counter before anyone applies
-  obs::registry& reg = ctx.tp().obs();
-  std::optional<obs::stats_scope> sc;
-  if (opt.collect_stats) sc.emplace(reg);
-  const std::uint64_t before = a.modifications();
-  {
-    obs::trace_span sp(&reg.trace(), "strategy", "once", ctx.rank());
+  return detail::measured(ctx, a, opt, "once", [&] {
     ampp::epoch ep(ctx);
     for (const vertex_id v : seeds) a(ctx, v);
-  }
-  result res;
-  res.rounds = 1;
-  // Same global-count rule as fixed_point — and load-bearing here: the
-  // once_until_quiet loop keys its termination on changed(), so all rank
-  // processes must agree on it or the synchronous rounds deadlock.
-  res.modifications = a.modifications() - before;
-  if (ctx.tp().cross_process()) res.modifications = ctx.allreduce_sum(res.modifications);
-  if (sc) res.stats_delta = sc->finish();
-  return res;
+    return std::uint64_t{1};
+  });
 }
 
 /// Repeats `once` until no modification happens or opt.max_rounds is

@@ -76,21 +76,23 @@ launch_ids next_launch_ids() {
 
 std::string rankproc_cmd(const std::string& backend, unsigned ranks, unsigned rank,
                          const std::string& algo, std::uint64_t seed,
-                         const launch_ids& ids, const std::string& plan = "none") {
+                         const launch_ids& ids, const std::string& plan = "none",
+                         const std::string& extra = "") {
   std::string cmd = std::string(DPG_RANKPROC_PATH) + " --backend " + backend +
                     " --ranks " + std::to_string(ranks) + " --rank " +
                     std::to_string(rank) + " --algo " + algo + " --seed " +
                     std::to_string(seed) + " --session " + ids.session +
                     " --base-port " + std::to_string(ids.base_port);
   if (plan != "none") cmd += " --plan " + plan;
-  return cmd;
+  return cmd + extra;
 }
 
 /// Runs the in-process machine (one subprocess hosting all ranks as
 /// threads) and returns its result hash.
 std::string run_inproc(unsigned ranks, const std::string& algo, std::uint64_t seed,
-                       const std::string& plan) {
-  proc p = launch(rankproc_cmd("inproc", ranks, 0, algo, seed, next_launch_ids(), plan));
+                       const std::string& plan, const std::string& extra = "") {
+  proc p =
+      launch(rankproc_cmd("inproc", ranks, 0, algo, seed, next_launch_ids(), plan, extra));
   const int rc = reap(p);
   EXPECT_EQ(rc, 0) << "inproc rankproc failed (plan=" << plan << "):\n" << p.out;
   return hash_of(p.out);
@@ -99,11 +101,12 @@ std::string run_inproc(unsigned ranks, const std::string& algo, std::uint64_t se
 /// Runs a full cross-process machine (one subprocess per rank) and returns
 /// rank 0's result hash.
 std::string run_cross(const std::string& backend, unsigned ranks,
-                      const std::string& algo, std::uint64_t seed) {
+                      const std::string& algo, std::uint64_t seed,
+                      const std::string& extra = "") {
   const launch_ids ids = next_launch_ids();
   std::vector<proc> procs(ranks);
   for (unsigned r = 0; r < ranks; ++r)
-    procs[r] = launch(rankproc_cmd(backend, ranks, r, algo, seed, ids));
+    procs[r] = launch(rankproc_cmd(backend, ranks, r, algo, seed, ids, "none", extra));
   bool ok = true;
   for (unsigned r = 0; r < ranks; ++r) {
     const int rc = reap(procs[r]);
@@ -136,6 +139,24 @@ TEST_P(BackendSweep, FixedPointsMatchAcrossWires) {
       EXPECT_EQ(run_cross(backend, ranks, algo, seed), oracle)
           << "cross-process fixed point diverged from the in-process oracle";
     }
+  }
+}
+
+TEST(BackendSweepDelta, DeltaSteppingMatchesAcrossWires) {
+  // Coordinated Δ-stepping with one process per rank: each process drives
+  // its own bucketed queue, and the per-level allreduce_min crosses the
+  // wire next to the relax records. The distances must be bit-identical to
+  // the in-process fixed point and to in-process Δ-stepping.
+  const unsigned ranks = 2;
+  const std::uint64_t seed = 1;
+  const std::string delta = " --delta 2.5";
+  const std::string oracle = run_inproc(ranks, "sssp", seed, "none");
+  ASSERT_EQ(oracle.size(), 16u) << "oracle produced no hash";
+  EXPECT_EQ(run_inproc(ranks, "sssp", seed, "none", delta), oracle);
+  for (const char* backend : {"shm", "tcp"}) {
+    SCOPED_TRACE(std::string("backend=") + backend);
+    EXPECT_EQ(run_cross(backend, ranks, "sssp", seed, delta), oracle)
+        << "cross-process Δ-stepping diverged from the in-process oracle";
   }
 }
 

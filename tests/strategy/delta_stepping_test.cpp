@@ -1,14 +1,19 @@
 // Δ-stepping strategy tests: correctness against Dijkstra for both the
 // coordinated and the uncoordinated (try_finish) variants, across Δ values
-// and rank counts; bucket-structure unit tests.
+// and rank counts; the one-bucket law against fixed_point; the typed error
+// for a bad Δ. (The bucketed queue itself: tests/pattern/work_queue_test.)
 #include "strategy/delta_stepping.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <limits>
+#include <stdexcept>
 #include <tuple>
 #include <vector>
 
+#include "algo/baselines.hpp"
+#include "algo/sssp.hpp"
 #include "graph/generators.hpp"
 
 namespace dpg::strategy {
@@ -29,50 +34,6 @@ using pattern::v_;
 using pattern::when;
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
-
-// ---------------------------------------------------------------------------
-// buckets unit tests
-// ---------------------------------------------------------------------------
-
-TEST(Buckets, FilesByPriorityOverDelta) {
-  buckets B(2.0);
-  EXPECT_EQ(B.bucket_of(0.0), 0u);
-  EXPECT_EQ(B.bucket_of(1.99), 0u);
-  EXPECT_EQ(B.bucket_of(2.0), 1u);
-  EXPECT_EQ(B.bucket_of(9.5), 4u);
-}
-
-TEST(Buckets, FifoWithinBucket) {
-  buckets B(1.0);
-  B.insert(5, 0.1);
-  B.insert(7, 0.2);
-  B.insert(9, 0.3);
-  EXPECT_EQ(B.pop(0).value(), 5u);
-  EXPECT_EQ(B.pop(0).value(), 7u);
-  EXPECT_EQ(B.pop(0).value(), 9u);
-  EXPECT_FALSE(B.pop(0).has_value());
-}
-
-TEST(Buckets, FirstNonEmptyAndPopAny) {
-  buckets B(1.0);
-  EXPECT_EQ(B.first_nonempty(), buckets::none);
-  B.insert(1, 5.5);
-  B.insert(2, 2.5);
-  EXPECT_EQ(B.first_nonempty(), 2u);
-  EXPECT_EQ(B.pop_any().value(), 2u);  // lowest bucket first
-  EXPECT_EQ(B.pop_any().value(), 1u);
-  EXPECT_TRUE(B.empty());
-}
-
-TEST(Buckets, SizeTracksInsertsAndPops) {
-  buckets B(1.0);
-  for (int i = 0; i < 10; ++i) B.insert(i, static_cast<double>(i));
-  EXPECT_EQ(B.size(), 10u);
-  (void)B.pop_any();
-  EXPECT_EQ(B.size(), 9u);
-  B.clear();
-  EXPECT_TRUE(B.empty());
-}
 
 // ---------------------------------------------------------------------------
 // Δ-stepping end-to-end, parameterized over (ranks, Δ, uncoordinated)
@@ -101,33 +62,15 @@ TEST_P(DeltaSteppingCorrectness, MatchesDijkstra) {
                                        when(d(trg(e_)) > d(v_) + w(e_),
                                             assign(d(trg(e_)), d(v_) + w(e_)))));
 
-  // Oracle.
-  std::vector<double> oracle(n, kInf);
-  {
-    oracle[0] = 0;
-    std::vector<bool> done(n, false);
-    for (;;) {
-      vertex_id best = graph::invalid_vertex;
-      for (vertex_id v = 0; v < n; ++v)
-        if (!done[v] && oracle[v] < kInf &&
-            (best == graph::invalid_vertex || oracle[v] < oracle[best]))
-          best = v;
-      if (best == graph::invalid_vertex) break;
-      done[best] = true;
-      for (const edge_handle e : g.out_edges(best))
-        oracle[e.dst] = std::min(oracle[e.dst], oracle[best] + weight[e]);
-    }
-  }
-
+  const auto oracle = algo::dijkstra(g, weight, 0);
   dist[0] = 0.0;
-  delta_stepping<double> ds(tp, g, *relax, dist, delta);
   tp.run([&](ampp::transport_context& ctx) {
     std::vector<vertex_id> seeds;
     if (g.owner(0) == ctx.rank()) seeds.push_back(0);
     if (uncoordinated)
-      ds.run_uncoordinated(ctx, seeds);
+      delta_stepping_uncoordinated(ctx, *relax, dist, delta, seeds);
     else
-      ds.run(ctx, seeds);
+      delta_stepping(ctx, *relax, dist, delta, seeds);
   });
   for (vertex_id v = 0; v < n; ++v) ASSERT_DOUBLE_EQ(dist[v], oracle[v]) << "v=" << v;
 }
@@ -148,31 +91,76 @@ TEST(DeltaStepping, SmallDeltaUsesMoreEpochs) {
   // Bucket granularity drives synchronization: tiny Δ must consume many
   // more epochs than one huge bucket (the Q5 benchmark's mechanism).
   const vertex_id n = 80;
-  const auto edges = graph::erdos_renyi(n, 600, 4);
-  auto run_with = [&](double delta) {
-    distributed_graph g(n, edges, distribution::cyclic(n, 2));
-    pmap::vertex_property_map<double> dist(g, kInf);
-    pmap::edge_property_map<double> weight(g, [](const edge_handle& e) {
-      return graph::edge_weight(e.src, e.dst, 7, 5.0);
-    });
-    pmap::lock_map locks(g.dist(), pmap::lock_scheme::per_vertex);
-    ampp::transport tp(ampp::transport_config{.n_ranks = 2});
-    property d(dist);
-    property w(weight);
-    auto relax = instantiate(tp, g, locks,
-                             make_action("relax", out_edges_gen{},
-                                         when(d(trg(e_)) > d(v_) + w(e_),
-                                              assign(d(trg(e_)), d(v_) + w(e_)))));
-    dist[0] = 0.0;
-    delta_stepping<double> ds(tp, g, *relax, dist, delta);
-    tp.run([&](ampp::transport_context& ctx) {
-      std::vector<vertex_id> seeds;
-      if (g.owner(0) == ctx.rank()) seeds.push_back(0);
-      ds.run(ctx, seeds);
-    });
-    return ds.epochs_used();
+  distributed_graph g(n, graph::erdos_renyi(n, 600, 4), distribution::cyclic(n, 2));
+  pmap::edge_property_map<double> weight(g, [](const edge_handle& e) {
+    return graph::edge_weight(e.src, e.dst, 7, 5.0);
+  });
+  ampp::transport tp(ampp::transport_config{.n_ranks = 2});
+  algo::sssp_solver solver(tp, g, weight);
+  auto epochs_with = [&](double delta) {
+    tp.run([&](ampp::transport_context& ctx) { solver.run_delta(ctx, 0, delta); });
+    return solver.delta_epochs();
   };
-  EXPECT_GT(run_with(0.25), run_with(1e9));
+  EXPECT_GT(epochs_with(0.25), epochs_with(1e9));
+}
+
+TEST(DeltaStepping, OneBucketAppliesExactlyLikeFixedPoint) {
+  // At one rank, with every finite distance inside bucket 0, the bucketed
+  // queue is the FIFO queue: seed first, then FIFO with the same at-most-
+  // once rule. Same applications, same modifications, one epoch.
+  const vertex_id n = 300;
+  const auto edges = graph::erdos_renyi(n, 2400, 12);
+  distributed_graph g(n, edges, distribution::cyclic(n, 1));
+  pmap::edge_property_map<double> weight(g, [](const edge_handle& e) {
+    return graph::edge_weight(e.src, e.dst, 5, 20.0);
+  });
+  const auto oracle = algo::dijkstra(g, weight, 0);
+  double longest = 0;
+  for (const double d : oracle)
+    if (d != kInf) longest = std::max(longest, d);
+  ampp::transport tp(ampp::transport_config{.n_ranks = 1});
+  algo::sssp_solver solver(tp, g, weight);
+  auto& relax = solver.relax();
+
+  tp.run([&](ampp::transport_context& ctx) { solver.run_fixed_point(ctx, 0); });
+  const std::uint64_t fp_apps = relax.invocations(), fp_mods = relax.modifications();
+  result res;
+  tp.run([&](ampp::transport_context& ctx) { res = solver.run_delta(ctx, 0, 2 * longest); });
+  EXPECT_EQ(relax.invocations() - fp_apps, fp_apps);
+  EXPECT_EQ(relax.modifications() - fp_mods, fp_mods);
+  EXPECT_EQ(res.rounds, 1u);
+  for (vertex_id v = 0; v < n; ++v) ASSERT_EQ(solver.dist()[v], oracle[v]) << v;
+}
+
+TEST(DeltaStepping, BadDeltaThrowsAndEverythingKeepsWorking) {
+  const vertex_id n = 120;
+  const auto edges = graph::erdos_renyi(n, 900, 3);
+  distributed_graph g(n, edges, distribution::cyclic(n, 2));
+  pmap::edge_property_map<double> weight(g, [](const edge_handle& e) {
+    return graph::edge_weight(e.src, e.dst, 9, 10.0);
+  });
+  const auto oracle = algo::dijkstra(g, weight, 0);
+  ampp::transport tp(ampp::transport_config{.n_ranks = 2});
+  algo::sssp_solver solver(tp, g, weight);
+  tp.run([&](ampp::transport_context& ctx) { solver.run_delta(ctx, 0, 4.0); });
+
+  for (const double bad : {0.0, -2.0, std::nan("")}) {
+    EXPECT_THROW(tp.run([&](ampp::transport_context& ctx) { solver.run_delta(ctx, 5, bad); }),
+                 std::invalid_argument);
+    EXPECT_THROW(tp.run([&](ampp::transport_context& ctx) {
+                   solver.run_delta_uncoordinated(ctx, 5, bad);
+                 }),
+                 std::invalid_argument);
+  }
+  // The throw left the last solution in place...
+  EXPECT_EQ(solver.last_source(), 0u);
+  for (vertex_id v = 0; v < n; ++v) ASSERT_EQ(solver.dist()[v], oracle[v]) << v;
+  // ...and the transport and solver keep solving.
+  const auto from5 = algo::dijkstra(g, weight, 5);
+  tp.run([&](ampp::transport_context& ctx) { solver.run_delta_uncoordinated(ctx, 5, 3.0); });
+  for (vertex_id v = 0; v < n; ++v) ASSERT_EQ(solver.dist()[v], from5[v]) << v;
+  tp.run([&](ampp::transport_context& ctx) { solver.run_fixed_point(ctx, 0); });
+  for (vertex_id v = 0; v < n; ++v) ASSERT_EQ(solver.dist()[v], oracle[v]) << v;
 }
 
 }  // namespace

@@ -46,14 +46,16 @@ struct options {
   std::string algo = "sssp";
   std::uint64_t seed = 1;
   std::string plan = "none";  // inproc only: fault plan name
+  double delta = 0;           // sssp: Δ-stepping width; 0 runs the fixed point
 };
 
 [[noreturn]] void usage(const char* msg) {
   if (msg) std::cerr << "rankproc: " << msg << "\n";
   std::cerr << "usage: rankproc --backend inproc|shm|tcp --ranks N [--rank R]\n"
                "                [--session S] [--base-port P] [--plan NAME]\n"
-               "                --algo sssp|bfs|cc [--seed X]\n"
-               "  --plan (inproc only): none|scramble|lossy|chaos|control_chaos\n";
+               "                --algo sssp|bfs|cc [--seed X] [--delta D]\n"
+               "  --plan (inproc only): none|scramble|lossy|chaos|control_chaos\n"
+               "  --delta (sssp only): solve by coordinated Δ-stepping of width D\n";
   std::exit(2);
 }
 
@@ -89,6 +91,9 @@ options parse(int argc, char** argv) {
       o.seed = std::stoull(need(i));
     } else if (a == "--plan") {
       o.plan = need(i);
+    } else if (a == "--delta") {
+      o.delta = std::stod(need(i));
+      if (!(o.delta > 0.0)) usage("--delta must be positive");
     } else {
       usage(("unknown flag '" + a + "'").c_str());
     }
@@ -96,6 +101,7 @@ options parse(int argc, char** argv) {
   if (o.ranks < 1) usage("--ranks must be >= 1");
   if (o.rank >= o.ranks) usage("--rank out of range");
   if (o.algo != "sssp" && o.algo != "bfs" && o.algo != "cc") usage("unknown --algo");
+  if (o.delta != 0 && o.algo != "sssp") usage("--delta applies to --algo sssp");
   if (o.plan != "none" && o.kind != ampp::backend_config::kind_t::inproc)
     usage("fault plans are an in-process-only instrument");
   return o;
@@ -224,7 +230,12 @@ std::vector<std::uint64_t> run_algo(const options& o) {
     return graph::edge_weight(e.src, e.dst, 17, 8.0);
   });
   algo::sssp_solver solver(tp, g, weight);
-  tp.run([&](ampp::transport_context& ctx) { solver.run_fixed_point(ctx, 0); });
+  tp.run([&](ampp::transport_context& ctx) {
+    if (o.delta > 0)
+      solver.run_delta(ctx, 0, o.delta);
+    else
+      solver.run_fixed_point(ctx, 0);
+  });
   return gather_values(tp, g, solver.dist(), encode_double);
 }
 
