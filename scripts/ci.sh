@@ -155,10 +155,36 @@ if not (noflush["seeded"] > flush["seeded"] and noflush["conflicts"] > flush["co
     raise SystemExit("cc guard FAILED: the epoch_flush ablation no longer reproduces the paper's effect")
 EOF
 
+echo "=== bench structural guard (PageRank scatter combines on the sender) ==="
+# PageRank's scatter is an `add`, so each rank folds its contributions and
+# sends one record per distinct remote target per sweep. On the scale-10
+# R-MAT graph at 4 ranks that is 0.16 records per edge per sweep, against
+# 0.75 uncombined, one per remote edge (both measured; deterministic for
+# the fixed graph). The limit 0.3 is under 2x the measured value
+# and far below the uncombined one, so the combiner cannot silently
+# switch off.
+python3 - <<'EOF'
+import json
+with open("BENCH_pagerank.ci.json") as f:
+    rows = json.load(f)["benchmarks"]
+
+def row(name):
+    for r in rows:
+        if r["name"] == name and r.get("run_type", "iteration") == "iteration":
+            return r
+    raise SystemExit(f"pagerank guard: benchmark '{name}' missing from BENCH_pagerank.ci.json")
+
+per_edge = row("BM_PageRankPattern/4/real_time")["records_per_edge"]
+print(f"pagerank scatter records per edge per sweep @4 ranks: {per_edge:.3f} (limit 0.3)")
+if per_edge >= 0.3:
+    raise SystemExit("pagerank guard FAILED: scatter records reach the wire uncombined")
+EOF
+
 echo "=== bench ratio guard (pattern vs hand-rolled PageRank) ==="
 # PageRank's unconditional scatter compiles to the scatter kernel's 16-byte
-# {target, share} record: the same messages a hand-written AM++ scatter
-# sends. The pattern must stay within 1.3x of that hand-rolled loop at 2
+# {target, share} record, the record a hand-written AM++ scatter sends
+# (the pattern sends fewer of them: it combines on the sender). The
+# pattern must stay within 1.3x of that hand-rolled loop at 2
 # ranks; falling back to the 96-byte gather chain fails this guard. A
 # 2-rank run at this scale is mostly epoch and barrier waits, so single
 # smoke repetitions swing past 1.3x on their own: the guard compares

@@ -1,11 +1,14 @@
-// PageRank as a pattern: a scatter action accumulates rank contributions
-// into the target's slot with a general `modify` (the grammar's arbitrary
-// property-map modification), and an imperative per-iteration epilogue
-// applies damping and swaps buffers — a textbook case of the paper's
-// "declarative patterns inside imperative algorithms". The unconditional
-// scatter compiles to the 16-byte {target, share} record of the scatter
-// kernel (pattern/action.hpp, detail::scatter_shape);
-// compile_options::fast_path = off keeps the general gather path.
+// PageRank as a pattern: a scatter action sums rank contributions into the
+// target's slot with `add` (a property-map modification declared a sum),
+// and an imperative per-iteration epilogue applies damping and swaps
+// buffers — a textbook case of the paper's "declarative patterns inside
+// imperative algorithms". The unconditional scatter compiles to the
+// 16-byte {target, share} record of the scatter kernel
+// (pattern/action.hpp, detail::scatter_shape); because the update is a
+// sum, each rank folds its contributions per remote target and sends one
+// record per distinct target per sweep. compile_options::fast_reduction =
+// off sends one record per remote edge; fast_path = off keeps the general
+// gather path.
 #pragma once
 
 #include <memory>
@@ -32,13 +35,8 @@ class pagerank_solver {
     scatter_ = instantiate(
         tp, g, locks_,
         make_action("pr.scatter", out_edges_gen{},
-                    // Always fires: accumulate the sender's per-edge share.
-                    when(lit(true),
-                         modify(next(trg(e_)),
-                                [](double& acc, double contribution) {
-                                  acc += contribution;
-                                },
-                                share(v_)))),
+                    // Always fires: add the sender's per-edge share.
+                    when(lit(true), add(next(trg(e_)), share(v_)))),
         opts);
   }
 

@@ -29,7 +29,7 @@ struct transport_stats {
   std::atomic<std::uint64_t> wire_bytes_sent{0};    ///< envelope bytes on the wire (<= bytes_sent; compact layouts truncate)
   std::atomic<std::uint64_t> handler_invocations{0};///< user handler calls
   std::atomic<std::uint64_t> self_deliveries{0};    ///< payloads whose destination was the sender
-  std::atomic<std::uint64_t> cache_hits{0};         ///< sends absorbed by a reduction cache
+  std::atomic<std::uint64_t> cache_hits{0};         ///< sends absorbed by a reduction cache or scatter accumulator
   std::atomic<std::uint64_t> cache_evictions{0};    ///< cache slots spilled to the wire
   std::atomic<std::uint64_t> td_rounds{0};          ///< termination-detection rounds completed
   std::atomic<std::uint64_t> barriers{0};           ///< barrier operations completed

@@ -16,9 +16,24 @@ namespace dpg::ampp {
 
 namespace {
 thread_local rank_t tl_current_rank = invalid_rank;
+thread_local bool tl_in_handler = false;
+
+/// Marks the calling thread as dispatching a handler for its lifetime.
+class handler_scope {
+ public:
+  handler_scope() : prev_(tl_in_handler) { tl_in_handler = true; }
+  ~handler_scope() { tl_in_handler = prev_; }
+  handler_scope(const handler_scope&) = delete;
+  handler_scope& operator=(const handler_scope&) = delete;
+
+ private:
+  bool prev_;
+};
 }  // namespace
 
 rank_t current_rank() noexcept { return tl_current_rank; }
+
+bool in_handler() noexcept { return tl_in_handler; }
 
 namespace detail {
 
@@ -437,6 +452,7 @@ transport::drain_result transport::drain_rank(transport_context& ctx, bool at_mo
       obs::trace_span sp(&obs_.trace(), "handler", env.vt->self->name().c_str(),
                          ctx.rank());
       sp.arg("count", env.count);
+      handler_scope in_dispatch;
       env.vt->dispatch(env.vt->self, ctx, env.bytes.data(), env.count);
     }
     const bool internal = env.vt->self->internal_;
@@ -460,8 +476,22 @@ bool transport::locally_quiet(rank_t r) const {
   return rs.inbox.empty() && rs.active_handlers.load(std::memory_order_acquire) == 0;
 }
 
-void transport::flush_all_types(rank_t src) {
+std::size_t transport::add_drain(drain_fn fn) {
+  DPG_ASSERT_MSG(!running_, "drains must be registered between runs");
+  drains_.push_back(std::move(fn));
+  return drains_.size() - 1;
+}
+
+void transport::remove_drain(std::size_t id) {
+  DPG_ASSERT_MSG(!running_, "drains must be removed between runs");
+  drains_.at(id) = nullptr;
+}
+
+void transport::flush_all_types(transport_context& ctx) {
+  const rank_t src = ctx.rank();
   obs::trace_span sp(&obs_.trace(), "transport", "flush", src);
+  for (const drain_fn& d : drains_)
+    if (d) d(ctx);
   if (faults_active_) pump_faults(src);
   for (auto& mt : types_) mt->flush_rank(src);
 }
@@ -703,7 +733,7 @@ bool transport::td_round(transport_context& ctx) {
   // counted sent but not yet received, and each flush advances the
   // progress tick, so the loop pumps every hold to delivery.
   for (;;) {
-    flush_all_types(r);
+    flush_all_types(ctx);
     const drain_result dr = drain_rank(ctx, /*at_most_one=*/false);
     // outbound_empty is one relaxed counter read per message type (no lane
     // locks, no cache scans): this spin is the hottest loop of every
@@ -821,7 +851,7 @@ void epoch::flush() {
   transport& tp = ctx_.tp();
   const rank_t r = ctx_.rank();
   for (;;) {
-    tp.flush_all_types(r);
+    tp.flush_all_types(ctx_);
     const transport::drain_result dr = tp.drain_rank(ctx_, /*at_most_one=*/false);
     if (dr.user_payloads == 0 && tp.outbound_empty(r) && tp.fault_held_empty(r) &&
         tp.locally_quiet(r))

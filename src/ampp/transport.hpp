@@ -536,6 +536,17 @@ class transport {
   template <class Payload, message_handler<Payload> H, address_map<Payload> A>
   message_type<Payload>& make_message_type(std::string name, H handler, A addr);
 
+  /// Sender-side drains: work a rank holds back from the wire (a combining
+  /// scatter's accumulator, pattern/action.hpp) that must reach its lanes
+  /// before they are flushed. Every registered drain runs on the rank's own
+  /// thread at the start of each flush of all message types — the flush
+  /// that opens every termination-detection round and epoch::flush — and
+  /// may send, so what it releases is counted by that very round. Register
+  /// and remove between runs; the returned id names the drain for removal.
+  using drain_fn = std::function<void(transport_context&)>;
+  std::size_t add_drain(drain_fn fn);
+  void remove_drain(std::size_t id);
+
   /// Execute `f` as an SPMD program: one thread per rank, each receiving
   /// its own transport_context. Blocks until all ranks return; rethrows the
   /// first exception thrown by any rank. May be called repeatedly.
@@ -637,7 +648,9 @@ class transport {
   /// and per-source sequence) or an OOB blob. No-op in-process.
   void poll_backend();
   drain_result drain_rank(transport_context& ctx, bool at_most_one);
-  void flush_all_types(rank_t src);
+  /// Runs the registered drains, then spills every lane of `ctx`'s rank.
+  /// Called only on the rank's own thread (td_round, epoch::flush).
+  void flush_all_types(transport_context& ctx);
   bool all_buffers_empty(rank_t src) const;
   /// Nothing buffered in any outgoing lane or reduction cache of `r`: one
   /// relaxed counter read per message type, no lane locks, no cache scans.
@@ -745,6 +758,7 @@ class transport {
 
   transport_config cfg_;
   std::vector<std::unique_ptr<detail::message_type_base>> types_;
+  std::vector<drain_fn> drains_;  ///< indexed by add_drain id; removed ones are empty
   std::vector<rank_state> ranks_;
   std::shared_ptr<wire_pool> pool_;  ///< envelope buffers, possibly shared
   obs::registry obs_;

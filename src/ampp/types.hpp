@@ -18,6 +18,13 @@ inline constexpr rank_t invalid_rank = static_cast<rank_t>(-1);
 /// owner-computes discipline the paper assumes (§III-A / §IV).
 rank_t current_rank() noexcept;
 
+/// True while the calling thread dispatches a delivered envelope's
+/// handler (on the rank's own thread or a handler thread). Work done
+/// there is sent at once: a sender-side accumulator is drained only at the
+/// start of a flush, and a fold made inside the drain-and-dispatch loop of
+/// a termination-detection round would miss that round's report.
+bool in_handler() noexcept;
+
 namespace detail {
 /// Set by transport::run for each SPMD thread. RAII so nested runs
 /// (not supported) fail loudly rather than corrupt state.

@@ -24,6 +24,11 @@
 // above — goes on the wire instead, so the hook cannot recurse without
 // bound.
 //
+// A scatter declared a sum (`add`) folds the contributions it would send
+// into a per-rank accumulator and sends one record per distinct remote
+// target when the transport next flushes the rank (Pregel's combiner on
+// the sender; see instantiated_action::drain).
+//
 // Instantiation performs the paper's §IV-A translation: locality analysis,
 // hop planning, merging of the final gather with evaluate+modify, message
 // type registration (with auto-generated address maps, §IV-D), and the
@@ -83,6 +88,24 @@ template <class PM, class Idx, class F, class... Args>
 auto modify(read_expr<PM, Idx> target, F fn, Args... args) {
   return modify_stmt<PM, Idx, F, decltype(as_expr(args))...>{
       target, std::move(fn), std::tuple<decltype(as_expr(args))...>{as_expr(args)...}};
+}
+
+/// The library's sum functor, what `add` applies at the owner. Declaring
+/// an update a sum rather than an opaque `modify` tells the compiler that
+/// same-target contributions may be folded on the sender.
+struct sum_op {
+  template <class T, class U>
+  void operator()(T& acc, const U& x) const {
+    acc += x;
+  }
+};
+
+/// add: target-pmap[idx] += value — `modify` with the library sum functor.
+/// An unconditional `add` scatter compiles to the combining scatter kernel
+/// (see detail::scatter_shape).
+template <class PM, class Idx, class V>
+auto add(read_expr<PM, Idx> target, V value) {
+  return modify(target, sum_op{}, value);
 }
 
 /// insert: adds value to the std::vector set target-pmap[idx] unless it is
@@ -179,8 +202,9 @@ struct plan_info {
   /// unconditional scatter kernel.
   bool fast_path = false;
   bool claim = false;  ///< the fast kernel is CC's two-arm claim record
-  /// Sender-side cache on the fast lane: combining for relax, exact-repeat
-  /// suppression for claim.
+  /// Sender-side reduction on the fast lane: a combining cache for relax,
+  /// exact-repeat suppression for claim, per-target sums for an `add`
+  /// scatter.
   bool fast_reduction = false;
   std::size_t cse_hits = 0;  ///< duplicate reads sharing one arena slot
   /// Bytes each synthesized message carries on the wire, in send order:
@@ -430,6 +454,12 @@ struct fast_shape<when_clause<bin_expr<op_gt, L, read_expr<PM, Idx>>,
 ///   * the argument obeys the relax kernel's value rule (fast_val_ok): it
 ///     reads only at the invocation vertex, and reads nothing at all when
 ///     the target is v itself.
+///
+/// A scatter whose F is the library's sum_op (`add`) is additionally
+/// `combine`-able when the argument widens into the slot's arithmetic type
+/// exactly as `+=` widens it (their common type is the slot's): the sender
+/// may then fold same-target contributions into one record, which carries
+/// the slot's type.
 template <class When, class Gen>
 struct scatter_shape : std::false_type {
   using pm_type = void;
@@ -439,7 +469,13 @@ struct scatter_shape : std::false_type {
   using slot_type = int;
   using fn_type = int;
   static constexpr bool min_update = false;
+  static constexpr bool combine = false;
 };
+
+template <class F, class Slot, class Arg>
+inline constexpr bool summable =
+    std::is_same_v<F, sum_op> && std::is_arithmetic_v<Slot> && !std::is_same_v<Slot, bool> &&
+    sizeof(Slot) <= 8 && std::is_same_v<std::common_type_t<Slot, Arg>, Slot>;
 
 template <class PM, class Idx, class F, class Arg, class Gen>
   requires (!is_edge_map<PM> && std::is_arithmetic_v<value_t<Arg>> &&
@@ -450,9 +486,11 @@ struct scatter_shape<when_clause<lit_expr<bool>, modify_stmt<PM, Idx, F, Arg>>, 
   using idx_expr = Idx;
   using val_expr = Arg;
   /// What the general path hands F: the compiled argument's own type.
-  using value_type = std::remove_cvref_t<decltype(plan_builder<Gen>::compile_direct(
+  using arg_type = std::remove_cvref_t<decltype(plan_builder<Gen>::compile_direct(
       std::declval<const Arg&>())(std::declval<const gather_state&>()))>;
   using slot_type = typename PM::value_type;
+  static constexpr bool combine = summable<F, slot_type, arg_type>;
+  using value_type = std::conditional_t<combine, slot_type, arg_type>;
   using fn_type = F;
   static constexpr bool min_update = false;
 };
@@ -721,7 +759,8 @@ struct compile_options {
   /// AM++-style sender-side cache on the fast lane: same-target relax
   /// candidates merge under the action's own monotone comparator before
   /// they reach an envelope (min for SSSP/BFS shapes, max for widest path);
-  /// exact repeats of a claim record are dropped.
+  /// exact repeats of a claim record are dropped; the contributions of an
+  /// `add` scatter sum into one record per remote target.
   toggle fast_reduction = toggle::auto_;
 
   static bool enabled(toggle t) { return t != toggle::off; }
@@ -742,6 +781,10 @@ class instantiated_action final : public action_instance {
     init_rank_state(tp.size());
     build(def, opts);
     register_messages();
+  }
+
+  ~instantiated_action() override {
+    if (drain_id_) tp_->remove_drain(*drain_id_);
   }
 
   const graph::distribution& vertex_dist() const override { return g_->dist(); }
@@ -808,6 +851,9 @@ class instantiated_action final : public action_instance {
       kScatter, detail::scatter_shape<FirstWhen, Gen>,
       std::conditional_t<kClaim, detail::claim_shape<FirstWhen, SecondWhen, Gen>,
                          detail::fast_shape<FirstWhen, Gen>>>;
+  /// Statically: a scatter declared a sum (`add`) — the sender may fold
+  /// same-target contributions into one record.
+  static constexpr bool kCombine = kScatter && detail::scatter_shape<FirstWhen, Gen>::combine;
 
   /// The compact fast-path payload: destination vertex + proposed value,
   /// scatter argument or claimed label (16 bytes for SSSP/CC/PageRank — the
@@ -952,8 +998,9 @@ class instantiated_action final : public action_instance {
       locked_commit_ = tp_->config().handler_threads > 0;
       // The sender-side cache needs a wire lane (a fully local fast path
       // has no envelopes) and a rule that makes it sound: the relax
-      // shape's monotone comparator, or the claim's idempotent insert.
-      if constexpr (kRelax || kClaim)
+      // shape's monotone comparator, the claim's idempotent insert, or a
+      // scatter declared a sum.
+      if constexpr (kRelax || kClaim || kCombine)
         use_reduce_ = use_fast_ && !fast_local_ &&
                       compile_options::enabled(opts.fast_reduction);
     }
@@ -1219,6 +1266,13 @@ class instantiated_action final : public action_instance {
                   }
                   return b_wins ? b : a;
                 });
+          // Combining scatter: contributions fold into the rank's
+          // accumulator (fast_apply) and reach this lane at the drain,
+          // which the transport runs before every full flush.
+          if (kCombine && use_reduce_) {
+            acc_ = std::vector<sum_accumulator>(tp_->size());
+            drain_id_ = tp_->add_drain([this](ampp::transport_context& ctx) { drain(ctx); });
+          }
         }
         return;
       }
@@ -1262,12 +1316,27 @@ class instantiated_action final : public action_instance {
   /// This rank's slots of the fast kernel's target map.
   using shard_t = std::span<typename fshape::slot_type>;
 
+  /// A combining scatter's sender-side accumulator, one per rank and only
+  /// ever touched by that rank's own thread: the pending sum per remote
+  /// target (indexed by global vertex id), a touched mark, and the touched
+  /// targets in first-fold order. Sized on first use, kept across runs,
+  /// and empty after every drain.
+  struct alignas(64) sum_accumulator {
+    std::vector<typename fshape::slot_type> sum;
+    std::vector<std::uint8_t> touched;
+    std::vector<graph::vertex_id> order;
+    std::uint64_t folds = 0;  ///< contributions merged into a pending sum since the drain
+  };
+
   /// Per-application state of the owner-local apply.
   struct local_tally {
     shard_t shard;
     bool nested = false;  ///< generated inside a local commit: send everything
     std::uint64_t applied = 0;  ///< records committed in place
     std::uint64_t fired = 0;    ///< of those, firings
+    /// Combining scatter: the rank's accumulator, or null where remote
+    /// records must be sent (inside a handler or a local commit).
+    sum_accumulator* acc = nullptr;
   };
 
   /// Fast-path generator loop: evaluates destination and proposed value
@@ -1281,6 +1350,21 @@ class instantiated_action final : public action_instance {
       s.v = v;
       fast_hoists_.run(s);  // v-homed reads: once per application, not per edge
       local_tally t{fast_pm_->local(ctx.rank()), detail::in_local_commit};
+      // Fold only on the rank's own thread outside handler dispatch and
+      // local commits: the drain runs at the start of a flush, so a fold
+      // made inside a TD round's drain-and-dispatch loop would escape that
+      // round's report. Everywhere else the record is sent at once.
+      if constexpr (kCombine) {
+        if (use_reduce_ && !t.nested && !ampp::in_handler()) {
+          sum_accumulator& a = acc_[ctx.rank()];
+          const graph::vertex_id n = g_->num_vertices();
+          if (a.touched.size() < n) {
+            a.sum.resize(n);
+            a.touched.resize(n, 0);
+          }
+          t.acc = &a;
+        }
+      }
       // Every hook this loop runs is a local commit's, so the flag is set
       // once per application rather than once per record.
       detail::local_commit_scope in_commit;
@@ -1327,8 +1411,47 @@ class instantiated_action final : public action_instance {
       if (dest == ctx.rank() && (fast_local_ || !t.nested)) {
         ++t.applied;
         t.fired += fast_commit(ctx, t.shard, r);
+      } else if (kCombine && t.acc != nullptr) {
+        fold(*t.acc, r);
       } else {
         fast_msg_->send(ctx, dest, r);
+      }
+    }
+  }
+
+  /// Adds a remote scatter contribution to the pending sum of its target;
+  /// the first contribution opens the target's entry.
+  static void fold(sum_accumulator& a, const fast_rec& r) {
+    if constexpr (kCombine) {
+      if (a.touched[r.loc]) {
+        a.sum[r.loc] += r.val;
+        ++a.folds;
+      } else {
+        a.touched[r.loc] = 1;
+        a.sum[r.loc] = r.val;
+        a.order.push_back(r.loc);
+      }
+    }
+  }
+
+  /// The transport's drain (transport::add_drain): sends one {target, sum}
+  /// record per touched target into the scatter lane and resets the marks.
+  /// The folds are published in bulk: as sends absorbed by a sender-side
+  /// reduction (cache_hits), and as firings — each folded contribution is
+  /// one, as it would be uncombined — so modifications() still counts
+  /// every contribution.
+  void drain(ampp::transport_context& ctx) {
+    if constexpr (kCombine) {
+      sum_accumulator& a = acc_[ctx.rank()];
+      if (a.order.empty()) return;
+      for (const graph::vertex_id t : a.order) {
+        a.touched[t] = 0;
+        fast_msg_->send(ctx, g_->owner(t), fast_rec{t, a.sum[t]});
+      }
+      a.order.clear();
+      if (a.folds != 0) {
+        tp_->obs().core().cache_hits.fetch_add(a.folds, std::memory_order_relaxed);
+        mods_[ctx.rank()].n.fetch_add(std::exchange(a.folds, 0), std::memory_order_relaxed);
       }
     }
   }
@@ -1504,7 +1627,9 @@ class instantiated_action final : public action_instance {
   bool use_fast_ = false;
   bool fast_local_ = false;
   bool fast_dep_ = false;
-  bool use_reduce_ = false;  ///< sender-side combining cache on the relax lane
+  bool use_reduce_ = false;  ///< sender-side cache or accumulator on the fast lane
+  std::vector<sum_accumulator> acc_;    ///< combining scatter: one per rank
+  std::optional<std::size_t> drain_id_;  ///< the accumulator's transport drain
 
   bool use_compact_ = false;
   /// Truncated layouts per wire: gather wires in hop order, then the
@@ -1567,7 +1692,8 @@ inline std::string explain(const std::string& action_name, const plan_info& p) {
   out += std::string("  sender reduction: ") +
          (!p.fast_reduction ? "off"
           : p.claim         ? "exact-repeat suppression on the claim lane"
-                            : "combining cache on the relax lane") +
+          : p.atomic_path   ? "combining cache on the relax lane"
+                            : "per-target sum accumulator on the scatter lane") +
          "\n";
   return out;
 }

@@ -585,7 +585,9 @@ class analyzer {
     // Unconditional scatter (mirrors detail::scatter_shape): a literal
     // `true` guard over one `.method(arg)` update whose single argument is
     // a travelling value read at the invocation site compiles to the same
-    // 16-byte record, applied by the method at the owner.
+    // 16-byte record, applied by the method at the owner. `.add(x)` is the
+    // EDSL's `add`: a sum, so the sender combines same-target records
+    // (when x sums into the target's type and a wire lane exists).
     if (act_.conditions.size() == 1 && act_.conditions[0].mods.size() == 1) {
       const condition& c = act_.conditions[0];
       const modification& m = c.mods[0];
@@ -599,7 +601,10 @@ class analyzer {
         // An edge handle is not a scalar: it cannot ride in the record.
         const bool val_ok = arg.kind != expr::node::gen_edge && reads_all_at_v(arg) &&
                             (th.k == home::kind::at_gen || !contains_read(arg));
-        if (idx_ok && val_ok) out.fast_path = true;
+        if (idx_ok && val_ok) {
+          out.fast_path = true;
+          out.fast_reduction = add_widens_ && !out.final_merged;
+        }
       }
     }
 
@@ -993,6 +998,8 @@ class analyzer {
           !(pm->type == value_kind::real && rk == value_kind::integer))
         throw parse_error(m.line, "assignment value kind does not match '" + pm->name + "'");
     }
+    if (!m.is_assignment && m.method == "add" && arg_kinds.size() == 1)
+      add_widens_ = widens_into(pm->type, arg_kinds[0]);
     if (!have_ml_) {
       ml_ = h;
       have_ml_ = true;
@@ -1005,6 +1012,16 @@ class analyzer {
     written_pmaps_.insert(pm->name);
   }
 
+  /// Whether `+=` of an `arg` value into a `target` slot is an arithmetic
+  /// sum in the target's own type — the text-level form of the EDSL's
+  /// rule that the argument and slot share the slot's common type.
+  static bool widens_into(value_kind target, value_kind arg) {
+    const bool integral =
+        arg == value_kind::integer || arg == value_kind::vertex || arg == value_kind::boolean;
+    if (target == value_kind::real) return integral || arg == value_kind::real;
+    return (target == value_kind::integer || target == value_kind::vertex) && integral;
+  }
+
   const parsed_pattern& pat_;
   const parsed_action& act_;
   std::vector<read_entry> reads_;
@@ -1015,6 +1032,7 @@ class analyzer {
   std::set<std::string> read_pmaps_, written_pmaps_;
   home ml_{};
   bool have_ml_ = false;
+  bool add_widens_ = false;  ///< an `.add(x)` whose x sums into its target's type
 };
 
 }  // namespace

@@ -33,9 +33,10 @@
 // pasting in the expression"). Conditions chain as if / else-if. A
 // modification is either an assignment `pmap[idx] = expr;` or an opaque
 // in-place call `pmap[idx].update(args...);` (the grammar's general
-// modification). One method name is interpreted: `.insert(x)` on a
+// modification). Two method names are interpreted: `.insert(x)` on a
 // `vertex_list` is set insert, the EDSL's `insert(F(t), x)`, which CC's
-// claim kernel needs; any other name stays opaque.
+// claim kernel needs, and `.add(x)` is a sum, the EDSL's `add(M(t), x)`,
+// which the combining scatter needs; any other name stays opaque.
 #pragma once
 
 #include <memory>
@@ -157,7 +158,7 @@ struct analyzed_action {
   std::string final_locality;
   bool fast_path = false;           ///< single-locality fast kernel engaged
   bool claim = false;               ///< the fast kernel is the two-arm claim record
-  bool fast_reduction = false;      ///< sender-side combining or suppression engaged
+  bool fast_reduction = false;      ///< sender-side combining, suppression or sums engaged
   std::size_t cse_hits = 0;         ///< duplicate reads sharing one arena slot
   std::vector<std::size_t> wire_bytes;  ///< bytes per synthesized message
 

@@ -134,9 +134,15 @@ class alignas(64) work_queue {
       head_ = next(head_);
     }
     head_ = 0;
-    for (const row& w : rows_)
+    // Rows keep their capacity across runs: a run re-fills them in place
+    // rather than growing them again from empty.
+    for (std::uint64_t b = 0; b < nrows_; ++b) {
+      row& w = rows_[b];
       for (std::size_t i = w.head; i < w.items.size(); ++i) bucket_[w.items[i]] = idle;
-    rows_.clear();
+      w.items.clear();
+      w.head = 0;
+    }
+    nrows_ = 0;
     cursor_ = 0;
   }
 
@@ -166,7 +172,10 @@ class alignas(64) work_queue {
     DPG_DEBUG_ASSERT(li < bucket_.size());
     if (b >= bucket_[li]) return false;
     bucket_[li] = static_cast<std::uint32_t>(b);
-    if (b >= rows_.size()) rows_.resize(b + 1);
+    if (b >= nrows_) {
+      nrows_ = b + 1;
+      if (nrows_ > rows_.size()) rows_.resize(nrows_);
+    }
     rows_[b].items.push_back(li);
     if (b < cursor_) cursor_ = b;
     return true;
@@ -174,7 +183,7 @@ class alignas(64) work_queue {
 
   /// Skips stale entries at the front of row b; true if a live one is left.
   bool live_front(std::uint64_t b) {
-    if (b >= rows_.size()) return false;
+    if (b >= nrows_) return false;
     row& w = rows_[b];
     while (w.head < w.items.size() && bucket_[w.items[w.head]] != b) ++w.head;
     if (w.head < w.items.size()) return true;
@@ -193,7 +202,7 @@ class alignas(64) work_queue {
   /// Resumes from the cursor: rows below it hold no live entry (a push
   /// lowers it; the scan passes only rows it found empty).
   std::uint64_t first_live() {
-    for (; cursor_ < rows_.size(); ++cursor_)
+    for (; cursor_ < nrows_; ++cursor_)
       if (live_front(cursor_)) return cursor_;
     return none;
   }
@@ -203,7 +212,8 @@ class alignas(64) work_queue {
   std::uint64_t head_ = 0;
   std::uint64_t size_ = 0;
   std::vector<std::uint32_t> bucket_;  ///< bucketed: pending bucket, or idle
-  std::vector<row> rows_;              ///< bucketed: one per bucket
+  std::vector<row> rows_;              ///< bucketed: one per bucket, kept across runs
+  std::uint64_t nrows_ = 0;            ///< bucketed: rows in use this run
   std::uint64_t cursor_ = 0;
   double delta_ = 1.0;
   std::uint8_t mode_ = 0;

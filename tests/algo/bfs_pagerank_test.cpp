@@ -3,12 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "algo/baselines.hpp"
 #include "algo/bfs.hpp"
 #include "algo/pagerank.hpp"
 #include "graph/generators.hpp"
+#include "obs/obs.hpp"
 
 namespace dpg::algo {
 namespace {
@@ -92,6 +96,67 @@ TEST(PageRank, ScatterKernelMatchesGeneralPath) {
     ASSERT_NEAR(fast.ranks()[v], oracle[v], 1e-12) << "v=" << v;
     ASSERT_NEAR(general.ranks()[v], oracle[v], 1e-12) << "v=" << v;
     ASSERT_NEAR(fast.ranks()[v], general.ranks()[v], 1e-12) << "v=" << v;
+  }
+}
+
+TEST(PageRank, CombiningScatterSendsOneRecordPerRemoteTargetPerSweep) {
+  // The solver's scatter is an `add`, so each sweep each rank sends one
+  // record per distinct remote target; every other contribution is folded
+  // on the sender or applied in place. With fast_reduction off it sends
+  // one record per remote edge. Both, and the general gather path, land on
+  // the sequential ranks — over R-MAT scale 10 plus a hub every vertex
+  // points at, with and without handler threads.
+  constexpr int kIters = 10;
+  using tog = pattern::compile_options::toggle;
+  for (const ampp::rank_t ranks : {2u, 4u}) {
+    for (const unsigned threads : {0u, 1u, 2u}) {
+      SCOPED_TRACE("ranks=" + std::to_string(ranks) + " threads=" + std::to_string(threads));
+      graph::rmat_params p;
+      p.scale = 10;
+      p.edge_factor = 8;
+      std::vector<graph::edge> edges = graph::rmat(p, 31);
+      const vertex_id n = vertex_id{1} << p.scale;
+      for (vertex_id v = 1; v < n; ++v) edges.push_back({v, 0});
+      distributed_graph g(n, edges, distribution::cyclic(n, ranks));
+      std::uint64_t local = 0, remote = 0;
+      std::set<std::pair<ampp::rank_t, vertex_id>> pairs;
+      for (vertex_id v = 0; v < n; ++v)
+        for (const graph::edge_handle e : g.out_edges(v)) {
+          if (g.owner(e.dst) == g.owner(v)) {
+            ++local;
+          } else {
+            ++remote;
+            pairs.insert({g.owner(v), e.dst});
+          }
+        }
+
+      const auto oracle = pagerank(g, 0.85, kIters);
+      ampp::transport tp(ampp::transport_config{.n_ranks = ranks, .handler_threads = threads});
+      pagerank_solver combined(tp, g);
+      pagerank_solver uncombined(tp, g, {.fast_reduction = tog::off});
+      pagerank_solver general(tp, g, {.fast_path = tog::off});
+      EXPECT_TRUE(combined.plan().fast_reduction);
+      EXPECT_FALSE(uncombined.plan().fast_reduction);
+      const auto solve = [&](pagerank_solver& pr) {
+        obs::stats_scope sc(tp.obs());
+        tp.run([&](ampp::transport_context& ctx) { pr.run(ctx, 0.85, kIters); });
+        return sc.finish().core;
+      };
+      const auto c = solve(combined);
+      EXPECT_EQ(c.messages_sent, pairs.size() * kIters);
+      EXPECT_EQ(c.cache_hits, (remote - pairs.size()) * kIters);
+      EXPECT_EQ(c.local_applies, local * kIters);
+      EXPECT_EQ(c.messages_sent + c.cache_hits + c.local_applies, g.num_edges() * kIters);
+      const auto u = solve(uncombined);
+      EXPECT_EQ(u.messages_sent, remote * kIters);
+      EXPECT_EQ(u.cache_hits, 0u);
+      (void)solve(general);
+      for (vertex_id v = 0; v < n; ++v) {
+        ASSERT_NEAR(combined.ranks()[v], oracle[v], 1e-12) << "v=" << v;
+        ASSERT_NEAR(combined.ranks()[v], uncombined.ranks()[v], 1e-12) << "v=" << v;
+        ASSERT_NEAR(combined.ranks()[v], general.ranks()[v], 1e-12) << "v=" << v;
+      }
+    }
   }
 }
 

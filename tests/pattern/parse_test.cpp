@@ -228,8 +228,9 @@ pattern Widest {
 
 TEST(Parse, ScatterPlanEqualsEdslPlan) {
   // PageRank's unconditional scatter: the parser must recognise the
-  // scatter kernel exactly where the EDSL does (fast path, one 16-byte
-  // record per edge) and render the identical explain text.
+  // scatter kernel exactly where the EDSL does (fast path, 16-byte
+  // records) and render the identical explain text. `.add` is the EDSL's
+  // `add`, a sum, so both front ends report the combining scatter.
   const auto analyzed = analyze(parse_pattern(R"(
 pattern PageRank {
   vertex_property<double> next;
@@ -244,6 +245,7 @@ pattern PageRank {
 )")).actions[0];
   EXPECT_TRUE(analyzed.fast_path);
   EXPECT_FALSE(analyzed.atomic_path);
+  EXPECT_TRUE(analyzed.fast_reduction);
   EXPECT_EQ(analyzed.wire_bytes, std::vector<std::size_t>{16});
   EXPECT_EQ(analyzed.messages_per_application(), 1);
 
@@ -255,10 +257,7 @@ pattern PageRank {
   property share(share_map);
   auto scatter = instantiate(
       tp, g, locks,
-      make_action("scatter", out_edges_gen{},
-                  when(lit(true), modify(next(trg(e_)),
-                                         [](double& acc, double x) { acc += x; },
-                                         share(v_)))));
+      make_action("scatter", out_edges_gen{}, when(lit(true), add(next(trg(e_)), share(v_)))));
   const plan_info& edsl = scatter->plan();
   EXPECT_EQ(analyzed.gather_hops, edsl.gather_hops);
   EXPECT_EQ(analyzed.final_merged, edsl.final_merged);
@@ -291,6 +290,32 @@ pattern P {
 )"));
   EXPECT_FALSE(guarded.actions[0].fast_path);
   EXPECT_FALSE(guarded.actions[1].fast_path);
+
+  // Any other method is an opaque update: still the scatter kernel, never
+  // combined — in the text and in the EDSL's lambda `modify`.
+  const auto scaled = analyze(parse_pattern(R"(
+pattern PageRank {
+  vertex_property<double> next;
+  vertex_property<double> share;
+  action scatter(v) {
+    generator e : out_edges;
+    when (true) {
+      next[trg(e)].scale(share[v]);
+    }
+  }
+}
+)")).actions[0];
+  auto scale = instantiate(
+      tp, g, locks,
+      make_action("scatter", out_edges_gen{},
+                  when(lit(true), modify(next(trg(e_)),
+                                         [](double& acc, double x) { acc *= x; },
+                                         share(v_)))));
+  EXPECT_TRUE(scaled.fast_path);
+  EXPECT_FALSE(scaled.fast_reduction);
+  EXPECT_EQ(scaled.fast_path, scale->plan().fast_path);
+  EXPECT_EQ(scaled.fast_reduction, scale->plan().fast_reduction);
+  EXPECT_EQ(explain(scaled), pattern::explain("scatter", scale->plan()));
 }
 
 // ---------------------------------------------------------------------------

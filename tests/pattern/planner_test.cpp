@@ -246,6 +246,180 @@ TEST(Planner, UnconditionalScatterCompilesToSixteenByteRecord) {
   EXPECT_EQ(general->modifications(), g.num_edges());
 }
 
+/// R-MAT scale 10 plus a hub every vertex points at: the hub's in-edges
+/// from each rank fold into one record per rank.
+distributed_graph hub_and_rmat(ampp::rank_t ranks) {
+  graph::rmat_params p;
+  p.scale = 10;
+  p.edge_factor = 8;
+  std::vector<graph::edge> e = graph::rmat(p, 31);
+  const vertex_id n = vertex_id{1} << p.scale;
+  for (vertex_id v = 1; v < n; ++v) e.push_back({v, 0});
+  return distributed_graph(n, e, distribution::cyclic(n, ranks));
+}
+
+/// What one scatter sweep over the out-edges of the picked vertices must
+/// cost: edges whose target the source's owner holds, the rest, and the
+/// distinct (sending rank, remote target) pairs among those, plus the
+/// summed contributions.
+struct scatter_oracle {
+  std::uint64_t local = 0, remote = 0, pairs = 0;
+  std::vector<double> sums;
+};
+
+template <class Pick>
+scatter_oracle scatter_counts(const distributed_graph& g, const std::vector<double>& share,
+                              Pick pick) {
+  scatter_oracle o;
+  o.sums.assign(g.num_vertices(), 0.0);
+  std::set<std::pair<ampp::rank_t, vertex_id>> pairs;
+  for (vertex_id v = 0; v < g.num_vertices(); ++v) {
+    if (!pick(v)) continue;
+    for (const graph::edge_handle e : g.out_edges(v)) {
+      o.sums[e.dst] += share[v];
+      if (g.owner(e.dst) == g.owner(v)) {
+        ++o.local;
+      } else {
+        ++o.remote;
+        pairs.insert({g.owner(v), e.dst});
+      }
+    }
+  }
+  o.pairs = pairs.size();
+  return o;
+}
+
+TEST(Planner, AddScatterSendsOneRecordPerRemoteTarget) {
+  // `add` declares the scatter's update a sum: each rank folds what it
+  // would send into one record per distinct remote target, drained when
+  // the epoch's termination detection flushes the rank. Owned targets
+  // still commit in place. Every contribution is either sent, folded or
+  // applied locally; the sums match the uncombined scatter, the lambda
+  // `modify` scatter and the general path.
+  using tog = compile_options::toggle;
+  for (const ampp::rank_t ranks : {2u, 4u}) {
+    for (const unsigned threads : {0u, 1u, 2u}) {
+      SCOPED_TRACE("ranks=" + std::to_string(ranks) + " threads=" + std::to_string(threads));
+      const distributed_graph g = hub_and_rmat(ranks);
+      const vertex_id n = g.num_vertices();
+      std::vector<double> shares(n);
+      pmap::vertex_property_map<double> share_map(g, 0.0);
+      for (vertex_id v = 0; v < n; ++v) share_map[v] = shares[v] = 1.0 / (3.0 + v);
+      const scatter_oracle o = scatter_counts(g, shares, [](vertex_id) { return true; });
+      ASSERT_EQ(o.local + o.remote, g.num_edges());
+      ASSERT_LT(o.pairs, o.remote);  // the hub alone folds n/ranks edges per rank
+
+      pmap::lock_map locks(g.dist(), pmap::lock_scheme::per_vertex);
+      ampp::transport tp(ampp::transport_config{.n_ranks = ranks, .handler_threads = threads});
+      property share(share_map);
+      std::vector<pmap::vertex_property_map<double>> next(4, pmap::vertex_property_map<double>(g, 0.0));
+      property n0(next[0]), n1(next[1]), n2(next[2]), n3(next[3]);
+      const auto sum = [](double& acc, double x) { acc += x; };
+      auto combined = instantiate(
+          tp, g, locks, make_action("sum", out_edges_gen{}, when(lit(true), add(n0(trg(e_)), share(v_)))));
+      auto uncombined = instantiate(
+          tp, g, locks, make_action("sum", out_edges_gen{}, when(lit(true), add(n1(trg(e_)), share(v_)))),
+          {.fast_reduction = tog::off});
+      auto lambda = instantiate(
+          tp, g, locks,
+          make_action("lambda", out_edges_gen{}, when(lit(true), modify(n2(trg(e_)), sum, share(v_)))));
+      auto general = instantiate(
+          tp, g, locks,
+          make_action("sum", out_edges_gen{}, when(lit(true), add(n3(trg(e_)), share(v_)))),
+          {.fast_path = tog::off});
+      EXPECT_TRUE(combined->plan().fast_reduction);
+      EXPECT_NE(explain("sum", combined->plan())
+                    .find("sender reduction: per-target sum accumulator on the scatter lane"),
+                std::string::npos);
+      EXPECT_FALSE(uncombined->plan().fast_reduction);
+      EXPECT_TRUE(uncombined->plan().fast_path);
+      EXPECT_FALSE(lambda->plan().fast_reduction);
+      EXPECT_FALSE(general->plan().fast_path);
+
+      const auto sweep = [&](action_instance& act) {
+        obs::stats_scope sc(tp.obs());
+        tp.run([&](ampp::transport_context& ctx) {
+          ampp::epoch ep(ctx);
+          for (vertex_id v = 0; v < n; ++v)
+            if (g.owner(v) == ctx.rank()) act(ctx, v);
+        });
+        return sc.finish().core;
+      };
+      // Twice: the accumulator is empty after each drain and kept for the
+      // next run, so the second sweep costs exactly what the first did.
+      for (int run = 0; run < 2; ++run) {
+        next[0].fill(0.0);
+        const auto c = sweep(*combined);
+        EXPECT_EQ(c.messages_sent, o.pairs);
+        EXPECT_EQ(c.cache_hits, o.remote - o.pairs);
+        EXPECT_EQ(c.local_applies, o.local);
+        EXPECT_EQ(c.messages_sent + c.cache_hits + c.local_applies, g.num_edges());
+      }
+      const auto u = sweep(*uncombined);
+      EXPECT_EQ(u.messages_sent, o.remote);
+      EXPECT_EQ(u.cache_hits, 0u);
+      EXPECT_EQ(u.local_applies, o.local);
+      EXPECT_EQ(sweep(*lambda).messages_sent, o.remote);
+      (void)sweep(*general);
+      // A folded contribution is still a firing of the action.
+      EXPECT_EQ(combined->modifications(), 2 * g.num_edges());
+      EXPECT_EQ(uncombined->modifications(), g.num_edges());
+      for (vertex_id v = 0; v < n; ++v)
+        for (int k = 0; k < 4; ++k)
+          ASSERT_NEAR(next[k][v], o.sums[v], 1e-12) << "v=" << v << " variant " << k;
+    }
+  }
+}
+
+TEST(Planner, AddScatterInsideHandlerSendsDirectly) {
+  // An application made inside a delivered handler sends its records at
+  // once: the accumulator is drained at the start of a flush, so a fold
+  // made in a TD round's dispatch loop would miss that round's report.
+  // Even vertices are applied from the rank's own thread (folded), odd
+  // ones from a handler (one record per remote edge); every contribution
+  // has landed when the epoch ends, with and without handler threads.
+  for (const ampp::rank_t ranks : {2u, 4u}) {
+    for (const unsigned threads : {0u, 1u, 2u}) {
+      SCOPED_TRACE("ranks=" + std::to_string(ranks) + " threads=" + std::to_string(threads));
+      const distributed_graph g = hub_and_rmat(ranks);
+      const vertex_id n = g.num_vertices();
+      std::vector<double> shares(n);
+      pmap::vertex_property_map<double> share_map(g, 0.0), next_map(g, 0.0);
+      for (vertex_id v = 0; v < n; ++v) share_map[v] = shares[v] = 1.0 / (3.0 + v);
+      const scatter_oracle even =
+          scatter_counts(g, shares, [](vertex_id v) { return v % 2 == 0; });
+      const scatter_oracle odd = scatter_counts(g, shares, [](vertex_id v) { return v % 2 == 1; });
+
+      pmap::lock_map locks(g.dist(), pmap::lock_scheme::per_vertex);
+      ampp::transport tp(ampp::transport_config{.n_ranks = ranks, .handler_threads = threads});
+      property share(share_map), next(next_map);
+      auto act = instantiate(
+          tp, g, locks, make_action("sum", out_edges_gen{}, when(lit(true), add(next(trg(e_)), share(v_)))));
+      auto& poke = tp.make_message_type<vertex_id>(
+          "poke", [&](ampp::transport_context& ctx, const vertex_id& v) { (*act)(ctx, v); },
+          [&g](const vertex_id& v) { return g.owner(v); });
+      obs::stats_scope sc(tp.obs());
+      tp.run([&](ampp::transport_context& ctx) {
+        ampp::epoch ep(ctx);
+        for (vertex_id v = 0; v < n; ++v) {
+          if (g.owner(v) != ctx.rank()) continue;
+          if (v % 2 == 0)
+            (*act)(ctx, v);
+          else
+            poke.send(ctx, v);
+        }
+      });
+      const auto c = sc.finish().core;
+      const std::uint64_t pokes = n / 2;
+      EXPECT_EQ(c.messages_sent, pokes + even.pairs + odd.remote);
+      EXPECT_EQ(c.cache_hits, even.remote - even.pairs);
+      EXPECT_EQ(c.local_applies, even.local + odd.local);
+      for (vertex_id v = 0; v < n; ++v)
+        ASSERT_NEAR(next_map[v], even.sums[v] + odd.sums[v], 1e-12) << "v=" << v;
+    }
+  }
+}
+
 TEST(Planner, ScatterOverChasedIndexStaysGeneral) {
   // An unconditional modify whose target is a pointer chase cannot know
   // its destination at the invocation site: it keeps the gather chain.
