@@ -13,6 +13,28 @@ cmake --preset werror >/dev/null
 cmake --build --preset werror -j "$JOBS"
 ctest --test-dir build-werror --output-on-failure -j "$JOBS"
 
+echo "=== pattern translator smoke ==="
+# The text front end as users run it: every shipped pattern file and the
+# three built-in modes must exit 0, and a guard nested 20,000 parentheses
+# deep must be refused as a parse error (exit 1), not end in a signal.
+for pat in examples/patterns/*.pat; do
+  build-werror/examples/pattern_explain "$pat" >/dev/null
+done
+for mode in --demo --measure --fuse; do
+  build-werror/examples/pattern_explain "$mode" >/dev/null
+done
+deep_pat="$(mktemp)"
+python3 -c 'print("pattern P { vertex_property<double> x; action a(v) { when (" +
+                  "(" * 20000 + "x[v] > 1.0" + ")" * 20000 + ") { x[v] = 1.0; } } }")' \
+  >"$deep_pat"
+rc=0
+build-werror/examples/pattern_explain "$deep_pat" >/dev/null 2>&1 || rc=$?
+rm -f "$deep_pat"
+if [ "$rc" -ne 1 ]; then
+  echo "translator smoke FAILED: deep nesting exited $rc, expected a parse error (1)"
+  exit 1
+fi
+
 echo "=== sim seed sweep (8 seeds) ==="
 # The deterministic fault-injection simulator: every algorithm under every
 # fault plan, eight seeds. A failure prints the reproducing seed; replay a

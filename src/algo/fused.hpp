@@ -85,8 +85,9 @@ class fused_triple_solver {
 
   /// Registers the fused message family with `tp`. Construct before
   /// transport::run; `g`, `weight`, and `capacity` must outlive the
-  /// solver. `copts` controls the batch/reduction toggles of the fused
-  /// lane (the fused family is itself the fast path).
+  /// solver. Of `copts`, only fast_reduction applies: it switches the
+  /// fused lane's sender-side combining cache (the fused family is itself
+  /// the fast path).
   fused_triple_solver(ampp::transport& tp, const graph::distributed_graph& g,
                       pmap::edge_property_map<double>& weight,
                       pmap::edge_property_map<double>& capacity,

@@ -182,49 +182,6 @@ auto make_action(std::string name, Gen gen, Whens... whens) {
 // Instantiated action: type-erased interface used by strategies
 // ---------------------------------------------------------------------------
 
-/// Shape of the synthesized communication, exposed for tests/benchmarks
-/// (this is the observable form of Figs. 5 and 6).
-struct plan_info {
-  int gather_hops = 0;       ///< hops of the gather chain (hop 0 = invocation site)
-  bool final_merged = false; ///< evaluate+modify merged into the last gather hop
-  bool atomic_path = false;  ///< single-value compare-and-update via atomics
-  int final_reads = 0;       ///< reads deferred to the (synchronized) final hop
-  std::size_t arena_bytes = 0;  ///< gathered payload bytes
-  int conditions = 0;           ///< arms of the if/else-if chain
-  bool has_dependencies = false;  ///< §IV-C: some modification creates work items
-  /// Human-readable locality of each gather hop, then of the final hop,
-  /// e.g. {"v", "value of pmap@0x..[..]"} + "v" for the cc_jump chase.
-  std::vector<std::string> hop_localities;
-  std::vector<int> hop_reads;  ///< gather reads performed per hop
-  std::string final_locality;
-  /// Single-locality kernel engaged: the relax kernel when atomic_path is
-  /// set (compare-and-update), the claim kernel when claim is set, else the
-  /// unconditional scatter kernel.
-  bool fast_path = false;
-  bool claim = false;  ///< the fast kernel is CC's two-arm claim record
-  /// Sender-side reduction on the fast lane: a combining cache for relax,
-  /// exact-repeat suppression for claim, per-target sums for an `add`
-  /// scatter.
-  bool fast_reduction = false;
-  std::size_t cse_hits = 0;  ///< duplicate reads sharing one arena slot
-  /// Bytes each synthesized message carries on the wire, in send order:
-  /// gather wires first (into hop 1, hop 2, …), then the evaluate message
-  /// when the final stage is not merged. Empty for fully local actions.
-  /// Reflects the compact layout when it is enabled, else full payloads.
-  std::vector<std::size_t> wire_bytes;
-
-  int messages_per_application() const {
-    // Messages one application generates per generated item: one per hop
-    // transition (hop 0 is local), plus the final evaluate unless merged.
-    return (gather_hops - 1) + (final_merged ? 0 : 1);
-  }
-};
-
-/// Renders a plan as text — the reproduction of the paper's Figs. 5/6 as
-/// an inspectable artifact (what the authors' planned translator would
-/// print about the communication it generates).
-std::string explain(const std::string& action_name, const plan_info& p);
-
 class action_instance {
  public:
   virtual ~action_instance() = default;
@@ -294,6 +251,17 @@ template <class PM>
 inline constexpr bool atomic_eligible_map =
     !is_edge_map<PM> && pmap::atomic_capable<typename PM::value_type>;
 
+/// The comparator of a compare-and-update: a min-update applies a proposal
+/// below the current value, a max-update one above it.
+template <bool Min>
+struct update_cmp : std::true_type {
+  static constexpr bool min_update = Min;
+  template <class T>
+  static bool cmp(const T& cur, const T& prop) {
+    return Min ? prop < cur : cur < prop;
+  }
+};
+
 /// Matches `when(target OP other, assign(target, other))` shapes where the
 /// comparison justifies a CAS loop. `cmp(cur, proposed)` returns whether
 /// the update should be applied against the current value.
@@ -304,41 +272,25 @@ struct atomic_shape : std::false_type {};
 template <class PM, class Idx, class R>
   requires atomic_eligible_map<PM>
 struct atomic_shape<when_clause<bin_expr<op_gt, read_expr<PM, Idx>, R>,
-                                assign_stmt<PM, Idx, R>>> : std::true_type {
-  static bool cmp(const typename PM::value_type& cur, const typename PM::value_type& prop) {
-    return prop < cur;
-  }
-};
+                                assign_stmt<PM, Idx, R>>> : update_cmp<true> {};
 
 // candidate < dist(trg(e))  →  min-update
 template <class PM, class Idx, class L>
   requires atomic_eligible_map<PM>
 struct atomic_shape<when_clause<bin_expr<op_lt, L, read_expr<PM, Idx>>,
-                                assign_stmt<PM, Idx, L>>> : std::true_type {
-  static bool cmp(const typename PM::value_type& cur, const typename PM::value_type& prop) {
-    return prop < cur;
-  }
-};
+                                assign_stmt<PM, Idx, L>>> : update_cmp<true> {};
 
 // dist(x) < candidate  →  max-update (apply when proposed > current)
 template <class PM, class Idx, class R>
   requires atomic_eligible_map<PM>
 struct atomic_shape<when_clause<bin_expr<op_lt, read_expr<PM, Idx>, R>,
-                                assign_stmt<PM, Idx, R>>> : std::true_type {
-  static bool cmp(const typename PM::value_type& cur, const typename PM::value_type& prop) {
-    return cur < prop;
-  }
-};
+                                assign_stmt<PM, Idx, R>>> : update_cmp<false> {};
 
 // candidate > dist(x)  →  max-update
 template <class PM, class Idx, class L>
   requires atomic_eligible_map<PM>
 struct atomic_shape<when_clause<bin_expr<op_gt, L, read_expr<PM, Idx>>,
-                                assign_stmt<PM, Idx, L>>> : std::true_type {
-  static bool cmp(const typename PM::value_type& cur, const typename PM::value_type& prop) {
-    return cur < prop;
-  }
-};
+                                assign_stmt<PM, Idx, L>>> : update_cmp<false> {};
 
 // ---------------------------------------------------------------------------
 // Single-locality fast shape (compiled relax kernel)
@@ -349,16 +301,8 @@ struct atomic_shape<when_clause<bin_expr<op_gt, L, read_expr<PM, Idx>>,
 /// entirely at the invocation site. Such an action compiles to a minimal
 /// relax record {destination vertex, proposed value} — the hand-written
 /// AM++ SSSP/CC message of the paper's §IV-A comparison — instead of the
-/// general gather_state payload.
-///
-/// Requirements beyond atomic_shape (all checked at compile time):
-///   * the target index is not a pointer chase (its owner is computable
-///     from the generator state alone);
-///   * the proposed-value expression reads only at the invocation vertex;
-///   * for a v-homed target the proposed value contains no reads at all —
-///     otherwise those reads would be synchronized final reads and the
-///     general plan would take the lock path, which the fast kernel must
-///     mirror bit-for-bit.
+/// general gather_state payload. Beyond atomic_shape, the target index and
+/// the proposed value obey record_locality_ok (checked at compile time).
 template <class When, class Gen>
 struct fast_shape : std::false_type {
   // Dummy aliases so dependent member declarations instantiate when the
@@ -371,73 +315,33 @@ struct fast_shape : std::false_type {
   static constexpr bool min_update = false;
 };
 
-template <class PM, class Idx, class Gen>
-inline constexpr bool fast_idx_ok =
-    home_of<Idx, Gen>::kind != home_kind::chase;
+/// record_locality_ok for a target index and value expression.
+template <class Idx, class Val, class Gen>
+inline constexpr bool fast_ok = record_locality_ok(
+    home_of<Idx, Gen>::kind, reads_all_at_v<Val, Gen>(), read_count<Val>() != 0);
 
-template <class PM, class Idx, class Val, class Gen>
-inline constexpr bool fast_val_ok =
-    reads_all_at_v<Val, Gen>() &&
-    (home_of<Idx, Gen>::kind == home_kind::at_gen || read_count<Val>() == 0);
-
-// dist(trg(e)) > candidate  →  min-update
-template <class PM, class Idx, class R, class Gen>
-  requires (atomic_eligible_map<PM> && fast_idx_ok<PM, Idx, Gen> &&
-            fast_val_ok<PM, Idx, R, Gen>)
-struct fast_shape<when_clause<bin_expr<op_gt, read_expr<PM, Idx>, R>,
-                              assign_stmt<PM, Idx, R>>, Gen> : std::true_type {
+/// The target map, target index and proposed value of an atomic_shape when.
+template <class When>
+struct cas_parts {};
+template <class Op, class PM, class Idx, class R>
+struct cas_parts<when_clause<bin_expr<Op, read_expr<PM, Idx>, R>, assign_stmt<PM, Idx, R>>> {
   using pm_type = PM;
   using idx_expr = Idx;
   using val_expr = R;
-  using value_type = typename PM::value_type;
-  using slot_type = value_type;
-  static constexpr bool min_update = true;
-  static bool cmp(const value_type& cur, const value_type& prop) { return prop < cur; }
 };
-
-// candidate < dist(trg(e))  →  min-update
-template <class PM, class Idx, class L, class Gen>
-  requires (atomic_eligible_map<PM> && fast_idx_ok<PM, Idx, Gen> &&
-            fast_val_ok<PM, Idx, L, Gen>)
-struct fast_shape<when_clause<bin_expr<op_lt, L, read_expr<PM, Idx>>,
-                              assign_stmt<PM, Idx, L>>, Gen> : std::true_type {
+template <class Op, class PM, class Idx, class L>
+struct cas_parts<when_clause<bin_expr<Op, L, read_expr<PM, Idx>>, assign_stmt<PM, Idx, L>>> {
   using pm_type = PM;
   using idx_expr = Idx;
   using val_expr = L;
-  using value_type = typename PM::value_type;
-  using slot_type = value_type;
-  static constexpr bool min_update = true;
-  static bool cmp(const value_type& cur, const value_type& prop) { return prop < cur; }
 };
 
-// dist(x) < candidate  →  max-update
-template <class PM, class Idx, class R, class Gen>
-  requires (atomic_eligible_map<PM> && fast_idx_ok<PM, Idx, Gen> &&
-            fast_val_ok<PM, Idx, R, Gen>)
-struct fast_shape<when_clause<bin_expr<op_lt, read_expr<PM, Idx>, R>,
-                              assign_stmt<PM, Idx, R>>, Gen> : std::true_type {
-  using pm_type = PM;
-  using idx_expr = Idx;
-  using val_expr = R;
-  using value_type = typename PM::value_type;
+template <class When, class Gen>
+  requires (atomic_shape<When>::value &&
+            fast_ok<typename cas_parts<When>::idx_expr, typename cas_parts<When>::val_expr, Gen>)
+struct fast_shape<When, Gen> : atomic_shape<When>, cas_parts<When> {
+  using value_type = typename cas_parts<When>::pm_type::value_type;
   using slot_type = value_type;
-  static constexpr bool min_update = false;
-  static bool cmp(const value_type& cur, const value_type& prop) { return cur < prop; }
-};
-
-// candidate > dist(x)  →  max-update
-template <class PM, class Idx, class L, class Gen>
-  requires (atomic_eligible_map<PM> && fast_idx_ok<PM, Idx, Gen> &&
-            fast_val_ok<PM, Idx, L, Gen>)
-struct fast_shape<when_clause<bin_expr<op_gt, L, read_expr<PM, Idx>>,
-                              assign_stmt<PM, Idx, L>>, Gen> : std::true_type {
-  using pm_type = PM;
-  using idx_expr = Idx;
-  using val_expr = L;
-  using value_type = typename PM::value_type;
-  using slot_type = value_type;
-  static constexpr bool min_update = false;
-  static bool cmp(const value_type& cur, const value_type& prop) { return cur < prop; }
 };
 
 /// The second single-locality fast shape: an unconditional scatter
@@ -450,10 +354,8 @@ struct fast_shape<when_clause<bin_expr<op_gt, L, read_expr<PM, Idx>>,
 /// checked at build time):
 ///   * exactly one argument, of arithmetic type (a vertex id or a number),
 ///     so the record stays {8-byte vertex, <= 8-byte value};
-///   * the target index is not a pointer chase;
-///   * the argument obeys the relax kernel's value rule (fast_val_ok): it
-///     reads only at the invocation vertex, and reads nothing at all when
-///     the target is v itself.
+///   * the target index and the argument obey the relax kernel's locality
+///     rule (record_locality_ok).
 ///
 /// A scatter whose F is the library's sum_op (`add`) is additionally
 /// `combine`-able when the argument widens into the slot's arithmetic type
@@ -479,7 +381,7 @@ inline constexpr bool summable =
 
 template <class PM, class Idx, class F, class Arg, class Gen>
   requires (!is_edge_map<PM> && std::is_arithmetic_v<value_t<Arg>> &&
-            fast_idx_ok<PM, Idx, Gen> && fast_val_ok<PM, Idx, Arg, Gen>)
+            fast_ok<Idx, Arg, Gen>)
 struct scatter_shape<when_clause<lit_expr<bool>, modify_stmt<PM, Idx, F, Arg>>, Gen>
     : std::true_type {
   using pm_type = PM;
@@ -523,7 +425,7 @@ template <class PM, class Idx, class T, class Val, class FM, class Gen>
   requires (atomic_eligible_map<PM> && !is_edge_map<FM> &&
             std::is_same_v<typename FM::value_type, std::vector<typename PM::value_type>> &&
             std::is_convertible_v<T, typename PM::value_type> &&
-            fast_idx_ok<PM, Idx, Gen> && fast_val_ok<PM, Idx, Val, Gen>)
+            fast_ok<Idx, Val, Gen>)
 struct claim_shape<when_clause<bin_expr<op_eq, read_expr<PM, Idx>, lit_expr<T>>,
                                assign_stmt<PM, Idx, Val>>,
                    when_clause<bin_expr<op_ne, read_expr<PM, Idx>, Val>,
@@ -592,15 +494,14 @@ struct compile_ctx {
 
 template <class Gen, class PM, class Idx>
 void note_ml(compile_ctx& cx, plan_builder<Gen>& pb, const read_expr<PM, Idx>& target) {
-  const home_id h = make_home<Idx, Gen>(target.idx);
   if (!cx.have_ml) {
-    cx.ml = h;
-    cx.have_ml = true;
     // A chased modification locality needs the chase value gathered.
     if constexpr (home_of<Idx, Gen>::kind == home_kind::chase)
       (void)pb.register_read(target.idx);
+    cx.ml = pb.home(target.idx);
+    cx.have_ml = true;
   } else {
-    DPG_ASSERT_MSG(h == cx.ml,
+    DPG_ASSERT_MSG(pb.home(target.idx) == cx.ml,
                    "all modifications of an action must share one locality "
                    "(the paper groups modification statements by locality; "
                    "split the action instead)");
@@ -749,21 +650,18 @@ constexpr unsigned whens_needs() {
 // Compilation options
 // ---------------------------------------------------------------------------
 
-/// Per-instantiation switches over the plan compiler. auto_ (the default)
-/// and on both engage an optimization wherever its shape matches; off runs
-/// the general path, which tests use to compare results bit-for-bit.
+/// Per-instantiation switches over the plan compiler. On (the default), an
+/// optimization engages wherever its shape matches; off runs the general
+/// path, which tests use to compare results bit-for-bit.
 struct compile_options {
-  enum class toggle : std::uint8_t { auto_, off, on };
-  toggle fast_path = toggle::auto_;     ///< single-locality relax/scatter/claim kernels
-  toggle compact_wire = toggle::auto_;  ///< truncated per-hop wire payloads
+  bool fast_path = true;     ///< single-locality relax/scatter/claim kernels
+  bool compact_wire = true;  ///< truncated per-hop wire payloads
   /// AM++-style sender-side cache on the fast lane: same-target relax
   /// candidates merge under the action's own monotone comparator before
   /// they reach an envelope (min for SSSP/BFS shapes, max for widest path);
   /// exact repeats of a claim record are dropped; the contributions of an
   /// `add` scatter sum into one record per remote target.
-  toggle fast_reduction = toggle::auto_;
-
-  static bool enabled(toggle t) { return t != toggle::off; }
+  bool fast_reduction = true;
 };
 
 // ---------------------------------------------------------------------------
@@ -884,18 +782,11 @@ class instantiated_action final : public action_instance {
     whens_c_.emplace(detail::compile_whens(pb, cx, def.whens));
 
     DPG_ASSERT_MSG(cx.have_ml, "an action must contain at least one modification");
-    ml_ = cx.ml;
-
-    // CSE as the user wrote it: dedup hits so far are duplicate reads in
-    // the declared conditions/modifications. (The atomic exec below
-    // recompiles the first when's expressions, whose dedup hits are an
-    // implementation artifact, not user-visible sharing.)
-    plan_.cse_hits = pb.cse_hits();
 
     // A plan whose gathered reads outgrow the travelling arena is a
     // compile error of the pattern language: fail here, loudly, before any
-    // message type is registered or closure run (satellite: the overflow
-    // diagnostic names the action and the requirement).
+    // message type is registered or closure run. The diagnostic names the
+    // action and the requirement.
     if (pb.overflow()) {
       const std::string msg =
           "pattern arena overflow compiling action '" + name_ + "': gathered reads need " +
@@ -906,40 +797,36 @@ class instantiated_action final : public action_instance {
                        __LINE__, msg.c_str());
     }
 
+    // Hop partition, merging, locality labels and wire liveness: the plan
+    // core the text front end shares.
+    gather_plan gp = plan_gather(pb.request(cx.ml, detail::whens_needs<Whens...>()));
+    plan_info& info = gp.info;
+    info.conditions = static_cast<int>(sizeof...(Whens));
+    // CSE as the user wrote it: dedup hits so far are duplicate reads in
+    // the declared conditions/modifications. (The atomic exec below
+    // recompiles the first when's expressions, whose dedup hits are an
+    // implementation artifact, not user-visible sharing.)
+    info.cse_hits = pb.cse_hits();
+
     // Dependency detection (§IV-C): a modification of a property map the
     // action reads anywhere creates work items.
     for (std::size_t i = 0; i < cx.written.size(); ++i)
       for (const void* pm : cx.written[i])
         when_dep_[i] = when_dep_[i] || pb.reads_pmap(pm);
-    for (const bool d : when_dep_) plan_.has_dependencies = plan_.has_dependencies || d;
+    for (const bool d : when_dep_) info.has_dependencies = info.has_dependencies || d;
 
-    // Partition reads into gather hops and final (synchronized) reads,
-    // recording each step's position for the wire-liveness pass below.
-    constexpr std::size_t kFinal = static_cast<std::size_t>(-1);
-    std::vector<std::size_t> step_pos;  // aligned with pb.steps()
-    hops_.push_back(gather_hop{home_id{home_kind::at_v, nullptr,
-                                       std::type_index(typeid(void))},
-                               [](const gather_state& s) { return s.v; },
-                               {}});
-    for (auto& step : pb.steps()) {
-      if (step.home == ml_ && !step.pinned) {
-        final_reads_.push_back(step.perform);
-        step_pos.push_back(kFinal);
-        continue;
-      }
-      std::size_t hop_idx = hops_.size();
-      for (std::size_t h = 0; h < hops_.size(); ++h)
-        if (hops_[h].home == step.home) {
-          hop_idx = h;
-          break;
-        }
-      if (hop_idx == hops_.size())
-        hops_.push_back(gather_hop{step.home, locality_closure(step.home, pb), {}});
-      hops_[hop_idx].reads.push_back(step.perform);
-      step_pos.push_back(hop_idx);
+    // The runnable chain: a locality closure per hop, and each read's
+    // closure on its hop or in the final (synchronized) stage.
+    for (const home_id& h : gp.hops) hops_.push_back(gather_hop{locality_closure(h), {}});
+    for (std::size_t i = 0; i < pb.steps().size(); ++i) {
+      const auto& perform = pb.steps()[i].perform;
+      if (gp.hop_of[i] == gather_plan::final_stage)
+        final_reads_.push_back(perform);
+      else
+        hops_[gp.hop_of[i]].reads.push_back(perform);
     }
-    ml_locality_ = locality_closure(ml_, pb);
-    merged_ = hops_.back().home == ml_;
+    ml_locality_ = locality_closure(cx.ml);
+    merged_ = info.final_merged;
 
     // §IV-B: single-value compare-and-update fast path. The shape is
     // checked statically; at runtime it additionally requires that the
@@ -990,175 +877,31 @@ class instantiated_action final : public action_instance {
         claim_set_pm_ = ins.target.pm;
         claim_sentinel_ = static_cast<typename fshape::value_type>(w0.cond.rhs.value);
       }
-      use_fast_ = guard_holds && compile_options::enabled(opts.fast_path);
+      use_fast_ = guard_holds && opts.fast_path;
       fast_local_ = merged_;  // v-homed target: apply in place, no message
       fast_dep_ = when_dep_[0];
       // Under polling progress only the owner's thread touches its shard;
       // helper threads may commit records for one vertex concurrently.
       locked_commit_ = tp_->config().handler_threads > 0;
-      // The sender-side cache needs a wire lane (a fully local fast path
-      // has no envelopes) and a rule that makes it sound: the relax
-      // shape's monotone comparator, the claim's idempotent insert, or a
-      // scatter declared a sum.
-      if constexpr (kRelax || kClaim || kCombine)
-        use_reduce_ = use_fast_ && !fast_local_ &&
-                      compile_options::enabled(opts.fast_reduction);
+      // What makes the sender-side cache sound: the relax shape's
+      // monotone comparator, the claim's idempotent insert, or a scatter
+      // declared a sum.
+      use_reduce_ = sender_reduces(use_fast_, fast_local_,
+                                   (kRelax || kClaim || kCombine) && opts.fast_reduction);
     }
-    use_compact_ = compile_options::enabled(opts.compact_wire);
+    use_compact_ = opts.compact_wire;
 
-    plan_.gather_hops = static_cast<int>(hops_.size());
-    plan_.final_merged = merged_;
-    plan_.atomic_path = atomic_ok_;
-    plan_.final_reads = static_cast<int>(final_reads_.size());
-    plan_.arena_bytes = pb.arena_used();
-    plan_.conditions = static_cast<int>(sizeof...(Whens));
-    for (const auto& h : hops_) {
-      plan_.hop_localities.push_back(home_name(h.home));
-      plan_.hop_reads.push_back(static_cast<int>(h.reads.size()));
-    }
-    plan_.final_locality = home_name(ml_);
-    plan_.fast_path = use_fast_;
-    plan_.claim = use_fast_ && kClaim;
-    plan_.fast_reduction = use_reduce_;
-
-    compute_wire_layouts(pb, step_pos, kFinal);
+    info.atomic_path = atomic_ok_;
+    info.fast_path = use_fast_;
+    info.claim = use_fast_ && kClaim;
+    info.fast_reduction = use_reduce_;
+    gp.report_wires(use_fast_, sizeof(fast_rec), use_compact_);
+    plan_ = std::move(info);
+    wire_layouts_ = std::move(gp.wires);
   }
 
-  // ---- wire liveness (compact payload layouts) ----------------------------
-
-  /// Header fields the destination of hop `h` needs for its address map.
-  static unsigned addr_mask(const home_id& h) {
-    switch (h.kind) {
-      case home_kind::at_v:
-        return hdr_v;
-      case home_kind::at_gen:
-        if constexpr (std::is_same_v<Gen, out_edges_gen>) return hdr_e_dst;
-        else if constexpr (std::is_same_v<Gen, in_edges_gen>) return hdr_e_src;
-        else return hdr_u;
-      case home_kind::chase:
-        return 0;  // destination comes from an arena slot, charged as a use
-    }
-    return 0;
-  }
-
-  /// Byte ranges of gather_state covering the header fields in `mask`.
-  static std::vector<ampp::wire_range> mask_ranges(unsigned mask) {
-    std::vector<ampp::wire_range> r;
-    const auto add = [&r](std::size_t ofs, std::size_t len) {
-      r.push_back(ampp::wire_range{static_cast<std::uint32_t>(ofs),
-                                   static_cast<std::uint32_t>(len)});
-    };
-    if (mask & hdr_v) add(offsetof(gather_state, v), sizeof(graph::vertex_id));
-    if (mask & hdr_e_src)
-      add(offsetof(gather_state, e) + offsetof(graph::edge_handle, src),
-          sizeof(graph::vertex_id));
-    if (mask & hdr_e_dst)
-      add(offsetof(gather_state, e) + offsetof(graph::edge_handle, dst),
-          sizeof(graph::vertex_id));
-    if (mask & hdr_e_id)
-      add(offsetof(gather_state, e) + offsetof(graph::edge_handle, eid),
-          sizeof(graph::edge_handle) - offsetof(graph::edge_handle, eid));
-    if (mask & hdr_u) add(offsetof(gather_state, u), sizeof(graph::vertex_id));
-    return r;
-  }
-
-  /// Computes, per synthesized message, which bytes of gather_state any
-  /// later stage can still observe, and records the resulting truncated
-  /// layouts (applied to the message types in register_messages). A field
-  /// is live on wire w exactly when it is written at or before the sending
-  /// hop and some strictly later hop (or the final evaluation) consumes it.
-  void compute_wire_layouts(plan_builder<Gen>& pb,
-                            const std::vector<std::size_t>& step_pos,
-                            std::size_t kFinal) {
-    const std::size_t H = hops_.size();
-    const std::size_t final_pos = merged_ ? H - 1 : H;
-
-    // Header-field needs per position (hops 0..H-1, then the final stage).
-    std::vector<unsigned> pos_needs(H + 1, 0u);
-    pos_needs[final_pos] |= detail::whens_needs<Whens...>();
-    const auto& steps = pb.steps();
-    for (std::size_t i = 0; i < steps.size(); ++i) {
-      const std::size_t p = step_pos[i] == kFinal ? final_pos : step_pos[i];
-      pos_needs[p] |= steps[i].idx_needs;
-    }
-    // Address maps evaluate at the sending side: hop k's destination is
-    // computed at hop k-1, the final message's at the last hop. run_final
-    // itself re-derives the modification locality (lock guard, work hook).
-    for (std::size_t k = 1; k < H; ++k) pos_needs[k - 1] |= addr_mask(hops_[k].home);
-    if (!merged_) pos_needs[H - 1] |= addr_mask(ml_);
-    pos_needs[final_pos] |= addr_mask(ml_);
-
-    // Arena-slot liveness: write position from the performing step, last
-    // consumption from the recorded slot uses.
-    struct slot_live {
-      std::size_t offset, size, write_pos, last_use;
-    };
-    std::vector<slot_live> slots;
-    for (std::size_t i = 0; i < steps.size(); ++i) {
-      const std::size_t p = step_pos[i] == kFinal ? final_pos : step_pos[i];
-      slots.push_back(slot_live{steps[i].arena_offset, steps[i].size, p, p});
-    }
-    for (const slot_use& u : pb.uses()) {
-      std::size_t p = final_pos;
-      if (u.token >= 0) {
-        const std::size_t si = pb.token_to_step(u.token);
-        p = step_pos[si] == kFinal ? final_pos : step_pos[si];
-      }
-      for (auto& sl : slots)
-        if (sl.offset == u.offset) sl.last_use = std::max(sl.last_use, p);
-    }
-
-    const std::size_t wires = (H - 1) + (merged_ ? 0 : 1);
-    for (std::size_t w = 0; w < wires; ++w) {
-      unsigned hdr = 0;
-      for (std::size_t p = w + 1; p < pos_needs.size(); ++p) hdr |= pos_needs[p];
-      std::vector<ampp::wire_range> ranges = mask_ranges(hdr);
-      for (const auto& sl : slots)
-        if (sl.write_pos <= w && sl.last_use > w)
-          ranges.push_back(ampp::wire_range{
-              static_cast<std::uint32_t>(offsetof(gather_state, arena) + sl.offset),
-              static_cast<std::uint32_t>(sl.size)});
-      std::sort(ranges.begin(), ranges.end(),
-                [](const ampp::wire_range& a, const ampp::wire_range& b) {
-                  return a.offset < b.offset;
-                });
-      // Coalesce contiguous ranges: fewer memcpys per payload at flush.
-      std::vector<ampp::wire_range> merged;
-      for (const auto& r : ranges) {
-        if (!merged.empty() && merged.back().offset + merged.back().len == r.offset)
-          merged.back().len += r.len;
-        else
-          merged.push_back(r);
-      }
-      wire_layouts_.push_back(std::move(merged));
-    }
-
-    // Report the bytes each message actually carries.
-    if (use_fast_) {
-      if (!fast_local_) plan_.wire_bytes.push_back(sizeof(fast_rec));
-    } else {
-      for (const auto& layout : wire_layouts_) {
-        std::size_t b = 0;
-        for (const auto& r : layout) b += r.len;
-        plan_.wire_bytes.push_back(use_compact_ ? b : sizeof(gather_state));
-      }
-    }
-  }
-
-  static std::string home_name(const home_id& h) {
-    switch (h.kind) {
-      case home_kind::at_v: return "v";
-      case home_kind::at_gen:
-        if constexpr (std::is_same_v<Gen, out_edges_gen>) return "trg(e)";
-        else if constexpr (std::is_same_v<Gen, in_edges_gen>) return "src(e)";
-        else return "u";
-      case home_kind::chase: return "chase";  // the value of a gathered vertex read
-    }
-    return "?";
-  }
-
-  std::function<graph::vertex_id(const gather_state&)> locality_closure(
-      const home_id& h, plan_builder<Gen>& pb) {
+  static std::function<graph::vertex_id(const gather_state&)> locality_closure(
+      const home_id& h) {
     switch (h.kind) {
       case home_kind::at_v:
         return [](const gather_state& s) { return s.v; };
@@ -1172,16 +915,11 @@ class instantiated_action final : public action_instance {
         else
           DPG_ASSERT_MSG(false, "generator-homed access without a generator");
       case home_kind::chase: {
-        // The chased vertex is the value of the inner read: find its slot.
-        for (const auto& step : pb.steps()) {
-          if (step.pmap_id == h.chase_pm && step.self_type == h.chase_type) {
-            const std::size_t ofs = step.arena_offset;
-            return [ofs](const gather_state& s) {
-              return s.template arena_get<graph::vertex_id>(ofs);
-            };
-          }
-        }
-        DPG_ASSERT_MSG(false, "chase locality lacks its gathered index value");
+        // The chased vertex is the value of the inner read, in its slot.
+        const std::size_t ofs = h.chase_slot;
+        return [ofs](const gather_state& s) {
+          return s.template arena_get<graph::vertex_id>(ofs);
+        };
       }
     }
     return {};
@@ -1604,7 +1342,6 @@ class instantiated_action final : public action_instance {
   std::vector<gather_hop> hops_;
   std::vector<std::function<void(gather_state&)>> final_reads_;
   std::function<graph::vertex_id(const gather_state&)> ml_locality_;
-  home_id ml_{};
   bool merged_ = false;
   bool atomic_ok_ = false;
   bool value_reads_target_ = false;
@@ -1641,62 +1378,6 @@ class instantiated_action final : public action_instance {
   std::vector<std::string> hop_labels_;  ///< plan-span names, one per hop
   std::string final_label_;              ///< plan-span name of the final stage
 };
-
-inline std::string explain(const std::string& action_name, const plan_info& p) {
-  std::string out;
-  out += "action " + action_name + ":\n";
-  for (std::size_t k = 0; k < p.hop_localities.size(); ++k) {
-    out += "  hop " + std::to_string(k) + " at " + p.hop_localities[k];
-    out += k == 0 ? " (invocation site)" : " (gather message)";
-    out += ": " + std::to_string(p.hop_reads[k]) + " read(s)\n";
-  }
-  out += "  final at " + p.final_locality;
-  if (p.final_merged)
-    out += " (merged into the last gather hop)";
-  else
-    out += " (evaluate+modify message)";
-  out += ": " + std::to_string(p.final_reads) + " synchronized read(s), " +
-         std::to_string(p.conditions) + " condition(s)\n";
-  out += std::string("  synchronization: ") +
-         (p.atomic_path ? "atomic compare-and-update"
-          : p.claim     ? "atomic claim from the sentinel, lock map on collision"
-                        : "lock map") +
-         "\n";
-  out += "  dependencies: " + std::string(p.has_dependencies ? "yes (work hook fires)"
-                                                             : "none") + "\n";
-  out += "  messages per application: " + std::to_string(p.messages_per_application()) +
-         ", payload arena: " + std::to_string(p.arena_bytes) + " bytes\n";
-  out += "  compiled wire payloads:";
-  if (p.wire_bytes.empty()) {
-    out += " none (fully local)";
-  } else {
-    for (std::size_t i = 0; i < p.wire_bytes.size(); ++i) {
-      std::string label;
-      if (p.fast_path)
-        label = p.atomic_path ? "relax" : p.claim ? "claim" : "scatter";
-      else if (!p.final_merged && i + 1 == p.wire_bytes.size())
-        label = "eval";
-      else
-        label = "gather" + std::to_string(i + 1);
-      out += " " + label + "=" + std::to_string(p.wire_bytes[i]) + "B";
-    }
-  }
-  out += " (full gather_state = " + std::to_string(sizeof(gather_state)) + "B)\n";
-  out += "  gather read CSE: " + std::to_string(p.cse_hits) + " shared slot(s)\n";
-  out += std::string("  fast path: ") +
-         (!p.fast_path     ? "off"
-          : p.atomic_path ? "compiled single-locality relax kernel"
-          : p.claim       ? "compiled single-locality claim kernel"
-                          : "compiled single-locality scatter kernel") +
-         "\n";
-  out += std::string("  sender reduction: ") +
-         (!p.fast_reduction ? "off"
-          : p.claim         ? "exact-repeat suppression on the claim lane"
-          : p.atomic_path   ? "combining cache on the relax lane"
-                            : "per-target sum accumulator on the scatter lane") +
-         "\n";
-  return out;
-}
 
 /// Instantiates an action definition: performs the locality analysis and
 /// registers the synthesized message types with the transport. Must be

@@ -245,7 +245,7 @@ class fused_action final : public action_instance {
     // The fused family is itself the fast path; the fast_path /
     // compact_wire toggles have no general plan to fall back to here, so
     // only the reduction toggle applies.
-    use_reduce_ = compile_options::enabled(opts.fast_reduction);
+    use_reduce_ = opts.fast_reduction;
 
     std::vector<ampp::fused_slot> slots;
     [&]<std::size_t... I>(std::index_sequence<I...>) {

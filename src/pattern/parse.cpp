@@ -3,11 +3,9 @@
 #include <algorithm>
 #include <cctype>
 #include <map>
-#include <optional>
 #include <set>
 
-#include "pattern/action.hpp"  // plan_info + explain formatting
-#include "util/assert.hpp"
+#include "pattern/expr.hpp"
 
 namespace dpg::pattern::text {
 
@@ -258,11 +256,8 @@ class parser {
     expect_punct("[");
     expr_ptr idx = parse_expr(sc);
     expect_punct("]");
-    auto target = std::make_shared<expr>();
-    target->kind = expr::node::pmap_read;
+    auto target = make(expr::node::pmap_read, name.line, {idx});
     target->pmap = name.text;
-    target->line = name.line;
-    target->children = {idx};
     m.target = target;
     if (peek_punct("=")) {
       lx_.next();
@@ -340,16 +335,20 @@ class parser {
     }
     return lhs;
   }
+  // Every recursive descent passes through here, so this bounds the
+  // parser's recursion; make() bounds the depth of the trees it builds.
   expr_ptr parse_unary(const scope& sc) {
+    if (++nesting_ > max_expr_depth)
+      lx_.fail("expression nested deeper than " + std::to_string(max_expr_depth));
+    expr_ptr e;
     if (peek_punct("!")) {
       const int line = lx_.next().line;
-      auto e = std::make_shared<expr>();
-      e->kind = expr::node::unary_not;
-      e->line = line;
-      e->children = {parse_unary(sc)};
-      return e;
+      e = make(expr::node::unary_not, line, {parse_unary(sc)});
+    } else {
+      e = parse_primary(sc);
     }
-    return parse_primary(sc);
+    --nesting_;
+    return e;
   }
 
   expr_ptr parse_primary(const scope& sc) {
@@ -362,31 +361,23 @@ class parser {
     }
     if (t.kind == token::type::number) {
       lx_.next();
-      auto e = std::make_shared<expr>();
-      e->kind = expr::node::literal;
+      auto e = make(expr::node::literal, t.line);
       e->literal_text = t.text;
-      e->line = t.line;
       return e;
     }
     if (t.kind != token::type::ident) lx_.fail("expected an expression");
     lx_.next();
     if (t.text == "true" || t.text == "false" || t.text == "infinity" ||
         t.text == "null_vertex") {
-      auto e = std::make_shared<expr>();
-      e->kind = expr::node::literal;
+      auto e = make(expr::node::literal, t.line);
       e->literal_text = t.text;
-      e->line = t.line;
       return e;
     }
     if (t.text == "src" || t.text == "trg") {
       expect_punct("(");
       expr_ptr inner = parse_expr(sc);
       expect_punct(")");
-      auto e = std::make_shared<expr>();
-      e->kind = t.text == "src" ? expr::node::src_of : expr::node::trg_of;
-      e->line = t.line;
-      e->children = {inner};
-      return e;
+      return make(t.text == "src" ? expr::node::src_of : expr::node::trg_of, t.line, {inner});
     }
     if (t.text == "min" || t.text == "max") {
       expect_punct("(");
@@ -397,31 +388,19 @@ class parser {
       return make_bin(t.text, a, b, t.line);
     }
     if (auto it = sc.aliases.find(t.text); it != sc.aliases.end()) return it->second;
-    if (t.text == sc.act->vertex_param) {
-      auto e = std::make_shared<expr>();
-      e->kind = expr::node::input_vertex;
-      e->line = t.line;
-      return e;
-    }
-    if (sc.act->gen != generator_type::none && t.text == sc.act->gen_binding) {
-      auto e = std::make_shared<expr>();
-      e->kind = (sc.act->gen == generator_type::out_edges ||
-                 sc.act->gen == generator_type::in_edges)
-                    ? expr::node::gen_edge
-                    : expr::node::gen_vertex;
-      e->line = t.line;
-      return e;
-    }
-    if (const parsed_property* pm = sc.find_pmap(t.text)) {
-      (void)pm;
+    if (t.text == sc.act->vertex_param) return make(expr::node::input_vertex, t.line);
+    if (sc.act->gen != generator_type::none && t.text == sc.act->gen_binding)
+      return make(sc.act->gen == generator_type::out_edges ||
+                          sc.act->gen == generator_type::in_edges
+                      ? expr::node::gen_edge
+                      : expr::node::gen_vertex,
+                  t.line);
+    if (sc.find_pmap(t.text)) {
       expect_punct("[");
       expr_ptr idx = parse_expr(sc);
       expect_punct("]");
-      auto e = std::make_shared<expr>();
-      e->kind = expr::node::pmap_read;
+      auto e = make(expr::node::pmap_read, t.line, {idx});
       e->pmap = t.text;
-      e->line = t.line;
-      e->children = {idx};
       return e;
     }
     throw parse_error(t.line, "unknown identifier '" + t.text + "'");
@@ -429,12 +408,28 @@ class parser {
 
   // ---- token helpers ------------------------------------------------------
 
-  static expr_ptr make_bin(const std::string& op, expr_ptr l, expr_ptr r, int line) {
+  /// Builds a node, enforcing the expression limits (parse.hpp).
+  static std::shared_ptr<expr> make(expr::node kind, int line,
+                                    std::vector<expr_ptr> children = {}) {
     auto e = std::make_shared<expr>();
-    e->kind = expr::node::binary;
-    e->op = op;
+    e->kind = kind;
     e->line = line;
-    e->children = {l, r};
+    for (const expr_ptr& c : children) {
+      e->depth = std::max(e->depth, c->depth + 1);
+      e->nodes += c->nodes;
+    }
+    e->children = std::move(children);
+    if (e->depth > max_expr_depth)
+      throw parse_error(line, "expression nested deeper than " + std::to_string(max_expr_depth));
+    if (e->nodes > max_expr_nodes)
+      throw parse_error(line, "expression expands to more than " +
+                                  std::to_string(max_expr_nodes) + " nodes");
+    return e;
+  }
+
+  static expr_ptr make_bin(const std::string& op, expr_ptr l, expr_ptr r, int line) {
+    auto e = make(expr::node::binary, line, {std::move(l), std::move(r)});
+    e->op = op;
     return e;
   }
 
@@ -460,6 +455,7 @@ class parser {
   }
 
   lexer lx_;
+  int nesting_ = 0;  ///< parse_unary frames on the stack
 };
 
 }  // namespace
@@ -494,64 +490,63 @@ class analyzer {
   analyzer(const parsed_pattern& pat, const parsed_action& act) : pat_(pat), act_(act) {}
 
   analyzed_action run() {
-    // Walk conditions in order, mirroring the EDSL instantiation.
+    // Walk conditions in order, mirroring the EDSL instantiation, and
+    // collect the header fields the final evaluation touches.
+    unsigned final_needs = 0;
     for (const condition& c : act_.conditions) {
       const value_kind gk = walk(*c.guard);
       if (gk != value_kind::boolean)
         throw parse_error(c.line, "condition guard must be boolean");
-      for (const modification& m : c.mods) handle_mod(m);
+      final_needs |= needs(*c.guard);
+      for (const modification& m : c.mods) {
+        handle_mod(m);
+        final_needs |= needs(*m.target->children[0]);
+        for (const auto& a : m.arguments) final_needs |= needs(*a);
+      }
     }
     if (!have_ml_) throw parse_error(act_.line, "action never modifies a property map");
 
-    // Dependency detection.
-    bool deps = false;
+    // The plan core, fed with one 8-byte slot per read (every travelling
+    // kind is 8 bytes), in registration order.
+    plan_request req;
+    req.gen = act_.gen == generator_type::none        ? gen_kind::none
+              : act_.gen == generator_type::out_edges ? gen_kind::out_edges
+              : act_.gen == generator_type::in_edges  ? gen_kind::in_edges
+                                                      : gen_kind::vertices;
+    req.ml = ml_;
+    req.final_needs = final_needs;
+    for (const read_entry& r : reads_)
+      req.reads.push_back(read_info{r.home, r.pinned, slot(index_.at(r.key)), kSlot, r.idx_needs});
+    for (const use_rec& u : uses_)
+      req.uses.push_back(slot_use{slot(index_.at(u.key)),
+                                  u.ctx.empty() ? -1 : static_cast<int>(index_.at(u.ctx))});
+    gather_plan gp = plan_gather(req);
+    plan_info& p = gp.info;
+    p.conditions = static_cast<int>(act_.conditions.size());
+    p.cse_hits = cse_hits_;
     for (const auto& wp : written_pmaps_)
-      if (read_pmaps_.count(wp)) deps = true;
+      if (read_pmaps_.count(wp)) p.has_dependencies = true;
+    choose_kernel(p);
+    // A compiled record is the destination vertex plus an 8-byte value.
+    gp.report_wires(p.fast_path, sizeof(vertex_id) + kSlot, true);
+    return analyzed_action{std::move(p), act_.name};
+  }
 
-    // Hop partition.
-    analyzed_action out;
-    out.name = act_.name;
-    out.conditions = static_cast<int>(act_.conditions.size());
-    out.has_dependencies = deps;
-    out.hop_localities.push_back("v");
-    out.hop_reads.push_back(0);
-    constexpr std::size_t kFinal = static_cast<std::size_t>(-1);
-    std::vector<std::size_t> rpos(reads_.size(), kFinal);  // hop index or final
-    for (std::size_t i = 0; i < reads_.size(); ++i) {
-      const auto& r = reads_[i];
-      if (r.loc == ml_ && !r.pinned) {
-        ++out.final_reads;
-        continue;
-      }
-      std::size_t hop = 0;
-      bool found = false;
-      for (std::size_t k = 0; k < hop_homes_.size(); ++k)
-        if (hop_homes_[k] == r.loc) {
-          hop = k;
-          found = true;
-          break;
-        }
-      if (!found) {
-        hop_homes_.push_back(r.loc);
-        out.hop_localities.push_back(home_label(r.loc));
-        out.hop_reads.push_back(0);
-        hop = hop_homes_.size() - 1;
-      }
-      ++out.hop_reads[hop];
-      rpos[i] = hop;
-    }
-    out.gather_hops = static_cast<int>(out.hop_localities.size());
-    out.final_locality = home_label(ml_);
-    out.final_merged = hop_homes_.back() == ml_;
-    out.arena_bytes = reads_.size() * 8;  // all travelling kinds are 8 bytes
-    out.cse_hits = cse_hits_;
+ private:
+  static constexpr std::size_t kSlot = 8;
+  static std::size_t slot(std::size_t read) { return read * kSlot; }
 
+  /// The text-level forms of the EDSL's compiled-record shapes (see
+  /// detail::fast_shape, scatter_shape and claim_shape in action.hpp).
+  void choose_kernel(plan_info& p) {
+    const auto& cs = act_.conditions;
     // Atomic fast path: single condition, single assignment, compare shape,
-    // and the only synchronized read is the target itself.
-    if (act_.conditions.size() == 1 && act_.conditions[0].mods.size() == 1 &&
-        act_.conditions[0].mods[0].is_assignment && out.final_reads == 1) {
-      const modification& m = act_.conditions[0].mods[0];
-      const expr& g = *act_.conditions[0].guard;
+    // and the only synchronized read is the target itself. The relax
+    // record then needs the compare-and-update's locality rule.
+    if (cs.size() == 1 && cs[0].mods.size() == 1 && cs[0].mods[0].is_assignment &&
+        p.final_reads == 1) {
+      const modification& m = cs[0].mods[0];
+      const expr& g = *cs[0].guard;
       if (g.kind == expr::node::binary && (g.op == "<" || g.op == ">")) {
         const std::string target = print(*m.target);
         const std::string rhs = print(*m.arguments[0]);
@@ -561,63 +556,41 @@ class analyzer {
         // The proposed value must not read the target itself (that read is
         // only performed by the locked path); see the EDSL's contains_read.
         const bool rmw = rhs.find(target) != std::string::npos;
-        const value_kind tk = pmap_of(*m.target)->type;
-        if (shape && !rmw && tk != value_kind::opaque) out.atomic_path = true;
+        // Atomics apply to vertex slots of a scalar kind (the EDSL's
+        // atomic_eligible_map); an edge slot takes the lock path.
+        const parsed_property* pm = pmap_of(*m.target);
+        if (shape && !rmw && pm->type != value_kind::opaque && pm->on_vertices)
+          p.atomic_path = true;
       }
-      // Single-locality fast path: the compare-and-update whose proposed
-      // value and target owner are computable at the invocation site
-      // compiles to the minimal relax record (mirrors detail::fast_shape).
-      if (out.atomic_path) {
-        const expr& tidx = *m.target->children[0];
-        const home th = classify_index(tidx);
-        const expr& val = *m.arguments[0];
-        const bool idx_ok = th.k != home::kind::chase;
-        const bool val_ok =
-            reads_all_at_v(val) &&
-            (th.k == home::kind::at_gen || !contains_read(val));
-        if (idx_ok && val_ok && pmap_of(*m.target)->on_vertices) out.fast_path = true;
-        // Mirrors instantiated_action: the sender-side combining cache
-        // rides on the fast record and needs a wire message (not fully
-        // local).
-        out.fast_reduction = out.fast_path && !out.final_merged;
+      if (p.atomic_path) {
+        p.fast_path = record_ok(*m.target, *m.arguments[0]);
+        p.fast_reduction = sender_reduces(p.fast_path, p.final_merged, true);
       }
     }
-    // Unconditional scatter (mirrors detail::scatter_shape): a literal
-    // `true` guard over one `.method(arg)` update whose single argument is
-    // a travelling value read at the invocation site compiles to the same
-    // 16-byte record, applied by the method at the owner. `.add(x)` is the
-    // EDSL's `add`: a sum, so the sender combines same-target records
-    // (when x sums into the target's type and a wire lane exists).
-    if (act_.conditions.size() == 1 && act_.conditions[0].mods.size() == 1) {
-      const condition& c = act_.conditions[0];
+    // Unconditional scatter: a literal `true` guard over one
+    // `.method(arg)` update, applied by the method at the owner. `.add(x)`
+    // is the EDSL's `add`: a sum, so the sender combines same-target
+    // records when x sums into the target's type.
+    if (cs.size() == 1 && cs[0].mods.size() == 1) {
+      const condition& c = cs[0];
       const modification& m = c.mods[0];
       const bool true_guard =
           c.guard->kind == expr::node::literal && c.guard->literal_text == "true";
+      // An edge handle is not a scalar: it cannot ride in the record.
       if (true_guard && !m.is_assignment && m.arguments.size() == 1 &&
-          pmap_of(*m.target)->on_vertices) {
-        const home th = classify_index(*m.target->children[0]);
-        const expr& arg = *m.arguments[0];
-        const bool idx_ok = th.k != home::kind::chase;
-        // An edge handle is not a scalar: it cannot ride in the record.
-        const bool val_ok = arg.kind != expr::node::gen_edge && reads_all_at_v(arg) &&
-                            (th.k == home::kind::at_gen || !contains_read(arg));
-        if (idx_ok && val_ok) {
-          out.fast_path = true;
-          out.fast_reduction = add_widens_ && !out.final_merged;
-        }
+          pmap_of(*m.target)->on_vertices && m.arguments[0]->kind != expr::node::gen_edge &&
+          record_ok(*m.target, *m.arguments[0])) {
+        p.fast_path = true;
+        p.fast_reduction = sender_reduces(true, p.final_merged, add_widens_);
       }
     }
-
-    // Two-arm claim (mirrors detail::claim_shape): `t` unclaimed takes the
-    // label X, else a different label inserts X into a vertex_list at t.
-    if (act_.conditions.size() == 2 && act_.conditions[0].mods.size() == 1 &&
-        act_.conditions[1].mods.size() == 1) {
-      const condition& c0 = act_.conditions[0];
-      const condition& c1 = act_.conditions[1];
-      const modification& a = c0.mods[0];
-      const modification& ins = c1.mods[0];
-      const expr& g0 = *c0.guard;
-      const expr& g1 = *c1.guard;
+    // Two-arm claim: `t` unclaimed takes the label X, else a different
+    // label inserts X into a vertex_list at t.
+    if (cs.size() == 2 && cs[0].mods.size() == 1 && cs[1].mods.size() == 1) {
+      const modification& a = cs[0].mods[0];
+      const modification& ins = cs[1].mods[0];
+      const expr& g0 = *cs[0].guard;
+      const expr& g1 = *cs[1].guard;
       if (a.is_assignment && !ins.is_assignment && ins.method == "insert" &&
           ins.arguments.size() == 1 && g0.kind == expr::node::binary && g0.op == "==" &&
           g1.kind == expr::node::binary && g1.op == "!=") {
@@ -633,99 +606,24 @@ class analyzer {
                            print(*ins.arguments[0]) == label;
         const bool maps = pm->on_vertices && pm->type == value_kind::vertex &&
                           set->on_vertices && set->type_text == "vertex_list";
-        if (shape && maps) {
-          const home th = classify_index(*a.target->children[0]);
-          const expr& val = *a.arguments[0];
-          const bool idx_ok = th.k != home::kind::chase;
-          const bool val_ok =
-              reads_all_at_v(val) && (th.k == home::kind::at_gen || !contains_read(val));
-          if (idx_ok && val_ok) {
-            out.fast_path = true;
-            out.claim = true;
-            out.fast_reduction = !out.final_merged;
-          }
+        if (shape && maps && record_ok(*a.target, *a.arguments[0])) {
+          p.fast_path = true;
+          p.claim = true;
+          p.fast_reduction = sender_reduces(true, p.final_merged, true);
         }
       }
     }
-
-    compute_wire_bytes(out, rpos, kFinal);
-    return out;
   }
 
-  /// Mirrors instantiated_action::compute_wire_layouts over the textual
-  /// plan: per wire, the header fields any later stage needs plus the arena
-  /// slots written at or before the sender and consumed strictly after it.
-  void compute_wire_bytes(analyzed_action& out, std::vector<std::size_t>& rpos,
-                          std::size_t kFinal) const {
-    if (out.fast_path) {
-      // relax, scatter or claim record: destination vertex + 8-byte value;
-      // none at all when the target is the invocation vertex itself.
-      if (!out.final_merged) out.wire_bytes.push_back(16);
-      return;
-    }
-    const std::size_t H = hop_homes_.size();
-    const std::size_t final_pos = out.final_merged ? H - 1 : H;
-    for (auto& p : rpos)
-      if (p == kFinal) p = final_pos;
-
-    std::vector<unsigned> pos_needs(H + 1, 0u);
-    for (const condition& c : act_.conditions) {
-      pos_needs[final_pos] |= needs(*c.guard);
-      for (const modification& m : c.mods) {
-        pos_needs[final_pos] |= needs(*m.target->children[0]);
-        for (const auto& a : m.arguments) pos_needs[final_pos] |= needs(*a);
-      }
-    }
-    for (std::size_t i = 0; i < reads_.size(); ++i)
-      pos_needs[rpos[i]] |= reads_[i].idx_needs;
-    for (std::size_t k = 1; k < H; ++k) pos_needs[k - 1] |= addr_mask(hop_homes_[k]);
-    if (!out.final_merged) pos_needs[H - 1] |= addr_mask(ml_);
-    pos_needs[final_pos] |= addr_mask(ml_);
-
-    // Slot liveness: write position = performing hop, last consumption from
-    // the recorded uses (empty context = final evaluation).
-    std::vector<std::size_t> last_use = rpos;
-    const auto pos_of_key = [&](const std::string& key) -> std::size_t {
-      for (std::size_t i = 0; i < reads_.size(); ++i)
-        if (reads_[i].key == key) return rpos[i];
-      return final_pos;
-    };
-    for (const use_rec& u : uses_) {
-      const std::size_t p = u.ctx.empty() ? final_pos : pos_of_key(u.ctx);
-      for (std::size_t i = 0; i < reads_.size(); ++i)
-        if (reads_[i].key == u.key) last_use[i] = std::max(last_use[i], p);
-    }
-
-    const auto hdr_bytes = [](unsigned m) {
-      std::size_t b = 0;
-      if (m & hdr_v) b += 8;
-      if (m & hdr_e_src) b += 8;
-      if (m & hdr_e_dst) b += 8;
-      if (m & hdr_e_id) b += 16;  // edge id + mirror slot
-      if (m & hdr_u) b += 8;
-      return b;
-    };
-    const std::size_t wires = (H - 1) + (out.final_merged ? 0 : 1);
-    for (std::size_t w = 0; w < wires; ++w) {
-      unsigned hdr = 0;
-      for (std::size_t p = w + 1; p < pos_needs.size(); ++p) hdr |= pos_needs[p];
-      std::size_t b = hdr_bytes(hdr);
-      for (std::size_t i = 0; i < reads_.size(); ++i)
-        if (rpos[i] <= w && last_use[i] > w) b += 8;
-      out.wire_bytes.push_back(b);
-    }
+  /// record_locality_ok for a target read and the record's value.
+  bool record_ok(const expr& target, const expr& value) {
+    return record_locality_ok(index_kind(*target.children[0]), reads_all_at_v(value),
+                              contains_read(value));
   }
-
- private:
-  struct home {
-    enum class kind { at_v, at_gen, chase } k = kind::at_v;
-    std::string chase_key;  // pmap[index] print for chases
-    friend bool operator==(const home&, const home&) = default;
-  };
 
   struct read_entry {
     std::string key;
-    home loc;
+    home_id home;
     bool pinned = false;
     unsigned idx_needs = 0;  ///< header fields the index expression touches
   };
@@ -738,55 +636,48 @@ class analyzer {
     std::string ctx;
   };
 
-  std::string home_label(const home& h) const {
-    switch (h.k) {
-      case home::kind::at_v: return "v";
-      case home::kind::at_gen:
-        if (act_.gen == generator_type::out_edges) return "trg(e)";
-        if (act_.gen == generator_type::in_edges) return "src(e)";
-        return "u";
-      case home::kind::chase: return "chase";
-    }
-    return "?";
-  }
-
   const parsed_property* pmap_of(const expr& read) const {
     for (const auto& p : pat_.properties)
       if (p.name == read.pmap) return &p;
     throw parse_error(read.line, "unknown property map '" + read.pmap + "'");
   }
 
-  home classify_index(const expr& idx) {
+  /// Checks an index expression and classifies its locality (Def. 1).
+  home_kind index_kind(const expr& idx) {
     switch (idx.kind) {
-      case expr::node::input_vertex: return {home::kind::at_v, ""};
+      case expr::node::input_vertex: return home_kind::at_v;
       case expr::node::gen_vertex:
         require_gen(idx.line);
-        return {home::kind::at_gen, ""};
+        return home_kind::at_gen;
       case expr::node::gen_edge:  // edge property read: locality of e is v
-        return {home::kind::at_v, ""};
+        return home_kind::at_v;
       case expr::node::src_of:
         require_edge_gen(idx.line);
-        return {act_.gen == generator_type::out_edges ? home{home::kind::at_v, ""}
-                                                      : home{home::kind::at_gen, ""}};
+        return act_.gen == generator_type::out_edges ? home_kind::at_v : home_kind::at_gen;
       case expr::node::trg_of:
         require_edge_gen(idx.line);
-        return {act_.gen == generator_type::out_edges ? home{home::kind::at_gen, ""}
-                                                      : home{home::kind::at_v, ""}};
+        return act_.gen == generator_type::out_edges ? home_kind::at_gen : home_kind::at_v;
       case expr::node::pmap_read: {
         const parsed_property* pm = pmap_of(idx);
         if (pm->type != value_kind::vertex)
           throw parse_error(idx.line,
                             "index '" + print(idx) + "' is not vertex-valued");
-        const home inner = classify_index(*idx.children[0]);
-        if (inner.k != home::kind::at_v)
+        if (index_kind(*idx.children[0]) != home_kind::at_v)
           throw parse_error(idx.line,
                             "pointer-chase indices must be readable at the input "
                             "vertex (one level of chasing)");
-        return {home::kind::chase, print(idx)};
+        return home_kind::chase;
       }
       default:
         throw parse_error(idx.line, "'" + print(idx) + "' cannot index a property map");
     }
+  }
+
+  /// The locality of an index expression; a chase is identified by the
+  /// slot of its inner read, which must already be registered.
+  home_id home_at(const expr& idx) {
+    const home_kind k = index_kind(idx);
+    return {k, k == home_kind::chase ? slot(index_.at(print(idx))) : 0};
   }
 
   void require_gen(int line) const {
@@ -879,13 +770,11 @@ class analyzer {
     // Dedup (CSE): a repeated read shares the already-allocated slot, but
     // still records a consumption in the current context — the second
     // consumer extends the slot's wire lifetime (mirrors the EDSL planner).
-    for (const auto& r : reads_)
-      if (r.key == key) {
-        ++cse_hits_;
-        uses_.push_back(use_rec{key, ctx_});
-        return pm->type;
-      }
     uses_.push_back(use_rec{key, ctx_});
+    if (index_.count(key)) {
+      ++cse_hits_;
+      return pm->type;
+    }
     // Index sub-reads register first (depth-first), like the EDSL; their
     // consumption is charged to *this* read, not the final evaluation.
     {
@@ -896,10 +785,12 @@ class analyzer {
     }
     read_entry re;
     re.key = key;
-    re.loc = classify_index(idx);
+    re.home = home_at(idx);
     re.idx_needs = needs(idx);
+    // A chase read needs its index value gathered strictly earlier.
+    if (re.home.kind == home_kind::chase) reads_[re.home.chase_slot / kSlot].pinned = true;
+    index_.emplace(key, reads_.size());
     reads_.push_back(re);
-    if (re.loc.k == home::kind::chase) pin(print(idx));
     return pm->type;
   }
 
@@ -936,23 +827,10 @@ class analyzer {
   /// at the input vertex — the fast-path value precondition.
   bool reads_all_at_v(const expr& e) {
     if (e.kind == expr::node::pmap_read)
-      return classify_index(*e.children[0]).k == home::kind::at_v &&
-             reads_all_at_v(*e.children[0]);
+      return index_kind(*e.children[0]) == home_kind::at_v && reads_all_at_v(*e.children[0]);
     for (const auto& c : e.children)
       if (!reads_all_at_v(*c)) return false;
     return true;
-  }
-
-  unsigned addr_mask(const home& h) const {
-    switch (h.k) {
-      case home::kind::at_v: return hdr_v;
-      case home::kind::at_gen:
-        if (act_.gen == generator_type::out_edges) return hdr_e_dst;
-        if (act_.gen == generator_type::in_edges) return hdr_e_src;
-        return hdr_u;
-      case home::kind::chase: return 0;  // destination is an arena slot
-    }
-    return 0;
   }
 
   value_kind walk_index_kind(const expr& idx) {
@@ -967,27 +845,17 @@ class analyzer {
     }
   }
 
-  void pin(const std::string& key) {
-    for (auto& r : reads_)
-      if (r.key == key) {
-        r.pinned = true;
-        return;
-      }
-    // The chased index is registered by register_read before pinning.
-    DPG_ASSERT_MSG(false, "chase inner read missing");
-  }
-
   void handle_mod(const modification& m) {
     const parsed_property* pm = pmap_of(*m.target);
     const expr& idx = *m.target->children[0];
-    // Chased modification locality needs the chase value gathered; the
-    // second touch mirrors the EDSL compiling the target index expression
-    // (note_ml registers, compile_mod re-reads the shared slot).
-    const home h = classify_index(idx);
-    if (h.k == home::kind::chase) {
-      (void)register_read(idx);
+    // Mirrors the EDSL: the first modification registers a chased locality
+    // (note_ml), and every modification compiles its target index
+    // (compile_mod), re-reading the shared slot.
+    if (index_kind(idx) == home_kind::chase) {
+      if (!have_ml_) (void)register_read(idx);
       (void)register_read(idx);
     }
+    const home_id h = home_at(idx);
     // Argument values travel: walk (and type-check) them once, like the
     // EDSL compiles each value expression exactly once.
     std::vector<value_kind> arg_kinds;
@@ -1025,12 +893,12 @@ class analyzer {
   const parsed_pattern& pat_;
   const parsed_action& act_;
   std::vector<read_entry> reads_;
+  std::map<std::string, std::size_t> index_;  ///< read key -> index into reads_
   std::vector<use_rec> uses_;
   std::string ctx_;  ///< key of the read whose index is being walked; empty = final
   std::size_t cse_hits_ = 0;
-  std::vector<home> hop_homes_{home{home::kind::at_v, ""}};
   std::set<std::string> read_pmaps_, written_pmaps_;
-  home ml_{};
+  home_id ml_{};
   bool have_ml_ = false;
   bool add_widens_ = false;  ///< an `.add(x)` whose x sums into its target's type
 };
@@ -1044,25 +912,7 @@ analyzed_pattern analyze(const parsed_pattern& p) {
   return out;
 }
 
-std::string explain(const analyzed_action& a) {
-  plan_info info;
-  info.gather_hops = a.gather_hops;
-  info.final_merged = a.final_merged;
-  info.atomic_path = a.atomic_path;
-  info.final_reads = a.final_reads;
-  info.arena_bytes = a.arena_bytes;
-  info.conditions = a.conditions;
-  info.has_dependencies = a.has_dependencies;
-  info.hop_localities = a.hop_localities;
-  info.hop_reads = a.hop_reads;
-  info.final_locality = a.final_locality;
-  info.fast_path = a.fast_path;
-  info.claim = a.claim;
-  info.fast_reduction = a.fast_reduction;
-  info.cse_hits = a.cse_hits;
-  info.wire_bytes = a.wire_bytes;
-  return pattern::explain(a.name, info);
-}
+std::string explain(const analyzed_action& a) { return pattern::explain(a.name, a); }
 
 std::string explain_source(std::string_view source) {
   const auto parsed = parse_pattern(source);

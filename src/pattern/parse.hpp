@@ -2,14 +2,14 @@
 // paper's own declared future work: "we plan to implement a translator for
 // patterns that will at least generate AM++ messaging code".
 //
-// This module parses pattern source text, performs the full semantic
-// analysis of §IV (locality classification, hop planning, merging, the
-// synchronization choice, dependency detection — the same algorithm the
-// EDSL instantiation runs, reimplemented over a runtime AST), and reports
-// the synthesized communication as a plan. What it does NOT do is emit
-// C++: in a library setting the EDSL *is* the executable form; the parser
-// serves as the specification checker / translator front half, and its
-// plans are byte-for-byte comparable with the EDSL's `plan_info`.
+// This module parses pattern source text, checks it, classifies every
+// read's locality over its runtime AST, and lowers each action onto the
+// plan core the EDSL instantiation also runs (plan_gather, plan.hpp): hop
+// planning, merging, locality labels and wire liveness are one function
+// for both front ends, and so are the compiled-record eligibility rules.
+// What it does NOT do is emit C++: in a library setting the EDSL *is* the
+// executable form; the parser serves as the specification checker /
+// translator front half, and its plans are the EDSL's `plan_info`.
 //
 // Concrete syntax (the paper's figures set the shape; the tokens here make
 // it parseable):
@@ -37,6 +37,12 @@
 // `vertex_list` is set insert, the EDSL's `insert(F(t), x)`, which CC's
 // claim kernel needs, and `.add(x)` is a sum, the EDSL's `add(M(t), x)`,
 // which the combining scatter needs; any other name stays opaque.
+//
+// Inputs are bounded so that outside text cannot exhaust the stack or the
+// clock: an expression nests at most max_expr_depth deep (parentheses,
+// `!`, operator chains and indices all count) and expands, aliases pasted
+// in, to at most max_expr_nodes nodes. Past either limit the parser throws
+// parse_error.
 #pragma once
 
 #include <memory>
@@ -45,7 +51,12 @@
 #include <string_view>
 #include <vector>
 
+#include "pattern/plan.hpp"
+
 namespace dpg::pattern::text {
+
+inline constexpr int max_expr_depth = 256;
+inline constexpr std::size_t max_expr_nodes = 10000;
 
 /// Thrown on lexical, syntactic, or semantic errors; carries a 1-based
 /// line number and a message.
@@ -92,6 +103,8 @@ struct expr {
   // binary:
   std::string op;  // one of + - * / < > <= >= == != && ||
   std::vector<expr_ptr> children;
+  int depth = 1;          ///< height of the tree rooted here
+  std::size_t nodes = 1;  ///< nodes of that tree, shared subtrees counted per use
 };
 
 struct modification {
@@ -142,29 +155,10 @@ parsed_pattern parse_pattern(std::string_view source);
 // Analysis (the §IV translation, over the textual AST)
 // ---------------------------------------------------------------------------
 
-/// The communication plan for one parsed action, mirroring
-/// pattern::plan_info for the EDSL (field-for-field comparable).
-struct analyzed_action {
+/// The communication plan for one parsed action: the EDSL's plan_info,
+/// computed by the same plan core, plus the action's name.
+struct analyzed_action : plan_info {
   std::string name;
-  int gather_hops = 0;
-  bool final_merged = false;
-  bool atomic_path = false;
-  int final_reads = 0;
-  std::size_t arena_bytes = 0;
-  int conditions = 0;
-  bool has_dependencies = false;
-  std::vector<std::string> hop_localities;
-  std::vector<int> hop_reads;
-  std::string final_locality;
-  bool fast_path = false;           ///< single-locality fast kernel engaged
-  bool claim = false;               ///< the fast kernel is the two-arm claim record
-  bool fast_reduction = false;      ///< sender-side combining, suppression or sums engaged
-  std::size_t cse_hits = 0;         ///< duplicate reads sharing one arena slot
-  std::vector<std::size_t> wire_bytes;  ///< bytes per synthesized message
-
-  int messages_per_application() const {
-    return (gather_hops - 1) + (final_merged ? 0 : 1);
-  }
 };
 
 struct analyzed_pattern {
@@ -178,8 +172,7 @@ struct analyzed_pattern {
 /// different localities, unsupported chase depth, ...).
 analyzed_pattern analyze(const parsed_pattern& p);
 
-/// Renders an analyzed action exactly like pattern::explain does for
-/// instantiated EDSL actions.
+/// pattern::explain of the analyzed plan.
 std::string explain(const analyzed_action& a);
 
 /// Convenience: parse + analyze + explain everything.

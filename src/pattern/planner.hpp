@@ -16,11 +16,11 @@
 //   at_gen  — the far endpoint of the generated edge / generated vertex
 //   chase   — the *value* of a vertex-valued property read (pointer chase,
 //             e.g. chg(pnt(v)) in the CC pointer-jumping action)
-// and the hop chain is built per action at instantiation time. Every
-// property read is assigned an arena slot in the travelling gather_state;
-// evaluators are composed lambdas reading only (v, e, u, arena), so the
-// final evaluation is a pure function of the gathered payload, exactly as
-// in the paper's message model.
+// Every property read is assigned an arena slot in the travelling
+// gather_state; evaluators are composed lambdas reading only (v, e, u,
+// arena), so the final evaluation is a pure function of the gathered
+// payload, exactly as in the paper's message model. plan_builder records
+// the reads; plan_gather (plan.hpp) builds the hop chain from them.
 #pragma once
 
 #include <atomic>
@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "pattern/expr.hpp"
+#include "pattern/plan.hpp"
 #include "pmap/lock_map.hpp"
 #include "util/assert.hpp"
 
@@ -61,22 +62,13 @@ concept generator_kind =
     std::same_as<G, no_generator> || std::same_as<G, out_edges_gen> ||
     std::same_as<G, in_edges_gen> || std::same_as<G, adj_gen> || is_pmap_gen<G>;
 
-// ---------------------------------------------------------------------------
-// Homes (runtime identity of a locality class)
-// ---------------------------------------------------------------------------
-
-enum class home_kind : std::uint8_t { at_v, at_gen, chase };
-
-/// Runtime identity of a locality: chases are distinguished by the property
-/// map instance and the static type of the full read expression that
-/// produces the chased vertex value.
-struct home_id {
-  home_kind kind = home_kind::at_v;
-  const void* chase_pm = nullptr;
-  std::type_index chase_type = std::type_index(typeid(void));
-
-  friend bool operator==(const home_id&, const home_id&) = default;
-};
+/// The generator as the plan core sees it.
+template <class Gen>
+inline constexpr gen_kind gen_kind_of =
+    std::is_same_v<Gen, out_edges_gen>  ? gen_kind::out_edges
+    : std::is_same_v<Gen, in_edges_gen> ? gen_kind::in_edges
+    : std::is_same_v<Gen, no_generator> ? gen_kind::none
+                                        : gen_kind::vertices;
 
 /// Compile-time locality classification of an index expression under a
 /// given generator kind. Mirrors Definition 1 plus the normalizations
@@ -128,50 +120,21 @@ struct home_of<read_expr<PM, Inner>, Gen> {
   static constexpr home_kind kind = home_kind::chase;
 };
 
-/// Builds the runtime home id for an index expression type.
-template <class Idx, class Gen>
-home_id make_home(const Idx& idx) {
-  home_id h;
-  h.kind = home_of<Idx, Gen>::kind;
-  if constexpr (home_of<Idx, Gen>::kind == home_kind::chase) {
-    h.chase_pm = idx.pm;
-    h.chase_type = std::type_index(typeid(Idx));
-  }
-  return h;
-}
-
 // ---------------------------------------------------------------------------
 // Plan structures
 // ---------------------------------------------------------------------------
 
 /// One gather read: performed on the rank owning its home locality; loads a
 /// property value into the travelling arena.
-struct read_step {
-  home_id home;
-  bool pinned = false;  ///< must be gathered early even if homed at the
-                        ///< modification locality (it feeds a chase index)
-  std::size_t arena_offset = 0;
-  std::size_t size = 0;       ///< bytes the value occupies in the arena
-  unsigned idx_needs = 0;     ///< header fields the index expression touches
+struct read_step : read_info {
   const void* pmap_id = nullptr;
   std::type_index self_type = std::type_index(typeid(void));  ///< read_expr type
   std::function<void(gather_state&)> perform;
 };
 
-/// One recorded consumption of an arena slot: which compiled expression
-/// context reads it. `token` identifies the read step whose index
-/// expression consumed the slot, or -1 when the consumer is the final
-/// condition/modification evaluation. The wire-layout pass drops a slot
-/// from every hop transition past its last consumer.
-struct slot_use {
-  std::size_t offset = 0;
-  int token = -1;
-};
-
 /// One gather hop of the synthesized communication (a node of the pruned
 /// depth-first traversal of the dependency graph).
 struct gather_hop {
-  home_id home;
   std::function<vertex_id(const gather_state&)> locality;
   std::vector<std::function<void(gather_state&)>> reads;
 };
@@ -282,8 +245,12 @@ class plan_builder {
     use_ctx_ = saved_ctx;
     PM* pm = ex.pm;
 
+    // A chase read needs its index value gathered strictly earlier: pin the
+    // inner read so it is never deferred to the final hop.
+    if constexpr (home_of<Idx, Gen>::kind == home_kind::chase) find(ex.idx)->pinned = true;
+
     read_step step;
-    step.home = make_home<Idx, Gen>(ex.idx);
+    step.home = home(ex.idx);
     step.arena_offset = ofs;
     step.size = sizeof(T);
     step.idx_needs = header_needs<Idx>();
@@ -303,10 +270,6 @@ class plan_builder {
         s.arena_put(ofs, std::as_const(*pm)[idx_fn(s)]);
       }
     };
-    // A chase read needs its index value gathered strictly earlier: pin the
-    // inner read(s) so they are never deferred to the final hop.
-    if constexpr (home_of<Idx, Gen>::kind == home_kind::chase) pin_reads_of(ex.idx);
-
     const std::size_t step_index = steps_.size();
     token_step_[static_cast<std::size_t>(token)] = step_index;
     steps_.push_back(std::move(step));
@@ -430,11 +393,29 @@ class plan_builder {
   bool overflow() const { return arena_required_ > gather_state::arena_bytes; }
   std::size_t arena_required() const { return arena_required_; }
 
-  /// Recorded slot consumptions (for the wire-liveness pass).
-  const std::vector<slot_use>& uses() const { return uses_; }
-  /// Resolves a slot_use token to the index of the consuming read step.
-  std::size_t token_to_step(int token) const {
-    return token_step_[static_cast<std::size_t>(token)];
+  /// The locality of an index expression. A chase is identified by the
+  /// slot of its (already registered) inner read; an unregistered one gets
+  /// a slot no read has, so it equals no registered home.
+  template <class Idx>
+  home_id home(const Idx& idx) {
+    if constexpr (home_of<Idx, Gen>::kind == home_kind::chase) {
+      const read_step* inner = find(idx);
+      return {home_kind::chase, inner ? inner->arena_offset : gather_state::arena_bytes};
+    } else {
+      return {home_of<Idx, Gen>::kind, 0};
+    }
+  }
+
+  /// The compiled reads and slot uses as the plan core's input, given the
+  /// modification locality and the final stage's header needs.
+  plan_request request(const home_id& ml, unsigned final_needs) const {
+    plan_request r{gen_kind_of<Gen>, {steps_.begin(), steps_.end()}, {}, ml, final_needs};
+    for (const slot_use& u : uses_) {
+      const int step =
+          u.step < 0 ? -1 : static_cast<int>(token_step_[static_cast<std::size_t>(u.step)]);
+      r.uses.push_back(slot_use{u.offset, step});
+    }
+    return r;
   }
 
   /// Was property map `pm` read anywhere in the compiled expressions?
@@ -481,16 +462,13 @@ class plan_builder {
     return ofs;
   }
 
+  /// The registered step reading `idx` (a read expression), or null.
   template <class Idx>
-  void pin_reads_of(const Idx& idx) {
-    // The chased index is itself a read (one level): find and pin it.
+  read_step* find(const Idx& idx) {
     const dedup_key key{static_cast<const void*>(idx.pm), std::type_index(typeid(idx))};
     for (auto& [k, entry] : dedup_)
-      if (k == key) {
-        steps_[entry.step_index].pinned = true;
-        return;
-      }
-    DPG_ASSERT_MSG(false, "chase inner read not registered before outer");
+      if (k == key) return &steps_[entry.step_index];
+    return nullptr;
   }
 
   struct dedup_key {
@@ -508,7 +486,7 @@ class plan_builder {
   std::size_t arena_used_ = 0;
   std::size_t arena_required_ = 0;
   std::size_t cse_hits_ = 0;
-  std::vector<slot_use> uses_;
+  std::vector<slot_use> uses_;  ///< `step` holds a token until request()
   std::vector<std::size_t> token_step_;  ///< token -> index into steps_
   int use_ctx_ = -1;  ///< current consumption context (-1: final evaluation)
 };

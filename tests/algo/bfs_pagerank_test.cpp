@@ -83,8 +83,7 @@ TEST(PageRank, ScatterKernelMatchesGeneralPath) {
   const auto oracle = pagerank(g, 0.85, 20);
   ampp::transport tp(ampp::transport_config{.n_ranks = 4});
   pagerank_solver fast(tp, g);
-  using tog = pattern::compile_options::toggle;
-  pagerank_solver general(tp, g, {.fast_path = tog::off});
+  pagerank_solver general(tp, g, {.fast_path = false});
   EXPECT_TRUE(fast.plan().fast_path);
   EXPECT_EQ(fast.plan().wire_bytes, std::vector<std::size_t>{16});
   EXPECT_FALSE(general.plan().fast_path);
@@ -107,7 +106,6 @@ TEST(PageRank, CombiningScatterSendsOneRecordPerRemoteTargetPerSweep) {
   // the sequential ranks — over R-MAT scale 10 plus a hub every vertex
   // points at, with and without handler threads.
   constexpr int kIters = 10;
-  using tog = pattern::compile_options::toggle;
   for (const ampp::rank_t ranks : {2u, 4u}) {
     for (const unsigned threads : {0u, 1u, 2u}) {
       SCOPED_TRACE("ranks=" + std::to_string(ranks) + " threads=" + std::to_string(threads));
@@ -133,8 +131,8 @@ TEST(PageRank, CombiningScatterSendsOneRecordPerRemoteTargetPerSweep) {
       const auto oracle = pagerank(g, 0.85, kIters);
       ampp::transport tp(ampp::transport_config{.n_ranks = ranks, .handler_threads = threads});
       pagerank_solver combined(tp, g);
-      pagerank_solver uncombined(tp, g, {.fast_reduction = tog::off});
-      pagerank_solver general(tp, g, {.fast_path = tog::off});
+      pagerank_solver uncombined(tp, g, {.fast_reduction = false});
+      pagerank_solver general(tp, g, {.fast_path = false});
       EXPECT_TRUE(combined.plan().fast_reduction);
       EXPECT_FALSE(uncombined.plan().fast_reduction);
       const auto solve = [&](pagerank_solver& pr) {

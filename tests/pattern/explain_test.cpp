@@ -101,10 +101,9 @@ TEST(Explain, CompiledPlanShowsWireBytesCseAndFastPath) {
                                         assign(d(trg(e_)), d(v_) + wt(e_)))),
                        opts);
   };
-  using tog = compile_options::toggle;
 
   const std::string fast =
-      explain("relax", mk({.fast_path = tog::on, .compact_wire = tog::on})->plan());
+      explain("relax", mk({.fast_path = true, .compact_wire = true})->plan());
   EXPECT_NE(fast.find("compiled wire payloads: relax=16B"), std::string::npos);
   EXPECT_NE(fast.find("(full gather_state = 96B)"), std::string::npos);
   EXPECT_NE(fast.find("gather read CSE: 2 shared slot(s)"), std::string::npos);
@@ -114,14 +113,14 @@ TEST(Explain, CompiledPlanShowsWireBytesCseAndFastPath) {
             std::string::npos);
 
   const std::string general =
-      explain("relax", mk({.fast_path = tog::off, .compact_wire = tog::on})->plan());
+      explain("relax", mk({.fast_path = false, .compact_wire = true})->plan());
   EXPECT_NE(general.find("compiled wire payloads: eval=24B"), std::string::npos);
   EXPECT_NE(general.find("fast path: off"), std::string::npos);
   EXPECT_NE(general.find("sender reduction: off"), std::string::npos);
 
   // The fast path alone, compact wire left at its default, keeps the
   // sender-side combining cache on.
-  const std::string fastonly = explain("relax", mk({.fast_path = tog::on})->plan());
+  const std::string fastonly = explain("relax", mk({.fast_path = true})->plan());
   EXPECT_NE(fastonly.find("fast path: compiled single-locality relax kernel"),
             std::string::npos);
   EXPECT_NE(fastonly.find("sender reduction: combining cache on the relax lane"),
@@ -130,11 +129,11 @@ TEST(Explain, CompiledPlanShowsWireBytesCseAndFastPath) {
   // The combining cache can be held off independently of the fast path.
   const std::string noreduce = explain(
       "relax",
-      mk({.fast_path = tog::on, .fast_reduction = tog::off})->plan());
+      mk({.fast_path = true, .fast_reduction = false})->plan());
   EXPECT_NE(noreduce.find("sender reduction: off"), std::string::npos);
 
   const std::string full =
-      explain("relax", mk({.fast_path = tog::off, .compact_wire = tog::off})->plan());
+      explain("relax", mk({.fast_path = false, .compact_wire = false})->plan());
   EXPECT_NE(full.find("compiled wire payloads: eval=96B"), std::string::npos);
 }
 
@@ -172,7 +171,7 @@ TEST(Explain, ScatterPlanLabelsTheScatterRecord) {
   EXPECT_NE(fast.find("sender reduction: off"), std::string::npos);
   EXPECT_NE(fast.find("dependencies: yes"), std::string::npos);  // reads+writes d
   const std::string general = explain(
-      "pr.scatter", mk({.fast_path = compile_options::toggle::off})->plan());
+      "pr.scatter", mk({.fast_path = false})->plan());
   EXPECT_NE(general.find("compiled wire payloads: eval=16B"), std::string::npos);
   EXPECT_NE(general.find("fast path: off"), std::string::npos);
 }
@@ -242,10 +241,9 @@ TEST(Explain, FusedPlanShowsWireLayoutAndGroupDispatch) {
   pmap::vertex_property_map<double> width2(w.g, 0.0);
   property d2(dist2);
   property wd2(width2);
-  using tog = compile_options::toggle;
   auto off = fuse(
       w.tp, w.g,
-      compile_options{.fast_reduction = tog::off},
+      compile_options{.fast_reduction = false},
       make_action("a", out_edges_gen{},
                   when(d2(trg(e_)) > d2(v_) + wt(e_),
                        assign(d2(trg(e_)), d2(v_) + wt(e_)))),

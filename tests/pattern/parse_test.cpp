@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <map>
+#include <sstream>
+
 #include "graph/generators.hpp"
 #include "pattern/action.hpp"
 
@@ -316,6 +320,95 @@ pattern PageRank {
   EXPECT_EQ(scaled.fast_path, scale->plan().fast_path);
   EXPECT_EQ(scaled.fast_reduction, scale->plan().fast_reduction);
   EXPECT_EQ(explain(scaled), pattern::explain("scatter", scale->plan()));
+}
+
+std::string read_pattern_file(const std::string& name) {
+  std::ifstream in(std::string(DPG_SOURCE_DIR) + "/examples/patterns/" + name);
+  EXPECT_TRUE(in) << "cannot open " << name;
+  std::ostringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
+}
+
+TEST(Parse, ShippedPatternsMatchTheirEdslTwins) {
+  // Every action in examples/patterns/ renders the same plan as its EDSL
+  // twin: the chase of cc_jump, the claim of cc_search, the merged final
+  // stage of pull_relax, the relax and the combining scatter.
+  graph::distributed_graph g(8, graph::path_graph(8), graph::distribution::cyclic(8, 2));
+  pmap::vertex_property_map<double> dist_map(g, 1e100), next_map(g, 0.0), share_map(g, 0.0);
+  pmap::edge_property_map<double> weight_map(g, 1.0);
+  pmap::vertex_property_map<vertex_id> pnt_map(g, graph::invalid_vertex), chg_map(g, 0);
+  pmap::vertex_property_map<std::vector<vertex_id>> conf_map(g);
+  pmap::lock_map locks(g.dist(), pmap::lock_scheme::per_vertex);
+  ampp::transport tp(ampp::transport_config{.n_ranks = 2});
+  property dist(dist_map);
+  property weight(weight_map);
+  property next(next_map);
+  property share(share_map);
+  property pnt(pnt_map);
+  property chg(chg_map);
+  property conf(conf_map);
+  const auto plan_of = [&](auto def) { return instantiate(tp, g, locks, std::move(def))->plan(); };
+  const std::map<std::string, plan_info> twins = {
+      {"relax", plan_of(make_action("relax", out_edges_gen{},
+                                    when(dist(trg(e_)) > dist(v_) + weight(e_),
+                                         assign(dist(trg(e_)), dist(v_) + weight(e_)))))},
+      {"cc_search",
+       plan_of(make_action("cc_search", out_edges_gen{},
+                           when(pnt(trg(e_)) == lit(graph::invalid_vertex),
+                                assign(pnt(trg(e_)), pnt(v_))),
+                           when(pnt(trg(e_)) != pnt(v_), insert(conf(trg(e_)), pnt(v_)))))},
+      {"cc_jump", plan_of(make_action("cc_jump", no_generator{},
+                                      when(chg(pnt(v_)) < chg(v_),
+                                           assign(chg(v_), chg(pnt(v_))))))},
+      {"pull_relax", plan_of(make_action("pull_relax", out_edges_gen{},
+                                         when(dist(v_) > dist(trg(e_)) + weight(e_),
+                                              assign(dist(v_), dist(trg(e_)) + weight(e_)))))},
+      {"scatter", plan_of(make_action("scatter", out_edges_gen{},
+                                      when(lit(true), add(next(trg(e_)), share(v_)))))},
+  };
+  std::size_t checked = 0;
+  for (const char* file : {"sssp.pat", "cc.pat", "pull_pagerank.pat"}) {
+    for (const analyzed_action& a : analyze(parse_pattern(read_pattern_file(file))).actions) {
+      SCOPED_TRACE(std::string(file) + ": " + a.name);
+      ASSERT_EQ(twins.count(a.name), 1u);
+      EXPECT_EQ(explain(a), pattern::explain(a.name, twins.at(a.name)));
+      ++checked;
+    }
+  }
+  EXPECT_EQ(checked, twins.size());
+}
+
+TEST(Parse, CornerShapesPlanLikeTheEdsl) {
+  // Only the first modification registers a chased locality, and each one
+  // reads the target index: two modifications share the slot 3 times. An
+  // edge-property target takes the lock path, not atomics.
+  const auto an = analyze(parse_pattern(R"(pattern P {
+    vertex_property<vertex> p; vertex_property<double> x; vertex_property<double> y;
+    edge_property<double> w;
+    action a(v) { when (x[p[v]] < 1.0) { x[p[v]] = 1.0; y[p[v]] = 2.0; } }
+    action b(v) { generator e : out_edges; when (w[e] > 1.0) { w[e] = 1.0; } } })"));
+  graph::distributed_graph g(8, graph::path_graph(8), graph::distribution::cyclic(8, 2));
+  pmap::vertex_property_map<vertex_id> p_map(g, 0);
+  pmap::vertex_property_map<double> x_map(g, 0.0), y_map(g, 0.0);
+  pmap::edge_property_map<double> w_map(g, 0.0);
+  pmap::lock_map locks(g.dist(), pmap::lock_scheme::per_vertex);
+  ampp::transport tp(ampp::transport_config{.n_ranks = 2});
+  property p(p_map);
+  property x(x_map);
+  property y(y_map);
+  property w(w_map);
+  auto a = instantiate(tp, g, locks,
+                       make_action("a", no_generator{},
+                                   when(x(p(v_)) < lit(1.0), assign(x(p(v_)), lit(1.0)),
+                                        assign(y(p(v_)), lit(2.0)))));
+  auto b = instantiate(tp, g, locks,
+                       make_action("b", out_edges_gen{},
+                                   when(w(e_) > lit(1.0), assign(w(e_), lit(1.0)))));
+  EXPECT_EQ(an.actions[0].cse_hits, 3u);
+  EXPECT_EQ(explain(an.actions[0]), pattern::explain("a", a->plan()));
+  EXPECT_FALSE(an.actions[1].atomic_path);
+  EXPECT_EQ(explain(an.actions[1]), pattern::explain("b", b->plan()));
 }
 
 // ---------------------------------------------------------------------------

@@ -206,7 +206,6 @@ TEST(Planner, UnconditionalScatterCompilesToSixteenByteRecord) {
                                            share(v_)))),
         opts);
   };
-  using tog = compile_options::toggle;
   auto fast = mk({});
   const plan_info& p = fast->plan();
   EXPECT_TRUE(p.fast_path);
@@ -220,7 +219,7 @@ TEST(Planner, UnconditionalScatterCompilesToSixteenByteRecord) {
   EXPECT_NE(text.find("fast path: compiled single-locality scatter kernel"),
             std::string::npos);
 
-  auto general = mk({.fast_path = tog::off, .compact_wire = tog::off});
+  auto general = mk({.fast_path = false, .compact_wire = false});
   EXPECT_FALSE(general->plan().fast_path);
   EXPECT_EQ(general->plan().wire_bytes, std::vector<std::size_t>{sizeof(gather_state)});
 
@@ -296,7 +295,6 @@ TEST(Planner, AddScatterSendsOneRecordPerRemoteTarget) {
   // still commit in place. Every contribution is either sent, folded or
   // applied locally; the sums match the uncombined scatter, the lambda
   // `modify` scatter and the general path.
-  using tog = compile_options::toggle;
   for (const ampp::rank_t ranks : {2u, 4u}) {
     for (const unsigned threads : {0u, 1u, 2u}) {
       SCOPED_TRACE("ranks=" + std::to_string(ranks) + " threads=" + std::to_string(threads));
@@ -319,14 +317,14 @@ TEST(Planner, AddScatterSendsOneRecordPerRemoteTarget) {
           tp, g, locks, make_action("sum", out_edges_gen{}, when(lit(true), add(n0(trg(e_)), share(v_)))));
       auto uncombined = instantiate(
           tp, g, locks, make_action("sum", out_edges_gen{}, when(lit(true), add(n1(trg(e_)), share(v_)))),
-          {.fast_reduction = tog::off});
+          {.fast_reduction = false});
       auto lambda = instantiate(
           tp, g, locks,
           make_action("lambda", out_edges_gen{}, when(lit(true), modify(n2(trg(e_)), sum, share(v_)))));
       auto general = instantiate(
           tp, g, locks,
           make_action("sum", out_edges_gen{}, when(lit(true), add(n3(trg(e_)), share(v_)))),
-          {.fast_path = tog::off});
+          {.fast_path = false});
       EXPECT_TRUE(combined->plan().fast_reduction);
       EXPECT_NE(explain("sum", combined->plan())
                     .find("sender reduction: per-target sum accumulator on the scatter lane"),

@@ -202,8 +202,7 @@ TEST(SsspPattern, CompiledPathsAreBitIdentical) {
   // distinct per-edge weights.
   const vertex_id n = 96;
   const auto edges = graph::erdos_renyi(n, 700, 29);
-  using tog = compile_options::toggle;
-  auto run_variant = [&](tog fast, tog compact) {
+  auto run_variant = [&](bool fast, bool compact) {
     sssp_fixture fx(n, edges, 3);
     fx.weight_map = pmap::edge_property_map<double>(fx.g, [](const edge_handle& e) {
       return graph::edge_weight(e.src, e.dst, 7, 3.0);
@@ -226,9 +225,9 @@ TEST(SsspPattern, CompiledPathsAreBitIdentical) {
     for (vertex_id v = 0; v < n; ++v) out[v] = fx.dist_map[v];
     return std::pair{out, relax->plan()};
   };
-  const auto [fast_on, p_fast] = run_variant(tog::on, tog::on);
-  const auto [fast_off, p_compact] = run_variant(tog::off, tog::on);
-  const auto [full, p_full] = run_variant(tog::off, tog::off);
+  const auto [fast_on, p_fast] = run_variant(true, true);
+  const auto [fast_off, p_compact] = run_variant(false, true);
+  const auto [full, p_full] = run_variant(false, false);
 
   EXPECT_TRUE(p_fast.fast_path);
   ASSERT_EQ(p_fast.wire_bytes.size(), 1u);
@@ -250,11 +249,10 @@ TEST(SsspPattern, CompactWireReducesBytesOnTheWire) {
   // records its sender owns in place, so only those it sends are on the
   // wire; the general path sends every record.
   const vertex_id n = 32;
-  using tog = compile_options::toggle;
   struct traffic {
     std::uint64_t wire, sent, local;
   };
-  auto measure = [&](tog fast, tog compact) {
+  auto measure = [&](bool fast, bool compact) {
     sssp_fixture fx(n, graph::star_graph(n), 2, 1.0);
     ampp::transport tp(ampp::transport_config{.n_ranks = 2, .coalescing_size = 4});
     property dist(fx.dist_map);
@@ -275,12 +273,12 @@ TEST(SsspPattern, CompactWireReducesBytesOnTheWire) {
       if (!c.internal) t.wire += c.wire_bytes;
     return t;
   };
-  const traffic fast = measure(tog::on, tog::on);
+  const traffic fast = measure(true, true);
   EXPECT_EQ(fast.sent + fast.local, n - 1);
   EXPECT_EQ(fast.sent, n / 2);           // the odd spokes live on rank 1
   EXPECT_EQ(fast.wire, 16u * fast.sent);  // fast relax record
-  EXPECT_EQ(measure(tog::off, tog::on).wire, 24u * (n - 1));  // compact eval payload
-  EXPECT_EQ(measure(tog::off, tog::off).wire, sizeof(gather_state) * (n - 1));
+  EXPECT_EQ(measure(false, true).wire, 24u * (n - 1));  // compact eval payload
+  EXPECT_EQ(measure(false, false).wire, sizeof(gather_state) * (n - 1));
 }
 
 // ---------------------------------------------------------------------------
@@ -390,7 +388,7 @@ struct envelope_run {
 /// given coalescing size and sender-side reduction toggle.
 envelope_run run_envelopes(const std::vector<graph::edge>& edges, vertex_id n,
                            ampp::rank_t ranks, std::size_t coalescing,
-                           compile_options::toggle reduce = compile_options::toggle::auto_) {
+                           bool reduce = true) {
   sssp_fixture fx(n, edges, ranks);
   fx.weight_map = pmap::edge_property_map<double>(fx.g, [](const edge_handle& e) {
     return graph::edge_weight(e.src, e.dst, 11, 7.0);
@@ -403,7 +401,7 @@ envelope_run run_envelopes(const std::vector<graph::edge>& edges, vertex_id n,
                            make_action("relax", out_edges_gen{},
                                        when(dist(trg(e_)) > dist(v_) + weight(e_),
                                             assign(dist(trg(e_)), dist(v_) + weight(e_)))),
-                           compile_options{.fast_path = compile_options::toggle::on,
+                           compile_options{.fast_path = true,
                                            .fast_reduction = reduce});
   EXPECT_TRUE(relax->plan().fast_path);
   relax->work([&](ampp::transport_context& ctx, vertex_id dep) { (*relax)(ctx, dep); });
@@ -429,7 +427,7 @@ TEST(SsspPattern, EnvelopeWithDuplicateTargets) {
   std::vector<graph::edge> edges;
   for (vertex_id v = 1; v < n; ++v)
     for (int dup = 0; dup < 4; ++dup) edges.push_back(graph::edge{0, v});
-  const envelope_run r = run_envelopes(edges, n, 3, 64, compile_options::toggle::off);
+  const envelope_run r = run_envelopes(edges, n, 3, 64, false);
   EXPECT_GT(r.delta.core.batch_records, 0u);
 }
 

@@ -246,7 +246,7 @@ TEST(FixedPointQueue, VertexImprovedTwiceWhilePendingIsAppliedOnce) {
   pmap::lock_map locks(g.dist(), pmap::lock_scheme::per_vertex);
   ampp::transport tp(ampp::transport_config{.n_ranks = 2});
   pattern::compile_options copts;
-  copts.fast_reduction = pattern::compile_options::toggle::off;
+  copts.fast_reduction = false;
   property d(dist);
   property w(weight);
   auto relax = instantiate(tp, g, locks,
