@@ -43,9 +43,9 @@ struct pair_machine {
   explicit pair_machine(ampp::backend_config::kind_t kind) {
     const std::uint32_t channel = next_channel();
     auto fa = std::async(std::launch::async,
-                         [&] { return ampp::make_backend(bench_cfg(kind, 0, channel), 2); });
+                         [&] { return ampp::make_wire(bench_cfg(kind, 0, channel), 2); });
     auto fb = std::async(std::launch::async,
-                         [&] { return ampp::make_backend(bench_cfg(kind, 1, channel), 2); });
+                         [&] { return ampp::make_wire(bench_cfg(kind, 1, channel), 2); });
     a = fa.get();
     b = fb.get();
   }

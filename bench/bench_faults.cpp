@@ -1,8 +1,8 @@
-// Overhead of the fault-injection layer: the same Δ-stepping workload with
-// no plan, pure reordering, 30% loss (ack-timeout + retransmit), and full
+// Overhead of the fault decorator: the same Δ-stepping workload with no
+// plan, pure reordering, 30% loss (ack-timeout + retransmit), and full
 // chaos. The "none" row doubles as the regression guard for the clean
-// path — an inactive fault_plan must cost nothing beyond one branch per
-// envelope.
+// path — an inactive fault_plan installs no decorator, so it must cost
+// nothing.
 #include <benchmark/benchmark.h>
 
 #include <atomic>

@@ -64,7 +64,7 @@ void BM_MutationWarmRepair(benchmark::State& state) {
 
   // Solve once on the base topology; its labels seed every warm repair.
   ampp::transport tp(ampp::transport_config{.n_ranks = kRanks});
-  g.attach_stats(tp.stats());
+  g.attach_stats(tp.obs().core());
   algo::sssp_solver solver(tp, g, w);
   tp.run([&](ampp::transport_context& ctx) { solver.run_delta(ctx, 0, 5.0); });
   std::vector<std::vector<double>> base_dist(kRanks);
@@ -93,7 +93,7 @@ void BM_MutationWarmRepair(benchmark::State& state) {
   state.counters["relaxations"] = static_cast<double>(last.modifications);
   state.counters["delta_edges"] = static_cast<double>(g.total_delta_edges());
   state.counters["graph_mutations"] =
-      static_cast<double>(tp.stats().graph_mutations.load(std::memory_order_relaxed));
+      static_cast<double>(tp.obs().core().graph_mutations.load(std::memory_order_relaxed));
 }
 BENCHMARK(BM_MutationWarmRepair)
     ->Arg(8)

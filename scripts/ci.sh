@@ -11,7 +11,9 @@ JOBS="${1:-$(nproc)}"
 echo "=== werror build ==="
 cmake --preset werror >/dev/null
 cmake --build --preset werror -j "$JOBS"
-ctest --test-dir build-werror --output-on-failure -j "$JOBS"
+# --timeout everywhere: a hang (a rank waiting forever on a peer) fails
+# its test instead of stalling the pipeline.
+ctest --test-dir build-werror --output-on-failure --timeout 240 -j "$JOBS"
 
 echo "=== pattern translator smoke ==="
 # The text front end as users run it: every shipped pattern file and the
@@ -45,7 +47,7 @@ DPG_SIM_SEEDS=1,2,3,4,5,6,7,8 \
 echo "=== tsan build ==="
 cmake --preset tsan >/dev/null
 cmake --build --preset tsan -j "$JOBS"
-ctest --test-dir build-tsan --output-on-failure -j "$JOBS"
+ctest --test-dir build-tsan --output-on-failure --timeout 240 -j "$JOBS"
 
 echo "=== tsan sim sweep ==="
 ctest --test-dir build-tsan -L sim --output-on-failure --timeout 240 -j "$JOBS"
@@ -56,7 +58,7 @@ echo "=== asan+ubsan build ==="
 # that hits them: -fno-sanitize-recover turns every UBSan report fatal.
 cmake --preset asan >/dev/null
 cmake --build --preset asan -j "$JOBS"
-ctest --test-dir build-asan --output-on-failure -j "$JOBS"
+ctest --test-dir build-asan --output-on-failure --timeout 240 -j "$JOBS"
 
 echo "=== asan+ubsan sim sweep ==="
 ctest --test-dir build-asan -L sim --output-on-failure --timeout 240 -j "$JOBS"
@@ -65,8 +67,11 @@ echo "=== wire backend smoke (shm + tcp, one process per rank) ==="
 # Real cross-process machines through the launcher: 4 rankproc processes
 # over the shm ring and over TCP loopback. The bit-for-bit hash matrix is
 # backend_sweep_test (already in the sim stages above); this stage proves
-# the launcher path users actually run.
+# the launcher path users actually run, including a fault plan injected
+# above the shm wire.
 scripts/run_ranks.sh --backend shm --ranks 4 --algo sssp --seed 1 \
+  --rankproc build-werror/tools/dpg_rankproc
+scripts/run_ranks.sh --backend shm --ranks 4 --algo sssp --seed 1 --plan chaos \
   --rankproc build-werror/tools/dpg_rankproc
 scripts/run_ranks.sh --backend tcp --ranks 4 --algo cc --seed 1 \
   --rankproc build-werror/tools/dpg_rankproc
@@ -76,6 +81,8 @@ echo "=== wire backend smoke under tsan ==="
 # the ring's acquire/release protocol or the TCP reassembly path surface
 # here rather than in production.
 scripts/run_ranks.sh --backend shm --ranks 2 --algo bfs --seed 2 \
+  --rankproc build-tsan/tools/dpg_rankproc
+scripts/run_ranks.sh --backend shm --ranks 4 --algo sssp --seed 1 --plan chaos \
   --rankproc build-tsan/tools/dpg_rankproc
 scripts/run_ranks.sh --backend tcp --ranks 2 --algo sssp --seed 2 \
   --rankproc build-tsan/tools/dpg_rankproc

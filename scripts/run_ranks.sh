@@ -1,10 +1,13 @@
 #!/usr/bin/env bash
 # Launch one cross-process machine: N dpg_rankproc processes, one per rank,
-# over a shm-ring or TCP wire backend (ISSUE 8).
+# over a shm-ring or TCP wire backend.
 #
 #   scripts/run_ranks.sh [--backend shm|tcp] [--ranks N] [--algo sssp|bfs|cc]
-#                        [--seed X] [--session S] [--base-port P]
-#                        [--rankproc PATH]
+#                        [--seed X] [--plan NAME] [--session S]
+#                        [--base-port P] [--rankproc PATH]
+#
+# --plan injects a fault plan (scramble|lossy|chaos|control_chaos) above
+# the wire in every rank process; the RESULT hash must not change.
 #
 # Rank 0 prints the canonical RESULT line; the script exits nonzero if any
 # rank process fails. The default session id embeds this script's PID so
@@ -15,6 +18,7 @@ backend=shm
 ranks=4
 algo=sssp
 seed=1
+plan=none
 session="run$$"
 base_port=29700
 rankproc=""
@@ -25,6 +29,7 @@ while [[ $# -gt 0 ]]; do
     --ranks)     ranks="$2"; shift 2 ;;
     --algo)      algo="$2"; shift 2 ;;
     --seed)      seed="$2"; shift 2 ;;
+    --plan)      plan="$2"; shift 2 ;;
     --session)   session="$2"; shift 2 ;;
     --base-port) base_port="$2"; shift 2 ;;
     --rankproc)  rankproc="$2"; shift 2 ;;
@@ -46,7 +51,7 @@ pids=()
 for ((r = 0; r < ranks; ++r)); do
   "$rankproc" --backend "$backend" --ranks "$ranks" --rank "$r" \
       --session "$session" --base-port "$base_port" \
-      --algo "$algo" --seed "$seed" &
+      --algo "$algo" --seed "$seed" --plan "$plan" &
   pids+=($!)
 done
 
@@ -55,6 +60,6 @@ for pid in "${pids[@]}"; do
   wait "$pid" || status=1
 done
 if [[ $status -ne 0 ]]; then
-  echo "run_ranks.sh: a rank process failed (backend=$backend ranks=$ranks algo=$algo seed=$seed)" >&2
+  echo "run_ranks.sh: a rank process failed (backend=$backend ranks=$ranks algo=$algo seed=$seed plan=$plan)" >&2
 fi
 exit $status

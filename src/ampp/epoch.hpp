@@ -56,13 +56,15 @@ class epoch {
 
   bool ended() const noexcept { return ended_; }
 
-  /// Ends the epoch if still active.
-  ~epoch();
+  /// Ends the epoch if still active. While unwinding (a failed run) it
+  /// only closes the epoch's books; otherwise a run abort propagates.
+  ~epoch() noexcept(false);
 
  private:
   void finish();
 
   transport_context& ctx_;
+  int uncaught_;  ///< std::uncaught_exceptions() at construction
   bool ended_ = false;
   obs::trace_span span_;  ///< covers the epoch on this rank's trace lane
 };

@@ -1,29 +1,23 @@
-// Deterministic fault injection for the simulated wire (the replacement
-// for the old single `scramble_delivery` flag).
+// Deterministic fault injection. A `fault_plan` is a seeded list of rules;
+// each rule matches envelopes by (source rank, destination rank, message-type
+// name prefix) and gives per-envelope probabilities for four faults, which
+// the fault decorator (fault.cpp) injects above any delivery backend:
 //
-// A `fault_plan` is a seeded list of rules; each rule matches a subset of
-// envelopes by (source rank, destination rank, message-type name prefix)
-// and gives per-envelope probabilities for four wire faults:
-//
-//   * reorder   — the envelope is inserted at a random position of the
-//                 destination inbox instead of the back (adversarial
-//                 delivery order; active messages promise none);
-//   * duplicate — a second copy of the envelope reaches the inbox; the
-//                 transport's receive-side dedup window (per-(src,dest)
-//                 wire sequence numbers) suppresses it before dispatch;
-//   * delay     — the envelope is held at the sender and released after
-//                 `delay_flushes` progress ticks;
-//   * drop      — the transmission is lost; the sender's ack-timeout fires
-//                 after `retry_timeout_flushes << drops` ticks (exponential
-//                 backoff) and the envelope is retransmitted. `max_drops`
-//                 bounds the adversary, so delivery is always eventual and
-//                 epochs still terminate.
+//   * reorder   — on arrival the envelope is inserted at a drawn position of
+//                 the destination inbox instead of the back;
+//   * duplicate — a second copy is sent; the arrival-side dedup window
+//                 (per-(src, dest) sequence numbers) suppresses it;
+//   * delay     — the envelope is held at the sender for `delay_flushes`
+//                 progress ticks;
+//   * drop      — the transmission is lost; the ack timeout fires after
+//                 `retry_timeout_flushes << drops` ticks and the envelope is
+//                 retransmitted. `max_drops` bounds the adversary, so
+//                 delivery is eventual and epochs terminate.
 //
 // Every decision is a pure function of (plan seed ^ transport seed, fault
-// stage, src, dest, msg type, wire sequence number, attempt) — no hidden
-// RNG state — so a run's fault pattern reproduces exactly from the printed
-// seed regardless of thread interleaving, and a single-rank run is
-// bit-identical end to end. See docs/runtime.md "Fault injection".
+// stage, src, dest, msg type, sequence number, attempt) — no hidden RNG
+// state — so a single-rank run replays exactly. See docs/runtime.md
+// "Fault injection".
 #pragma once
 
 #include <cstdint>
@@ -50,10 +44,10 @@ enum class fault_stage : std::uint64_t {
 /// One fault-injection rule: matchers plus per-envelope probabilities.
 struct fault_rule {
   // ---- matchers (disengaged / empty = wildcard) ---------------------------
-  std::optional<rank_t> src;   ///< only envelopes sent by this rank
-  std::optional<rank_t> dest;  ///< only envelopes addressed to this rank
-  std::string type_prefix;     ///< message-type name prefix ("" = every type,
-                               ///< "dpg." = the control plane)
+  std::optional<rank_t> src{};   ///< only envelopes sent by this rank
+  std::optional<rank_t> dest{};  ///< only envelopes addressed to this rank
+  std::string type_prefix{};     ///< message-type name prefix ("" = every type,
+                                 ///< "dpg." = the control plane)
 
   // ---- per-envelope fault probabilities in [0, 1] -------------------------
   double reorder = 0.0;
@@ -97,8 +91,8 @@ inline std::uint64_t fault_mix(std::uint64_t seed, fault_stage st, rank_t src, r
 
 }  // namespace detail
 
-/// A seeded, deterministic fault-injection plan. Default-constructed plans
-/// are inactive and cost nothing on the transport's hot paths.
+/// A seeded, deterministic fault-injection plan. A default-constructed plan
+/// is inactive: no decorator is installed.
 class fault_plan {
  public:
   /// Mixed with the transport's own seed; two transports with equal
@@ -136,41 +130,25 @@ class fault_plan {
   /// No faults.
   static fault_plan none() { return {}; }
 
-  /// Pure adversarial reordering — the old `scramble_delivery = true`.
-  static fault_plan scramble(std::uint64_t seed) {
-    fault_rule r;
-    r.reorder = 1.0;
-    return fault_plan{seed, {r}};
-  }
+  /// Pure adversarial reordering.
+  static fault_plan scramble(std::uint64_t seed) { return {seed, {{.reorder = 1.0}}}; }
 
   /// Reordering plus heavy loss: every lane drops ~30% of transmissions.
   static fault_plan lossy(std::uint64_t seed, double drop = 0.3) {
-    fault_rule r;
-    r.reorder = 0.25;
-    r.drop = drop;
-    return fault_plan{seed, {r}};
+    return {seed, {{.reorder = 0.25, .drop = drop}}};
   }
 
   /// Everything at once: reorder, duplicate, delay, and drop.
   static fault_plan chaos(std::uint64_t seed) {
-    fault_rule r;
-    r.reorder = 0.5;
-    r.duplicate = 0.25;
-    r.delay = 0.25;
-    r.drop = 0.25;
-    return fault_plan{seed, {r}};
+    return {seed, {{.reorder = 0.5, .duplicate = 0.25, .delay = 0.25, .drop = 0.25}}};
   }
 
   /// Faults aimed only at the control plane (termination detection and
   /// collectives, message types named "dpg.*") — data traffic is clean.
   static fault_plan control_chaos(std::uint64_t seed) {
-    fault_rule r;
-    r.type_prefix = "dpg.";
-    r.reorder = 1.0;
-    r.duplicate = 0.25;
-    r.delay = 0.2;
-    r.drop = 0.25;
-    return fault_plan{seed, {r}};
+    return {seed,
+            {{.type_prefix = "dpg.", .reorder = 1.0, .duplicate = 0.25, .delay = 0.2,
+              .drop = 0.25}}};
   }
 };
 

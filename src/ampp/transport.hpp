@@ -1,7 +1,8 @@
 // The active-message transport: a from-scratch reimplementation of the
-// AM++ / Active Pebbles facilities the paper builds on (§I, §IV), running
-// over a simulated distributed machine (N ranks inside one process, one
-// SPMD thread per rank).
+// AM++ / Active Pebbles facilities the paper builds on (§I, §IV). Ranks are
+// SPMD threads of one process (the simulated machine) or one rank per
+// process over a real wire; envelopes cross one delivery backend
+// (backend.hpp) either way.
 //
 // Faithfulness notes:
 //  * Message types are statically typed; handlers are arbitrary functions
@@ -34,12 +35,13 @@
 #include <cstdint>
 #include <cstring>
 #include <deque>
+#include <exception>
 #include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <set>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <type_traits>
@@ -93,11 +95,9 @@ struct tuning_config {
   std::uint64_t seed = 42;
   /// Fault-injection plan: seeded, per-(src, dest, message-type) injection
   /// of envelope reorder, duplicate, delay, and drop-with-retry (see
-  /// fault.hpp). Active-message semantics promise nothing about delivery
-  /// order or timing, so every algorithm must survive any plan; tests use
-  /// plans to falsify accidental ordering/exactly-once assumptions (in the
-  /// library and in patterns alike). `fault_plan::scramble(seed)` is the
-  /// old `scramble_delivery = true`. Default: no faults, zero overhead.
+  /// fault.hpp), over any backend. Active-message semantics promise nothing
+  /// about delivery order or timing, so every algorithm must survive any
+  /// plan. Default: no faults, no decorator.
   fault_plan faults{};
 };
 
@@ -185,28 +185,6 @@ class wire_pool {
 
 namespace detail {
 
-class message_type_base;
-
-/// Type-erased dispatch table for one registered message type.
-struct message_vtable {
-  void (*dispatch)(message_type_base* self, transport_context& ctx, const std::byte* data,
-                   std::uint32_t count);
-  std::size_t payload_size;
-  message_type_base* self;
-};
-
-/// A coalesced batch of `count` payloads of one message type.
-struct envelope {
-  const message_vtable* vt = nullptr;
-  std::uint32_t count = 0;
-  std::vector<std::byte> bytes;
-  // Wire header used by the reliability layer (stamped only when a
-  // fault_plan is active): source rank and the per-(src, dest) sequence
-  // number that the receiver's dedup window keys on.
-  rank_t src = invalid_rank;
-  std::uint64_t seq = 0;
-};
-
 /// Base class for registered message types; the transport needs uniform
 /// access to buffered lanes for flushing during epochs.
 class message_type_base {
@@ -219,21 +197,21 @@ class message_type_base {
   /// locking.
   virtual void flush_rank(rank_t src) = 0;
 
-  /// True when rank `src` has nothing buffered for any destination. O(1):
-  /// a single occupancy-counter read, no lane locks, no cache scans.
-  virtual bool rank_buffers_empty(rank_t src) const = 0;
-
   /// Occupancy counter for rank `src`: buffered payloads + used reduction
-  /// slots across all of its lanes (the value rank_buffers_empty tests).
+  /// slots across all of its lanes. One relaxed read per lane, no locks.
   virtual std::int64_t rank_occupancy(rank_t src) const = 0;
+  /// True when rank `src` has nothing buffered for any destination.
+  bool rank_buffers_empty(rank_t src) const { return rank_occupancy(src) == 0; }
 
   /// Brute-force recount of rank_occupancy under the lane locks — the
   /// conservation oracle for tests; never on a hot path.
   virtual std::int64_t rank_occupancy_scan(rank_t src) const = 0;
 
-  /// Dispatch table for envelopes of this type — the cross-process receive
-  /// path rebuilds an envelope from a wire frame and needs the vtable the
-  /// in-process sender would have stamped.
+  /// Drops every buffered payload and cached slot (after an aborted run).
+  virtual void discard() = 0;
+
+  /// Dispatch table for envelopes of this type (the wire's receive path
+  /// rebuilds envelopes from frames with it).
   virtual const message_vtable* wire_vtable() const = 0;
   /// Bytes one payload occupies on the wire (sizeof(Payload), or the
   /// compact-layout stride): validates a frame's length against its count.
@@ -308,8 +286,6 @@ class message_type final : public detail::message_type_base {
   /// cached payload to the wire instead, so no distinct payload is lost.
   void enable_suppression(key_fn key, unsigned cache_bits = 10);
 
-  bool reduction_enabled() const { return reduce_.has_value(); }
-
   /// Installs a compact wire layout: only the given byte ranges of each
   /// payload travel inside envelopes; the receiver reassembles payloads
   /// with the dead bytes value-initialized (`Payload{}`). Ranges must be
@@ -319,9 +295,6 @@ class message_type final : public detail::message_type_base {
   /// reduction caches and address maps are unaffected. A layout covering
   /// the whole payload reverts to the plain memcpy path.
   void set_wire_layout(std::vector<wire_range> ranges);
-
-  /// Bytes one payload occupies on the wire under the current layout.
-  std::size_t wire_stride() const { return layout_.empty() ? sizeof(Payload) : wire_stride_; }
 
   /// Installs an envelope-batch handler: the receiver hands a whole
   /// envelope's payload bytes (`count` packed records) to `h` in one call
@@ -336,11 +309,11 @@ class message_type final : public detail::message_type_base {
   void set_batch_handler(batch_handler_fn h);
 
   void flush_rank(rank_t src) override;
-  bool rank_buffers_empty(rank_t src) const override;
   std::int64_t rank_occupancy(rank_t src) const override;
   std::int64_t rank_occupancy_scan(rank_t src) const override;
+  void discard() override;
   const detail::message_vtable* wire_vtable() const override { return &vt_; }
-  std::size_t wire_stride_bytes() const override { return wire_stride(); }
+  std::size_t wire_stride_bytes() const override { return wire_stride_; }
 
  private:
   friend class transport;
@@ -397,7 +370,6 @@ class message_type final : public detail::message_type_base {
   static void dispatch_thunk(detail::message_type_base* self, transport_context& ctx,
                              const std::byte* data, std::uint32_t count);
 
-  void flush_lane(rank_t src, rank_t dest);
   void flush_lane_locked(rank_t src, rank_t dest, lane& ln, bool spill_cache);
   /// Occupancy bookkeeping (call with the lane lock held): plain
   /// load+store, not fetch_add — writers are serialized by the lane lock,
@@ -411,7 +383,7 @@ class message_type final : public detail::message_type_base {
   std::deque<per_source> rows_;  // indexed by source rank (deque: lanes hold locks)
   detail::message_vtable vt_{};
   std::vector<wire_range> layout_;  ///< empty: full payloads travel
-  std::size_t wire_stride_ = sizeof(Payload);
+  std::size_t wire_stride_ = sizeof(Payload);  ///< bytes per payload on the wire
 };
 
 /// Per-rank view of the transport handed to the SPMD function and to
@@ -477,9 +449,24 @@ class transport_context {
   std::uint64_t td_round_ = 0;   ///< next termination-detection round to join
 };
 
+/// Thrown inside a run on every rank still waiting on the runtime once
+/// another rank (or handler thread) of the run failed; transport::run
+/// itself rethrows the original exception.
+class run_aborted : public std::runtime_error {
+ public:
+  explicit run_aborted(rank_t failed)
+      : std::runtime_error("run aborted: rank " + std::to_string(failed) + " failed"),
+        failed_(failed) {}
+  rank_t failed_rank() const noexcept { return failed_; }
+
+ private:
+  rank_t failed_;
+};
+
 /// The simulated distributed machine: N ranks, per-rank inboxes, a message
 /// type registry, and the control plane (termination detection,
-/// collectives) implemented with internal message types.
+/// collectives) implemented with internal message types. Envelopes travel
+/// through one delivery backend (backend.hpp).
 class transport {
  public:
   /// Preferred constructor: construction-time machine shape + runtime
@@ -503,13 +490,11 @@ class transport {
   /// True when this transport carries remote envelopes over a real wire
   /// (shm_ring / tcp): this process hosts exactly one rank and run()
   /// executes the SPMD function for that rank alone.
-  bool cross_process() const noexcept { return xproc_; }
+  bool cross_process() const noexcept { return cfg_.backend.cross_process(); }
   /// The rank this process hosts (0 in-process: every rank is local).
-  rank_t self_rank() const noexcept { return self_rank_; }
+  rank_t self_rank() const noexcept { return local_lo_; }
   /// Wire backend name for stats/bench metadata ("inproc" when in-process).
-  const char* backend_name() const noexcept {
-    return backend_ ? backend_->name() : "inproc";
-  }
+  const char* backend_name() const noexcept { return backend_->name(); }
 
   /// Stamps every outgoing cross-process frame with the graph's
   /// (version, structure_version) pair. Receivers reject frames whose stamp
@@ -539,17 +524,20 @@ class transport {
   /// Sender-side drains: work a rank holds back from the wire (a combining
   /// scatter's accumulator, pattern/action.hpp) that must reach its lanes
   /// before they are flushed. Every registered drain runs on the rank's own
-  /// thread at the start of each flush of all message types — the flush
-  /// that opens every termination-detection round and epoch::flush — and
-  /// may send, so what it releases is counted by that very round. Register
-  /// and remove between runs; the returned id names the drain for removal.
-  using drain_fn = std::function<void(transport_context&)>;
+  /// thread at the start of each flush of all message types (every TD round
+  /// and epoch::flush) and may send, so that round counts what it releases.
+  /// After an aborted run it is called per local rank with `discard` set
+  /// and drops what it holds. Register and remove between runs.
+  using drain_fn = std::function<void(transport_context&, bool discard)>;
   std::size_t add_drain(drain_fn fn);
   void remove_drain(std::size_t id);
 
-  /// Execute `f` as an SPMD program: one thread per rank, each receiving
-  /// its own transport_context. Blocks until all ranks return; rethrows the
-  /// first exception thrown by any rank. May be called repeatedly.
+  /// Execute `f` as an SPMD program: one thread per local rank, each
+  /// receiving its own transport_context. Blocks until all ranks return.
+  /// When a rank throws, every other rank waiting on the runtime unwinds
+  /// with run_aborted, whatever was in flight is discarded, and run
+  /// rethrows the first exception; the transport stays usable. May be
+  /// called repeatedly.
   void run(const std::function<void(transport_context&)>& f);
 
   /// The observability registry: the public measurement surface (counters
@@ -557,11 +545,6 @@ class transport {
   /// deltas, span tracing, Chrome trace export). See docs/runtime.md.
   obs::registry& obs() noexcept { return obs_; }
   const obs::registry& obs() const noexcept { return obs_; }
-
-  /// The raw cumulative counter blob (the registry's internal backing
-  /// store). Prefer obs() — manual snapshot-and-subtract is deprecated.
-  transport_stats& stats() noexcept { return obs_.core(); }
-  const transport_stats& stats() const noexcept { return obs_.core(); }
 
   /// Payloads delivered per message type, indexed by msg_type_id; for
   /// benchmark reporting.
@@ -582,117 +565,60 @@ class transport {
   template <class P>
   friend class message_type;
 
-  // ---- wire -------------------------------------------------------------
-
-  /// An envelope parked at its sender by the fault layer: either delayed
-  /// (released after its due tick) or dropped (the ack timeout fires at the
-  /// due tick and the envelope is retransmitted).
-  struct held_tx {
-    detail::envelope env;
-    rank_t dest = 0;
-    std::uint64_t due_tick = 0;
-    unsigned drops = 0;     ///< drop events so far (bounds the adversary)
-    bool is_retry = false;  ///< release is a retransmission, not a delay expiry
-  };
-
-  struct rank_state {
-    mutable std::mutex inbox_mu;
-    std::deque<detail::envelope> inbox;
-    /// Handlers currently executing on this rank (incremented under
-    /// inbox_mu before the envelope is popped, so "inbox empty and no
-    /// handler active" is an exact local-quiescence predicate).
-    std::atomic<int> active_handlers{0};
+  struct alignas(64) rank_state {  // aligned: ranks' hot counters share no line
     std::atomic<std::uint64_t> sent{0};      ///< user payloads this rank pushed out
     std::atomic<std::uint64_t> received{0};  ///< user payloads this rank handled
+    /// Next envelope sequence number per destination rank.
+    struct alignas(64) seq_slot { std::atomic<std::uint64_t> next{0}; };
+    std::vector<seq_slot> seq;
     // Control-plane mailboxes (written by handlers on this rank's thread).
     std::atomic<std::int64_t> td_result_round{-1};
     std::atomic<bool> td_result_done{false};
     std::atomic<std::uint64_t> coll_result_gen{0};
     std::array<std::byte, 56> coll_result_bytes{};
-
-    // ---- reliability layer (populated only when a fault_plan is active) --
-    /// Next wire sequence number per destination rank (sender side).
-    std::vector<std::atomic<std::uint64_t>> wire_seq;
-    /// Receive-side dedup window, one per source rank; guarded by inbox_mu.
-    /// Out-of-order arrivals are legal (reorder faults), so acceptance
-    /// tracks a contiguous frontier plus the set of accepted seqs ahead of
-    /// it; an arrival at or behind the frontier, or already in the set, is
-    /// a duplicate and is suppressed before dispatch.
-    struct dedup_window {
-      std::uint64_t next_expected = 0;
-      std::set<std::uint64_t> ahead;
-    };
-    std::vector<dedup_window> dedup;
-    /// Progress tick (advanced by every fault pump); delay releases and ack
-    /// timeouts are measured in these ticks.
-    std::atomic<std::uint64_t> fault_tick{0};
-    std::atomic<std::size_t> held_count{0};  ///< lock-free emptiness probe
-    std::mutex held_mu;
-    std::vector<held_tx> held;
-
   };
 
-  /// What one drain accomplished. `envelopes` counts every envelope
-  /// dispatched (control plane included) and gates yield decisions — a
-  /// helper that just processed a TD verdict made real progress even
-  /// though no user payload moved. `user_payloads` feeds the quiescence
-  /// predicates and the public drain()/poll_once() return values.
+  /// What one drain dispatched: `envelopes` (control plane included) gates
+  /// yielding; `user_payloads` feeds the quiescence predicates and the
+  /// public drain()/poll_once() return values.
   struct drain_result {
     std::size_t user_payloads = 0;
     std::size_t envelopes = 0;
   };
 
+  /// Stamps `env` and hands it to the backend: one call per envelope.
   void deliver(rank_t src, rank_t dest, detail::envelope env, std::uint32_t user_payloads);
-  /// Drains the wire backend: every frame currently readable becomes an
-  /// inbox envelope (validated against the type registry, topology stamp,
-  /// and per-source sequence) or an OOB blob. No-op in-process.
-  void poll_backend();
+  /// One backend poll for `ctx`'s rank, then dispatch from its inbox.
   drain_result drain_rank(transport_context& ctx, bool at_most_one);
+  /// The one progress loop of every wait in the runtime: drain `ctx`'s
+  /// inbox until `done(last drain)` holds, yielding after a drain that
+  /// dispatched nothing; throws run_aborted once another rank failed.
+  template <class Done>
+  void progress_until(transport_context& ctx, Done done, bool at_most_one = false);
+  /// Flush and drain until this rank is locally quiescent: nothing
+  /// buffered, nothing waiting in its inbox or the backend, no handler
+  /// running (td_round, epoch::flush).
+  void quiesce_local(transport_context& ctx);
   /// Runs the registered drains, then spills every lane of `ctx`'s rank.
   /// Called only on the rank's own thread (td_round, epoch::flush).
   void flush_all_types(transport_context& ctx);
-  bool all_buffers_empty(rank_t src) const;
   /// Nothing buffered in any outgoing lane or reduction cache of `r`: one
-  /// relaxed counter read per message type, no lane locks, no cache scans.
-  /// (Deliberately not a single transport-wide aggregate: that would put a
-  /// second atomic RMW on every send, and this probe only runs on the
-  /// TD/epoch idle spins where O(#types) loads are already noise.)
+  /// relaxed counter read per message type (a transport-wide aggregate
+  /// would put a second atomic RMW on every send).
   bool outbound_empty(rank_t r) const {
     for (const auto& mt : types_)
       if (mt->rank_occupancy(r) != 0) return false;
     return true;
   }
-  /// Envelope pool: recycled buffer (capacity intact) or a fresh one. The
-  /// pool may be shared with other transports (wire_pool).
-  std::vector<std::byte> pool_acquire(rank_t src);
-  /// Returns `bytes` to the pool shard of rank `r` (bounded; oversized
-  /// buffers freed).
-  void pool_release(rank_t r, std::vector<std::byte>&& bytes);
-  /// Inbox empty and no handler mid-flight (exact snapshot under inbox_mu).
+  /// Inbox empty and no handler mid-flight (exact snapshot under its lock).
   bool locally_quiet(rank_t r) const;
-
-  // ---- fault injection / reliability --------------------------------------
-  /// Run one envelope through the fault pipeline (delay → drop → duplicate
-  /// → reorder placement) and enqueue whatever survives. `fresh` is false
-  /// for releases from the held queue (a released envelope is never delayed
-  /// again, so a delay probability of 1.0 cannot livelock).
-  void transmit(rank_t src, rank_t dest, detail::envelope env, unsigned drops, bool fresh);
-  /// Insert into the destination inbox: back (FIFO) or, on a reorder
-  /// decision, at a deterministic pseudo-random position.
-  void enqueue_wire(rank_t src, rank_t dest, const fault_rule* rule, detail::envelope env,
-                    std::uint64_t attempt);
-  void hold_envelope(rank_t src, rank_t dest, detail::envelope env, std::uint64_t due_tick,
-                     unsigned drops, bool is_retry);
-  /// Advance rank `r`'s progress tick and retransmit/release every held
-  /// envelope whose due tick has passed. Called from every flush and drain.
-  void pump_faults(rank_t r);
-  /// True iff the envelope is not a duplicate (caller holds rs.inbox_mu).
-  bool dedup_accept(rank_state& rs, const detail::envelope& env);
-  bool fault_held_empty(rank_t r) const;
-  /// Post-run residual quiesce for one rank: pump the held queue to empty
-  /// (retransmitting as needed) so no other rank waits forever on a parked
-  /// control-plane envelope, then drain what arrived meanwhile.
-  void quiesce_residual(transport_context& ctx);
+  /// Runs `body` as local rank `r`; a throw records the run's failure.
+  template <class Body>
+  void guarded(rank_t r, Body body);
+  /// After an aborted run: drops everything in flight (inboxes, backend,
+  /// lanes, drains' pending work, collectives) and restarts the TD and
+  /// sequence counters, so the next run terminates.
+  void discard_in_flight();
 
   // ---- control plane ------------------------------------------------------
   // These payloads cross the backend seam (TD reports/verdicts and
@@ -757,31 +683,22 @@ class transport {
                                        std::function<void(transport_context&, const Payload&)> h);
 
   transport_config cfg_;
+  /// The ranks whose SPMD function runs in this process: every rank
+  /// in-process, the hosted rank across processes.
+  rank_t local_lo_ = 0, local_hi_ = 0;
   std::vector<std::unique_ptr<detail::message_type_base>> types_;
   std::vector<drain_fn> drains_;  ///< indexed by add_drain id; removed ones are empty
   std::vector<rank_state> ranks_;
+  detail::inbox_set inboxes_;
   std::shared_ptr<wire_pool> pool_;  ///< envelope buffers, possibly shared
   obs::registry obs_;
+  topology_stamp stamp_;
   bool running_ = false;
-  bool faults_active_ = false;  ///< cfg_.faults.active(), hoisted off hot paths
-  std::uint64_t fault_seed_ = 0;  ///< transport seed mixed with the plan seed
-
-  // ---- cross-process wire (null/unused for the in-process backend) --------
-  std::unique_ptr<wire_backend> backend_;
-  bool xproc_ = false;       ///< backend_ != nullptr, hoisted off hot paths
-  rank_t self_rank_ = 0;     ///< the one rank this process hosts when xproc_
-  /// Next outgoing frame sequence per destination (senders may be the SPMD
-  /// thread and helper threads concurrently).
-  std::vector<std::atomic<std::uint64_t>> xsend_seq_;
-  /// Expected incoming frame sequence per source. Written only inside the
-  /// backend's serialized poll, so plain integers suffice.
-  std::vector<std::uint64_t> xrecv_seq_;
-  /// Topology stamp applied to outgoing frames / checked on incoming ones.
-  std::uint64_t topo_version_ = 0, topo_structure_version_ = 0;
-  /// Out-of-band blob stash: (generation, bytes) per source rank.
-  std::mutex oob_mu_;
-  std::vector<std::deque<std::pair<std::uint64_t, std::vector<std::byte>>>> oob_in_;
-  std::uint64_t oob_gen_ = 0;  ///< exchange_blobs call counter (SPMD order)
+  /// The first failure of the current run and the rank it happened on
+  /// (invalid_rank: none; read lock-free by every progress loop).
+  std::mutex err_mu_;
+  std::exception_ptr first_error_;
+  std::atomic<rank_t> failed_rank_{invalid_rank};
 
   td_coordinator td_;
   coll_coordinator coll_;
@@ -789,6 +706,8 @@ class transport {
   message_type<td_result_t>* mt_td_result_ = nullptr;
   message_type<coll_contrib_t>* mt_coll_contrib_ = nullptr;
   message_type<coll_result_t>* mt_coll_result_ = nullptr;
+  /// Declared last: destroyed first, while what it references still lives.
+  std::unique_ptr<envelope_backend> backend_;
 };
 
 // ===========================================================================
@@ -932,13 +851,6 @@ void message_type<Payload>::enable_suppression(key_fn key, unsigned cache_bits) 
 }
 
 template <class Payload>
-void message_type<Payload>::flush_lane(rank_t src, rank_t dest) {
-  lane& ln = rows_[src].lanes[dest];
-  std::lock_guard<dpg::spinlock> lane_guard(ln.mu);
-  flush_lane_locked(src, dest, ln, /*spill_cache=*/true);
-}
-
-template <class Payload>
 void message_type<Payload>::note_occupancy(lane& ln, std::int64_t delta) {
   ln.occupancy.store(ln.occupancy.load(std::memory_order_relaxed) + delta,
                      std::memory_order_relaxed);
@@ -970,7 +882,8 @@ void message_type<Payload>::flush_lane_locked(rank_t src, rank_t dest, lane& ln,
   detail::envelope env;
   env.vt = &vt_;
   env.count = count;
-  env.bytes = tp_->pool_acquire(src);
+  env.bytes = tp_->pool_->acquire(src);
+  if (env.bytes.capacity() != 0) core.pool_reuses.fetch_add(1, std::memory_order_relaxed);
   if (layout_.empty()) {
     env.bytes.resize(ln.buf.size() * sizeof(Payload));
     std::memcpy(env.bytes.data(), ln.buf.data(), env.bytes.size());
@@ -1006,19 +919,30 @@ void message_type<Payload>::flush_rank(rank_t src) {
   for (rank_t d = 0; d < n_lanes; ++d) {
     // A clean lane (zero occupancy) is skipped without taking its lock —
     // the common case on TD idle spins, where no lane holds anything.
-    if (row.lanes[d].occupancy.load(std::memory_order_relaxed) == 0) {
+    lane& ln = row.lanes[d];
+    if (ln.occupancy.load(std::memory_order_relaxed) == 0) {
       ++skipped;
       continue;
     }
-    flush_lane(src, d);
+    std::lock_guard<dpg::spinlock> lane_guard(ln.mu);
+    flush_lane_locked(src, d, ln, /*spill_cache=*/true);
   }
   if (skipped != 0)
     tp_->obs_.core().flush_lane_skips.fetch_add(skipped, std::memory_order_relaxed);
 }
 
 template <class Payload>
-bool message_type<Payload>::rank_buffers_empty(rank_t src) const {
-  return rank_occupancy(src) == 0;
+void message_type<Payload>::discard() {
+  for (per_source& row : rows_)
+    for (lane& ln : row.lanes) {
+      std::lock_guard<dpg::spinlock> lane_guard(ln.mu);
+      ln.buf.clear();
+      for (const std::uint32_t idx : ln.used_list) ln.cache[idx].used = false;
+      ln.used_list.clear();
+      ln.used_slots = 0;
+      ln.hits = ln.evictions = 0;
+      ln.occupancy.store(0, std::memory_order_relaxed);
+    }
 }
 
 template <class Payload>

@@ -1,4 +1,4 @@
-// The on-wire format of the transport backend seam (ISSUE 8).
+// The on-wire format of the cross-process wire backends.
 //
 // Everything that crosses a process boundary is framed explicitly here:
 // a fixed-width, padding-free `wire_header` in front of every envelope's
@@ -63,10 +63,8 @@ constexpr std::uint32_t wire_name_hash(std::string_view name) noexcept {
   return h;
 }
 
-/// The explicit on-wire envelope header (satellite: the old cross-process
-/// delivery assumed same-process type layout; this header is what makes
-/// the assumption checkable). Fixed-width fields only, no implicit
-/// padding; 56 bytes on every ABI we compile for.
+/// The explicit on-wire envelope header. Fixed-width fields only, no
+/// implicit padding; 56 bytes on every ABI we compile for.
 struct wire_header {
   std::uint32_t magic = wire_magic;
   std::uint16_t version = wire_format_version;
@@ -79,10 +77,10 @@ struct wire_header {
   std::uint32_t src = 0;            ///< sending rank
   std::uint32_t pad0 = 0;           ///< explicit padding (keeps seq 8-aligned)
   std::uint64_t seq = 0;            ///< per-(src,dest) wire sequence / OOB generation
-  /// Topology stamp (satellite: single-writer topology across processes).
-  /// 0 = unstamped; a nonzero stamp must match the receiver's stamp exactly
-  /// or the frame is rejected — a stale-version envelope fails loudly
-  /// rather than scattering into a resized pmap.
+  /// Topology stamp (single-writer topology across processes): it must
+  /// match the receiver's stamp exactly or the frame is rejected — a
+  /// stale-version envelope fails loudly rather than scattering into a
+  /// resized pmap.
   std::uint64_t topo_version = 0;
   std::uint64_t structure_version = 0;
 };

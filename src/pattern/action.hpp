@@ -1009,7 +1009,8 @@ class instantiated_action final : public action_instance {
           // which the transport runs before every full flush.
           if (kCombine && use_reduce_) {
             acc_ = std::vector<sum_accumulator>(tp_->size());
-            drain_id_ = tp_->add_drain([this](ampp::transport_context& ctx) { drain(ctx); });
+            drain_id_ = tp_->add_drain(
+                [this](ampp::transport_context& ctx, bool discard) { drain(ctx, discard); });
           }
         }
         return;
@@ -1177,16 +1178,17 @@ class instantiated_action final : public action_instance {
   /// The folds are published in bulk: as sends absorbed by a sender-side
   /// reduction (cache_hits), and as firings — each folded contribution is
   /// one, as it would be uncombined — so modifications() still counts
-  /// every contribution.
-  void drain(ampp::transport_context& ctx) {
+  /// every contribution. `discard` (after an aborted run) drops the sums.
+  void drain(ampp::transport_context& ctx, bool discard) {
     if constexpr (kCombine) {
       sum_accumulator& a = acc_[ctx.rank()];
       if (a.order.empty()) return;
       for (const graph::vertex_id t : a.order) {
         a.touched[t] = 0;
-        fast_msg_->send(ctx, g_->owner(t), fast_rec{t, a.sum[t]});
+        if (!discard) fast_msg_->send(ctx, g_->owner(t), fast_rec{t, a.sum[t]});
       }
       a.order.clear();
+      if (discard) a.folds = 0;
       if (a.folds != 0) {
         tp_->obs().core().cache_hits.fetch_add(a.folds, std::memory_order_relaxed);
         mods_[ctx.rank()].n.fetch_add(std::exchange(a.folds, 0), std::memory_order_relaxed);

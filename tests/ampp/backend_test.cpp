@@ -62,7 +62,7 @@ std::vector<std::unique_ptr<wire_backend>> make_machine(backend_config::kind_t k
   std::vector<std::future<std::unique_ptr<wire_backend>>> futs;
   for (rank_t r = 0; r < n_ranks; ++r)
     futs.push_back(std::async(std::launch::async, [=] {
-      return make_backend(make_cfg(kind, r, channel, ring_bytes), n_ranks);
+      return make_wire(make_cfg(kind, r, channel, ring_bytes), n_ranks);
     }));
   std::vector<std::unique_ptr<wire_backend>> out;
   for (auto& f : futs) out.push_back(f.get());
@@ -193,8 +193,8 @@ TEST(ShmRingBackend, GeometryMismatchIsRejected) {
   backend_config cfg0 = make_cfg(backend_config::kind_t::shm_ring, 0, channel, 1u << 15);
   cfg0.attach_timeout_ms = 1500;  // rank 0 can only fail by attach timeout
   backend_config cfg1 = make_cfg(backend_config::kind_t::shm_ring, 1, channel, 1u << 14);
-  auto f0 = std::async(std::launch::async, [&] { return make_backend(cfg0, 2); });
-  auto f1 = std::async(std::launch::async, [&] { return make_backend(cfg1, 2); });
+  auto f0 = std::async(std::launch::async, [&] { return make_wire(cfg0, 2); });
+  auto f1 = std::async(std::launch::async, [&] { return make_wire(cfg1, 2); });
   EXPECT_THROW(f1.get(), wire_error);
   // Rank 0 times out waiting for rank 1's attach — also an error, never a
   // half-attached machine.
@@ -247,7 +247,7 @@ TEST(TcpBackend, HandshakeVersionMismatchIsRejected) {
   const std::uint32_t channel = next_test_channel();
   const backend_config cfg0 = make_cfg(backend_config::kind_t::tcp, 0, channel);
   auto f0 = std::async(std::launch::async,
-                       [&] { return make_backend(cfg0, 2); });
+                       [&] { return make_wire(cfg0, 2); });
   const std::uint16_t port =
       static_cast<std::uint16_t>(cfg0.base_port + channel * 2 + 0);
   ::sockaddr_in addr{};

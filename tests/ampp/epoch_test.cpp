@@ -55,7 +55,7 @@ TEST(Epoch, EmptyEpochTerminates) {
   tp.run([&](transport_context& ctx) {
     epoch ep(ctx);  // nobody sends anything
   });
-  EXPECT_GE(tp.stats().epochs.load(), 1u);
+  EXPECT_GE(tp.obs().core().epochs.load(), 1u);
 }
 
 TEST(Epoch, SequentialEpochsAreIsolated) {
@@ -186,14 +186,14 @@ TEST(Epoch, FlushRankIdempotent) {
     epoch ep(ctx);
     for (int i = 0; i < 10; ++i) mt.send(ctx, 0, token{0, 0});
     ep.flush();
-    const std::uint64_t sent_1 = tp.stats().messages_sent.load();
+    const std::uint64_t sent_1 = tp.obs().core().messages_sent.load();
     const std::uint64_t handled_1 = handled.load();
     EXPECT_EQ(handled_1, 10u);
     ep.flush();  // double flush: no pending work, nothing may move
-    EXPECT_EQ(tp.stats().messages_sent.load(), sent_1);
+    EXPECT_EQ(tp.obs().core().messages_sent.load(), sent_1);
     EXPECT_EQ(handled.load(), handled_1);
     mt.flush_rank(0);  // ditto for the raw per-type flush
-    EXPECT_EQ(tp.stats().messages_sent.load(), sent_1);
+    EXPECT_EQ(tp.obs().core().messages_sent.load(), sent_1);
   });
   EXPECT_EQ(handled.load(), 10u);
 }
@@ -214,7 +214,7 @@ TEST(Epoch, DoubleFlushNeverDuplicatesDelivery) {
     mt.flush_rank(ctx.rank());
   });
   EXPECT_EQ(handled.load(), 10u * kRanks);
-  EXPECT_EQ(tp.stats().messages_sent.load(), 10u * kRanks);
+  EXPECT_EQ(tp.obs().core().messages_sent.load(), 10u * kRanks);
 }
 
 TEST(Epoch, ReentryAfterEmptyRound) {
@@ -244,7 +244,7 @@ TEST(Epoch, ReentryAfterEmptyRound) {
     }
   });
   EXPECT_EQ(handled.load(), 5u);
-  EXPECT_GE(tp.stats().epochs.load(), 3u);
+  EXPECT_GE(tp.obs().core().epochs.load(), 3u);
 }
 
 // --- Occupancy-counter conservation (the O(1) quiescence fast path) -------
@@ -287,7 +287,7 @@ TEST(Epoch, OccupancyTracksReductionCache) {
                       /*cache_bits=*/2);  // 4 slots: tiny, to force evictions
   tp.run([&](transport_context& ctx) {
     epoch ep(ctx);
-    const auto evictions = [&] { return tp.stats().cache_evictions.load(); };
+    const auto evictions = [&] { return tp.obs().core().cache_evictions.load(); };
     const std::uint64_t ev0 = evictions();
     mt.send(ctx, 0, token{1, 10});  // fresh slot: occupancy 1
     EXPECT_EQ(mt.rank_occupancy(0), 1);
@@ -324,18 +324,18 @@ TEST(Epoch, DirtyLaneFlushSkipsCleanLanes) {
   tp.run([&](transport_context& ctx) {
     epoch ep(ctx);
     if (ctx.rank() == 0) {
-      const std::uint64_t skips0 = tp.stats().flush_lane_skips.load();
-      const std::uint64_t visits0 = tp.stats().flush_lane_visits.load();
+      const std::uint64_t skips0 = tp.obs().core().flush_lane_skips.load();
+      const std::uint64_t visits0 = tp.obs().core().flush_lane_visits.load();
       mt.send(ctx, 1, token{0, 0});
       mt.flush_rank(0);
-      const std::uint64_t visited = tp.stats().flush_lane_visits.load() - visits0;
+      const std::uint64_t visited = tp.obs().core().flush_lane_visits.load() - visits0;
       EXPECT_EQ(visited, 1u);  // only the 0->1 lane was locked
-      EXPECT_GE(tp.stats().flush_lane_skips.load() - skips0, kRanks - 1u);
-      const std::uint64_t skips1 = tp.stats().flush_lane_skips.load();
-      const std::uint64_t visits1 = tp.stats().flush_lane_visits.load();
+      EXPECT_GE(tp.obs().core().flush_lane_skips.load() - skips0, kRanks - 1u);
+      const std::uint64_t skips1 = tp.obs().core().flush_lane_skips.load();
+      const std::uint64_t visits1 = tp.obs().core().flush_lane_visits.load();
       mt.flush_rank(0);  // nothing pending: occupancy short-circuits
-      EXPECT_EQ(tp.stats().flush_lane_visits.load(), visits1);
-      EXPECT_EQ(tp.stats().flush_lane_skips.load() - skips1, kRanks);
+      EXPECT_EQ(tp.obs().core().flush_lane_visits.load(), visits1);
+      EXPECT_EQ(tp.obs().core().flush_lane_skips.load() - skips1, kRanks);
       measured.store(true, std::memory_order_release);
     } else {
       while (!measured.load(std::memory_order_acquire)) std::this_thread::yield();
@@ -360,8 +360,8 @@ TEST(Epoch, EnvelopePoolRecyclesBuffers) {
     }
   });
   EXPECT_EQ(handled.load(), 30u);
-  EXPECT_GT(tp.stats().pool_reuses.load(), 0u);
-  EXPECT_LE(tp.stats().pool_reuses.load(), tp.stats().envelopes_sent.load());
+  EXPECT_GT(tp.obs().core().pool_reuses.load(), 0u);
+  EXPECT_LE(tp.obs().core().pool_reuses.load(), tp.obs().core().envelopes_sent.load());
 }
 
 TEST(Epoch, OccupancyConsistentAfterCascades) {
@@ -387,7 +387,7 @@ TEST(Epoch, OccupancyConsistentAfterCascades) {
     EXPECT_EQ(mt.rank_occupancy_scan(r), 0) << "rank " << r;
     EXPECT_TRUE(mt.rank_buffers_empty(r)) << "rank " << r;
   }
-  EXPECT_LE(tp.stats().envelopes_sent.load(), tp.stats().flush_lane_visits.load());
+  EXPECT_LE(tp.obs().core().envelopes_sent.load(), tp.obs().core().flush_lane_visits.load());
 }
 
 }  // namespace

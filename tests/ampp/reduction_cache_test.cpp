@@ -53,9 +53,9 @@ TEST_F(ReductionCacheTest, MinReductionPreservesSemantics) {
   // Minimum distance sent for vertex v is 1000-i at the largest i with
   // i%10==v, i.e. i = 990+v, so dist = 10-v.
   for (std::uint64_t v = 0; v < 10; ++v) EXPECT_EQ(best[v], 10 - v);
-  EXPECT_GT(tp.stats().cache_hits.load(), 900u);
+  EXPECT_GT(tp.obs().core().cache_hits.load(), 900u);
   // Far fewer handler invocations than the 1000 logical sends.
-  EXPECT_LT(tp.stats().handler_invocations.load(), 100u);
+  EXPECT_LT(tp.obs().core().handler_invocations.load(), 100u);
 }
 
 TEST_F(ReductionCacheTest, EvictionSpillsRatherThanDrops) {
@@ -77,7 +77,7 @@ TEST_F(ReductionCacheTest, EvictionSpillsRatherThanDrops) {
   });
   // Every distinct key must arrive exactly once (no two sends share a key).
   EXPECT_EQ(delivered.load(), kKeys);
-  EXPECT_GT(tp.stats().cache_evictions.load(), 0u);
+  EXPECT_GT(tp.obs().core().cache_evictions.load(), 0u);
 }
 
 TEST_F(ReductionCacheTest, CombineRespectsTieBreaking) {
@@ -99,7 +99,7 @@ TEST_F(ReductionCacheTest, CombineRespectsTieBreaking) {
       for (int i = 0; i < 100; ++i) mt.send(ctx, 1, relax_msg{7, 3});
   });
   EXPECT_EQ(delivered.load(), 1u);
-  EXPECT_EQ(tp.stats().cache_hits.load(), 99u);
+  EXPECT_EQ(tp.obs().core().cache_hits.load(), 99u);
 }
 
 TEST_F(ReductionCacheTest, FlushOnEpochEndDeliversCachedEntries) {
@@ -141,8 +141,8 @@ TEST_F(ReductionCacheTest, SuppressionDropsOnlyExactRepeats) {
   });
   ASSERT_EQ(seen.size(), 50u);  // no distinct payload lost
   for (const auto& [v, n] : seen) EXPECT_EQ(n, 1) << "v=" << v;
-  EXPECT_EQ(tp.stats().cache_hits.load(), 100u);
-  EXPECT_EQ(tp.stats().cache_evictions.load(), 49u);
+  EXPECT_EQ(tp.obs().core().cache_hits.load(), 100u);
+  EXPECT_EQ(tp.obs().core().cache_evictions.load(), 49u);
 }
 
 TEST_F(ReductionCacheTest, WithoutReductionAllMessagesDeliver) {
@@ -156,7 +156,7 @@ TEST_F(ReductionCacheTest, WithoutReductionAllMessagesDeliver) {
       for (int i = 0; i < 100; ++i) mt.send(ctx, 1, relax_msg{7, 3});
   });
   EXPECT_EQ(delivered.load(), 100u);
-  EXPECT_EQ(tp.stats().cache_hits.load(), 0u);
+  EXPECT_EQ(tp.obs().core().cache_hits.load(), 0u);
 }
 
 }  // namespace

@@ -30,9 +30,9 @@ TEST(Transport, SingleRankSelfDelivery) {
     for (std::uint64_t i = 1; i <= 100; ++i) mt.send(ctx, 0, ping{i, 0});
   });
   EXPECT_EQ(sum.load(), 5050u);
-  EXPECT_EQ(tp.stats().messages_sent.load(), 100u);
-  EXPECT_EQ(tp.stats().handler_invocations.load(), 100u);
-  EXPECT_EQ(tp.stats().self_deliveries.load(), 100u);
+  EXPECT_EQ(tp.obs().core().messages_sent.load(), 100u);
+  EXPECT_EQ(tp.obs().core().handler_invocations.load(), 100u);
+  EXPECT_EQ(tp.obs().core().self_deliveries.load(), 100u);
 }
 
 TEST(Transport, AllToAllDelivery) {
@@ -52,7 +52,7 @@ TEST(Transport, AllToAllDelivery) {
   });
   for (rank_t r = 0; r < kRanks; ++r)
     EXPECT_EQ(received[r].load(), static_cast<std::uint64_t>(kRanks) * kPerPair);
-  EXPECT_EQ(tp.stats().messages_sent.load(),
+  EXPECT_EQ(tp.obs().core().messages_sent.load(),
             static_cast<std::uint64_t>(kRanks) * kRanks * kPerPair);
 }
 
@@ -106,12 +106,12 @@ TEST(Transport, CoalescingReducesEnvelopes) {
     if (ctx.rank() == 0)
       for (int i = 0; i < 1000; ++i) mt.send(ctx, 1, ping{1, 1});
   });
-  EXPECT_EQ(tp.stats().messages_sent.load(), 1000u);
+  EXPECT_EQ(tp.obs().core().messages_sent.load(), 1000u);
   //
 
   // envelopes_sent includes control-plane envelopes (TD reports/results), so
   // bound rather than match exactly: data envelopes = ceil(1000/64) = 16.
-  EXPECT_LT(tp.stats().envelopes_sent.load(), 16 + 40u);
+  EXPECT_LT(tp.obs().core().envelopes_sent.load(), 16 + 40u);
 }
 
 TEST(Transport, NoCoalescingDeliversEagerly) {

@@ -1,8 +1,9 @@
-// Cross-backend equivalence sweep (ISSUE 8): the same algorithm on the
+// Cross-backend equivalence sweep: the same algorithm on the
 // same graph must reach the identical fixed point whether the machine is
 //   * the classic in-process N-thread simulator (clean or under any of the
 //     four fault plans), or
-//   * N real processes over a shared-memory ring wire, or
+//   * N real processes over a shared-memory ring wire (clean, or with the
+//     lossy and chaos plans injected above the wire), or
 //   * N real processes over a TCP-loopback wire.
 //
 // The oracle and every grid point run through one binary — tools/rankproc
@@ -102,11 +103,11 @@ std::string run_inproc(unsigned ranks, const std::string& algo, std::uint64_t se
 /// rank 0's result hash.
 std::string run_cross(const std::string& backend, unsigned ranks,
                       const std::string& algo, std::uint64_t seed,
-                      const std::string& extra = "") {
+                      const std::string& extra = "", const std::string& plan = "none") {
   const launch_ids ids = next_launch_ids();
   std::vector<proc> procs(ranks);
   for (unsigned r = 0; r < ranks; ++r)
-    procs[r] = launch(rankproc_cmd(backend, ranks, r, algo, seed, ids, "none", extra));
+    procs[r] = launch(rankproc_cmd(backend, ranks, r, algo, seed, ids, plan, extra));
   bool ok = true;
   for (unsigned r = 0; r < ranks; ++r) {
     const int rc = reap(procs[r]);
@@ -138,6 +139,14 @@ TEST_P(BackendSweep, FixedPointsMatchAcrossWires) {
       SCOPED_TRACE(std::string("backend=") + backend);
       EXPECT_EQ(run_cross(backend, ranks, algo, seed), oracle)
           << "cross-process fixed point diverged from the in-process oracle";
+    }
+    // The fault decorator over a real wire: drops, retries, duplicates and
+    // reordering injected above the shm ring must be as invisible as they
+    // are in-process.
+    for (const char* plan : {"lossy", "chaos"}) {
+      SCOPED_TRACE(std::string("backend=shm plan=") + plan);
+      EXPECT_EQ(run_cross("shm", ranks, algo, seed, "", plan), oracle)
+          << "a fault plan over the shm wire perturbed the fixed point";
     }
   }
 }

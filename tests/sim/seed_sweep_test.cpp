@@ -192,7 +192,7 @@ TEST(SeedSweep, SsspMutateThenRepair) {
     distributed_graph g(kN, sim_edges(seed, false), distribution::cyclic(kN, ranks));
     auto weight = sim_weights(g);
     ampp::transport tp(sim_config(ranks, seed, ps));
-    g.attach_stats(tp.stats());
+    g.attach_stats(tp.obs().core());
     algo::sssp_solver solver(tp, g, weight);
     tp.run([&](ampp::transport_context& ctx) { solver.run_fixed_point(ctx, 0); });
 

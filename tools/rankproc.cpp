@@ -1,4 +1,4 @@
-// One rank process of a cross-process machine (ISSUE 8).
+// One rank process of a cross-process machine.
 //
 // rankproc hosts exactly one rank of an N-rank machine over a real wire
 // backend (shm ring or TCP), runs one algorithm on the shared sim-suite
@@ -6,8 +6,8 @@
 // scripts/run_ranks.sh; tests/sim/backend_sweep_test.cpp forks the full
 // matrix and compares hashes bit-for-bit against the in-process oracle
 // (`--backend inproc`, which runs the classic N-threads-one-process
-// machine — optionally under a fault plan — through the same hashing
-// path, so the comparison exercises one code path end to end).
+// machine through the same hashing path, so the comparison exercises one
+// code path end to end). Any backend may run under a fault plan (`--plan`).
 //
 // The graph is the sim suite's: erdos_renyi(96, 480) from substream 1 of
 // the seed, cyclic distribution, deterministic edge weights. Identical
@@ -45,7 +45,7 @@ struct options {
   std::uint16_t base_port = 29700;
   std::string algo = "sssp";
   std::uint64_t seed = 1;
-  std::string plan = "none";  // inproc only: fault plan name
+  std::string plan = "none";  // fault plan name
   double delta = 0;           // sssp: Δ-stepping width; 0 runs the fixed point
 };
 
@@ -54,7 +54,7 @@ struct options {
   std::cerr << "usage: rankproc --backend inproc|shm|tcp --ranks N [--rank R]\n"
                "                [--session S] [--base-port P] [--plan NAME]\n"
                "                --algo sssp|bfs|cc [--seed X] [--delta D]\n"
-               "  --plan (inproc only): none|scramble|lossy|chaos|control_chaos\n"
+               "  --plan: none|scramble|lossy|chaos|control_chaos\n"
                "  --delta (sssp only): solve by coordinated Δ-stepping of width D\n";
   std::exit(2);
 }
@@ -102,8 +102,6 @@ options parse(int argc, char** argv) {
   if (o.rank >= o.ranks) usage("--rank out of range");
   if (o.algo != "sssp" && o.algo != "bfs" && o.algo != "cc") usage("unknown --algo");
   if (o.delta != 0 && o.algo != "sssp") usage("--delta applies to --algo sssp");
-  if (o.plan != "none" && o.kind != ampp::backend_config::kind_t::inproc)
-    usage("fault plans are an in-process-only instrument");
   return o;
 }
 
