@@ -13,7 +13,17 @@ cmake --preset werror >/dev/null
 cmake --build --preset werror -j "$JOBS"
 # --timeout everywhere: a hang (a rank waiting forever on a peer) fails
 # its test instead of stalling the pipeline.
+# The suite must not leak shared-memory segments: every /dev/shm/dpg_*
+# name present afterwards must have been there before it ran.
+shm_segments() { ls -1 /dev/shm 2>/dev/null | grep '^dpg_' | sort || true; }
+shm_before="$(shm_segments)"
 ctest --test-dir build-werror --output-on-failure --timeout 240 -j "$JOBS"
+shm_leaked="$(comm -13 <(printf '%s\n' "$shm_before") <(shm_segments) | grep . || true)"
+if [ -n "$shm_leaked" ]; then
+  echo "shm leak check FAILED: the suite left these /dev/shm segments:"
+  echo "$shm_leaked"
+  exit 1
+fi
 
 echo "=== pattern translator smoke ==="
 # The text front end as users run it: every shipped pattern file and the

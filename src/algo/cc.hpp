@@ -15,9 +15,11 @@
 // pairs, and a union-find over it gives each root its component's smallest
 // root, chg[r].
 //
-// Phase 3 — rewrite, the paper's cc_jump applied with the `once` strategy
-// in a loop (Fig. 3 lines 14–17): pnt[v] jumps to chg[pnt[v]] while that
-// is better — a pointer-chase pattern (v → pnt[v] → back to v).
+// Phase 3 — rewrite, the paper's cc_jump (Fig. 3 lines 14–17): pnt[v]
+// jumps to chg[pnt[v]] when that is better — a pointer-chase pattern
+// (v → pnt[v] → back to v). The paper loops `once` until nothing changes;
+// here chg already maps every root to its final label, so one `once`
+// reaches the fixed point (see resolve_and_rewrite).
 #pragma once
 
 #include <algorithm>
@@ -41,8 +43,7 @@ class cc_solver {
   /// shares an envelope pool with other transports — under the serving
   /// layer, with every concurrent session context.
   cc_solver(const graph::distributed_graph& g, ampp::transport_config cfg,
-            std::shared_ptr<ampp::wire_pool> pool = nullptr,
-            pattern::compile_options copts = {})
+            std::shared_ptr<ampp::wire_pool> pool = nullptr)
       : g_(&g),
         tp_(cfg, std::move(pool)),
         pnt_(g, graph::invalid_vertex),
@@ -60,12 +61,10 @@ class cc_solver {
                     when(P(trg(e_)) == lit(graph::invalid_vertex), assign(P(trg(e_)), P(v_))),
                     // Claimed by another search: record the collision (else-if,
                     // so this only fires for a *different* root).
-                    when(P(trg(e_)) != P(v_), insert(F(trg(e_)), P(v_)))),
-        copts);
+                    when(P(trg(e_)) != P(v_), insert(F(trg(e_)), P(v_)))));
     jump_ = instantiate(tp_, g, locks_,
                         make_action("cc.jump", no_generator{},
-                                    when(C(P(v_)) < P(v_), assign(P(v_), C(P(v_))))),
-                        copts);
+                                    when(C(P(v_)) < P(v_), assign(P(v_), C(P(v_))))));
   }
 
   /// Runs the full pipeline. `flush_between_seeds` reproduces the
@@ -84,6 +83,8 @@ class cc_solver {
   std::uint64_t searches_seeded() const { return seeds_; }
   /// Distinct root pairs the searches recorded colliding.
   std::uint64_t conflict_pairs() const { return conflicts_; }
+  /// Rounds of the rewrite that changed a label: 1, or 0 when no two
+  /// searches met.
   int jump_rounds() const { return jump_rounds_; }
   std::uint64_t search_messages() const { return search_stats_.core.messages_sent; }
   /// Transport counters of the last search phase.
@@ -181,8 +182,7 @@ class cc_solver {
   /// Union-find over the root pairs, kept in chg_ itself (chg[x] = x for
   /// every vertex no pair names): each union links the larger root under
   /// the smaller, so every root ends labelled with its set's smallest root.
-  /// Then the rewrite, Fig. 3 lines 14-17: cc_jump with `once` until
-  /// nothing changes.
+  /// Then the rewrite, Fig. 3 lines 14-17: cc_jump with `once`.
   void resolve_and_rewrite(const std::vector<graph::edge>& pairs) {
     conflicts_ = pairs.size();
     for (vertex_id x = 0; x < g_->num_vertices(); ++x) chg_[x] = x;
@@ -196,12 +196,19 @@ class cc_solver {
     }
     for (const graph::edge& e : pairs) chg_[e.src] = find(e.src), chg_[e.dst] = find(e.dst);
 
+    // One round is the fixed point. After the final pass above, chg_ maps
+    // every named root straight to its set's root f, and chg_[f] == f
+    // (chg_[x] == x for every other vertex). Every pnt[v] is a search
+    // root r, so the jump sets pnt[v] = chg[r] = f, and a second round
+    // would read chg[f] == f, which is not below f: it cannot change pnt.
+    // The paper's loop (once_until_quiet) would only confirm the first
+    // round.
     std::atomic<int> rounds{0};
     tp_.run([&](ampp::transport_context& ctx) {
       std::vector<vertex_id> mine;
       strategy::for_each_local_vertex(ctx, *g_, [&](vertex_id v) { mine.push_back(v); });
-      const strategy::result jr = strategy::once_until_quiet(ctx, *jump_, mine);
-      if (ctx.rank() == 0) rounds = static_cast<int>(jr.rounds);
+      const strategy::result jr = strategy::once(ctx, *jump_, mine);
+      if (ctx.rank() == 0) rounds = jr.changed() ? 1 : 0;
     });
     jump_rounds_ = rounds.load();
   }

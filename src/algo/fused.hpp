@@ -66,7 +66,6 @@ class fused_triple_solver {
   using fused_ptr = decltype(pattern::fuse(
       std::declval<ampp::transport&>(),
       std::declval<const graph::distributed_graph&>(),
-      std::declval<pattern::compile_options>(),
       detail::sssp_def(std::declval<pmap::vertex_property_map<double>&>(),
                std::declval<pmap::edge_property_map<double>&>()),
       detail::widest_def(std::declval<pmap::vertex_property_map<double>&>(),
@@ -85,19 +84,17 @@ class fused_triple_solver {
 
   /// Registers the fused message family with `tp`. Construct before
   /// transport::run; `g`, `weight`, and `capacity` must outlive the
-  /// solver. Of `copts`, only fast_reduction applies: it switches the
-  /// fused lane's sender-side combining cache (the fused family is itself
-  /// the fast path).
+  /// solver. The fused lane and each solo lane combine same-target
+  /// candidates on the sender.
   fused_triple_solver(ampp::transport& tp, const graph::distributed_graph& g,
                       pmap::edge_property_map<double>& weight,
-                      pmap::edge_property_map<double>& capacity,
-                      pattern::compile_options copts = {})
+                      pmap::edge_property_map<double>& capacity)
       : g_(&g),
         unreachable_(g.num_vertices()),
         dist_(g, infinity),
         width_(g, 0.0),
         depth_(g, unreachable_),
-        fused_(pattern::fuse(tp, g, copts, detail::sssp_def(dist_, weight),
+        fused_(pattern::fuse(tp, g, detail::sssp_def(dist_, weight),
                              detail::widest_def(width_, capacity), detail::bfs_def(depth_))) {}
 
   /// Collective: resets all three maps and solves the three analytics to

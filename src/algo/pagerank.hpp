@@ -6,9 +6,7 @@
 // 16-byte {target, share} record of the scatter kernel
 // (pattern/action.hpp, detail::scatter_shape); because the update is a
 // sum, each rank folds its contributions per remote target and sends one
-// record per distinct target per sweep. compile_options::fast_reduction =
-// off sends one record per remote edge; fast_path = off keeps the general
-// gather path.
+// record per distinct target per sweep.
 #pragma once
 
 #include <memory>
@@ -22,8 +20,7 @@ using graph::vertex_id;
 
 class pagerank_solver {
  public:
-  pagerank_solver(ampp::transport& tp, const graph::distributed_graph& g,
-                  pattern::compile_options opts = {})
+  pagerank_solver(ampp::transport& tp, const graph::distributed_graph& g)
       : g_(&g),
         rank_(g, 0.0),
         next_(g, 0.0),
@@ -36,8 +33,7 @@ class pagerank_solver {
         tp, g, locks_,
         make_action("pr.scatter", out_edges_gen{},
                     // Always fires: add the sender's per-edge share.
-                    when(lit(true), add(next(trg(e_)), share(v_)))),
-        opts);
+                    when(lit(true), add(next(trg(e_)), share(v_)))));
   }
 
   /// Collective: `iterations` damped power-iteration rounds.

@@ -28,14 +28,13 @@ namespace dpg::algo {
 
 /// Everything a session factory needs: the shared graph and weights, the
 /// split transport knobs (machine topology vs tuning), the shared envelope
-/// pool, and the plan/strategy options applied to every session.
+/// pool, and the strategy options applied to every session.
 struct session_env {
   const graph::distributed_graph* g = nullptr;
   pmap::edge_property_map<double>* weights = nullptr;  ///< sssp only
   ampp::machine_config machine{};
   ampp::tuning_config tuning{};
   std::shared_ptr<ampp::wire_pool> pool;  ///< may be null (per-session pools)
-  pattern::compile_options copts{};
   strategy::options sopts{};
 };
 
@@ -74,8 +73,7 @@ class sssp_session final : public serve::solver_session {
       : solver_session(serve::algorithm::sssp, graph::snapshot_view(*env.g)),
         env_(env),
         tp_(env.machine, env.tuning, env.pool),
-        solver_(tp_, *env.g, *env.weights, pmap::lock_scheme::per_vertex,
-                env.copts) {}
+        solver_(tp_, *env.g, *env.weights) {}
 
   serve::session_result run(const serve::query_params& p) override {
     snap_.refresh();
@@ -204,7 +202,7 @@ class cc_session final : public serve::solver_session {
         g_(env.g),
         solver_(*env.g,
                 ampp::transport_config::join(env.machine, env.tuning),
-                env.pool, env.copts) {}
+                env.pool) {}
 
   serve::session_result run(const serve::query_params&) override {
     snap_.refresh();

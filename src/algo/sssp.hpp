@@ -27,14 +27,11 @@ class sssp_solver {
   static constexpr double infinity = std::numeric_limits<double>::infinity();
 
   /// Registers the relax action's message types with `tp`. Construct before
-  /// transport::run; `g` and `weight` must outlive the solver. `copts`
-  /// controls plan compilation (fast-path / compact-wire toggles) — the
-  /// default resolves from the environment; tests and sweeps pass explicit
-  /// toggles to force both code paths.
+  /// transport::run; `g` and `weight` must outlive the solver. The relax
+  /// compiles to the 16-byte relax record with a sender-side min cache.
   sssp_solver(ampp::transport& tp, const graph::distributed_graph& g,
               pmap::edge_property_map<double>& weight,
-              pmap::lock_scheme locking = pmap::lock_scheme::per_vertex,
-              pattern::compile_options copts = {})
+              pmap::lock_scheme locking = pmap::lock_scheme::per_vertex)
       : g_(&g),
         dist_(g, infinity),
         locks_(g.dist(), locking),
@@ -45,8 +42,7 @@ class sssp_solver {
     relax_ = instantiate(tp, g, locks_,
                          make_action("sssp.relax", out_edges_gen{},
                                      when(d(trg(e_)) > d(v_) + w(e_),
-                                          assign(d(trg(e_)), d(v_) + w(e_)))),
-                         copts);
+                                          assign(d(trg(e_)), d(v_) + w(e_)))));
   }
 
   /// Collective: resets distances and solves from `source` with the

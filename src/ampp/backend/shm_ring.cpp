@@ -145,26 +145,35 @@ shm_ring_backend::shm_ring_backend(const backend_config& cfg, rank_t n_ranks,
   ::close(fd);
   if (base_ == MAP_FAILED) {
     base_ = nullptr;
-    if (creator_) ::shm_unlink(shm_name_.c_str());
+    release();
     throw wire_error("shm backend: mmap failed");
   }
   map_len_ = len;
+  // The destructor does not run for a constructor that throws, so every
+  // failure from here on (misalignment, init or attach timeout, geometry or
+  // handshake mismatch) releases the segment itself: no rank leaves its
+  // mapping, and rank 0 leaves no name in /dev/shm.
+  try {
+    join_segment(channel);
+  } catch (...) {
+    release();
+    throw;
+  }
+}
+
+void shm_ring_backend::join_segment(std::uint32_t channel) {
   // Every ring must sit on its 64-byte alignment: the atomics in
   // ring_header are accessed through a pointer of that type, and a
   // misaligned one is undefined behaviour (and splits cache lines).
   for (rank_t s = 0; s < n_ranks_; ++s)
     for (rank_t d = 0; d < n_ranks_; ++d)
-      if (reinterpret_cast<std::uintptr_t>(ring_at(s, d)) % kRingAlign != 0) {
-        ::munmap(base_, map_len_);
-        base_ = nullptr;
-        if (creator_) ::shm_unlink(shm_name_.c_str());
+      if (reinterpret_cast<std::uintptr_t>(ring_at(s, d)) % kRingAlign != 0)
         throw wire_error("shm backend: ring (" + std::to_string(s) + "," +
                          std::to_string(d) + ") is not 64-byte aligned in the segment");
-      }
 
   auto* seg = static_cast<segment_header*>(base_);
   if (creator_) {
-    std::memset(base_, 0, len);
+    std::memset(base_, 0, map_len_);
     seg->hs = wire_handshake{.src_rank = 0, .n_ranks = n_ranks_, .channel = channel};
     seg->seg_magic = kSegMagic;
     seg->ring_bytes = ring_bytes_;
@@ -201,8 +210,11 @@ shm_ring_backend::shm_ring_backend(const backend_config& cfg, rank_t n_ranks,
   }
 }
 
-shm_ring_backend::~shm_ring_backend() {
+shm_ring_backend::~shm_ring_backend() { release(); }
+
+void shm_ring_backend::release() noexcept {
   if (base_) ::munmap(base_, map_len_);
+  base_ = nullptr;
   // The creator unlinks; attached peers keep their mapping valid until
   // their own munmap regardless (POSIX shm semantics).
   if (creator_) ::shm_unlink(shm_name_.c_str());

@@ -39,6 +39,11 @@ class shm_ring_backend final : public wire_backend {
   struct ring;  // layout in shm_ring.cpp
 
   ring* ring_at(rank_t src, rank_t dest) const;
+  /// Initializes (rank 0) or validates (other ranks) the mapped segment,
+  /// then waits at the attach barrier. Throws wire_error.
+  void join_segment(std::uint32_t channel);
+  /// Unmaps the segment; rank 0 also unlinks it.
+  void release() noexcept;
   void push_frame(ring& r, const wire_header& h, const std::byte* payload);
 
   rank_t self_ = 0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <exception>
+#include <stdexcept>
 #include <thread>
 
 #include "ampp/epoch.hpp"
@@ -28,6 +29,15 @@ class handler_scope {
  private:
   bool prev_;
 };
+
+/// Refuses a machine the transport cannot build. Runs first in the member
+/// initializers, before any rank state, pool or backend exists.
+transport_config checked(transport_config cfg) {
+  if (cfg.n_ranks == 0) throw std::invalid_argument("transport needs at least one rank");
+  if (cfg.coalescing_size == 0)
+    throw std::invalid_argument("transport: coalescing_size must be positive");
+  return cfg;
+}
 }  // namespace
 
 rank_t current_rank() noexcept { return tl_current_rank; }
@@ -54,13 +64,11 @@ transport::transport(machine_config machine, tuning_config tuning,
     : transport(transport_config::join(machine, tuning), std::move(pool)) {}
 
 transport::transport(transport_config cfg, std::shared_ptr<wire_pool> pool)
-    : cfg_(std::move(cfg)),
+    : cfg_(checked(std::move(cfg))),
       ranks_(cfg_.n_ranks),
       inboxes_(cfg_.n_ranks),
       pool_(pool != nullptr ? std::move(pool)
                             : std::make_shared<wire_pool>(cfg_.n_ranks)) {
-  DPG_ASSERT_MSG(cfg_.n_ranks >= 1, "transport needs at least one rank");
-  DPG_ASSERT_MSG(cfg_.coalescing_size >= 1, "coalescing size must be positive");
   for (rank_state& rs : ranks_) rs.seq = std::vector<rank_state::seq_slot>(cfg_.n_ranks);
   local_lo_ = cross_process() ? cfg_.backend.self_rank : 0;
   local_hi_ = cross_process() ? local_lo_ + 1 : cfg_.n_ranks;

@@ -262,6 +262,18 @@ struct update_cmp : std::true_type {
   }
 };
 
+/// The merge rule of a sender-side cache over a compare-and-update lane:
+/// whether candidate `b` beats `a` under the min- (or max-) update. A NaN
+/// candidate never wins, so the cache stays monotone.
+template <bool Min, class T>
+bool b_wins(const T& a, const T& b) {
+  if constexpr (std::is_floating_point_v<T>) {
+    if (b != b) return false;
+    if (a != a) return true;
+  }
+  return update_cmp<Min>::cmp(a, b);
+}
+
 /// Matches `when(target OP other, assign(target, other))` shapes where the
 /// comparison justifies a CAS loop. `cmp(cur, proposed)` returns whether
 /// the update should be applied against the current value.
@@ -647,24 +659,6 @@ constexpr unsigned whens_needs() {
 }  // namespace detail
 
 // ---------------------------------------------------------------------------
-// Compilation options
-// ---------------------------------------------------------------------------
-
-/// Per-instantiation switches over the plan compiler. On (the default), an
-/// optimization engages wherever its shape matches; off runs the general
-/// path, which tests use to compare results bit-for-bit.
-struct compile_options {
-  bool fast_path = true;     ///< single-locality relax/scatter/claim kernels
-  bool compact_wire = true;  ///< truncated per-hop wire payloads
-  /// AM++-style sender-side cache on the fast lane: same-target relax
-  /// candidates merge under the action's own monotone comparator before
-  /// they reach an envelope (min for SSSP/BFS shapes, max for widest path);
-  /// exact repeats of a claim record are dropped; the contributions of an
-  /// `add` scatter sum into one record per remote target.
-  bool fast_reduction = true;
-};
-
-// ---------------------------------------------------------------------------
 // Instantiated action implementation
 // ---------------------------------------------------------------------------
 
@@ -672,12 +666,11 @@ template <class Gen, class... Whens>
 class instantiated_action final : public action_instance {
  public:
   instantiated_action(ampp::transport& tp, const graph::distributed_graph& g,
-                      pmap::lock_map& locks, action_def<Gen, Whens...> def,
-                      compile_options opts = {})
+                      pmap::lock_map& locks, action_def<Gen, Whens...> def)
       : tp_(&tp), g_(&g), locks_(&locks), gen_(def.gen) {
     name_ = std::move(def.name);
     init_rank_state(tp.size());
-    build(def, opts);
+    build(def);
     register_messages();
   }
 
@@ -772,7 +765,7 @@ class instantiated_action final : public action_instance {
 
   // ---- plan construction --------------------------------------------------
 
-  void build(action_def<Gen, Whens...>& def, const compile_options& opts) {
+  void build(action_def<Gen, Whens...>& def) {
     plan_builder<Gen> pb;
     detail::compile_ctx cx;
 
@@ -877,25 +870,22 @@ class instantiated_action final : public action_instance {
         claim_set_pm_ = ins.target.pm;
         claim_sentinel_ = static_cast<typename fshape::value_type>(w0.cond.rhs.value);
       }
-      use_fast_ = guard_holds && opts.fast_path;
+      use_fast_ = guard_holds;
       fast_local_ = merged_;  // v-homed target: apply in place, no message
       fast_dep_ = when_dep_[0];
       // Under polling progress only the owner's thread touches its shard;
       // helper threads may commit records for one vertex concurrently.
       locked_commit_ = tp_->config().handler_threads > 0;
-      // What makes the sender-side cache sound: the relax shape's
-      // monotone comparator, the claim's idempotent insert, or a scatter
-      // declared a sum.
-      use_reduce_ = sender_reduces(use_fast_, fast_local_,
-                                   (kRelax || kClaim || kCombine) && opts.fast_reduction);
     }
-    use_compact_ = opts.compact_wire;
 
     info.atomic_path = atomic_ok_;
     info.fast_path = use_fast_;
     info.claim = use_fast_ && kClaim;
-    info.fast_reduction = use_reduce_;
-    gp.report_wires(use_fast_, sizeof(fast_rec), use_compact_);
+    // What makes the sender-side cache sound: the relax shape's monotone
+    // comparator, the claim's idempotent insert, or a scatter declared a
+    // sum.
+    info.fast_reduction = sender_reduces(use_fast_, fast_local_, kRelax || kClaim || kCombine);
+    gp.report_wires(use_fast_, sizeof(fast_rec));
     plan_ = std::move(info);
     wire_layouts_ = std::move(gp.wires);
   }
@@ -974,7 +964,7 @@ class instantiated_action final : public action_instance {
                      std::uint32_t n) { fast_envelope(ctx, data, n); });
           // Claim records are idempotent at the receiver (a repeat finds
           // P(t) set and X already in F(t)), so an exact repeat is dropped.
-          if (kClaim && use_reduce_)
+          if constexpr (kClaim)
             fast_msg_->enable_suppression([](const fast_rec& r) {
               return (static_cast<std::uint64_t>(r.loc) << 32) ^
                      static_cast<std::uint64_t>(r.val);
@@ -984,30 +974,16 @@ class instantiated_action final : public action_instance {
           // before they reach an envelope. Sound because the slot moves
           // monotonically: the losing proposal of a pair can never win a
           // CAS the surviving proposal would lose.
-          if (kRelax && use_reduce_)
+          if constexpr (kRelax)
             fast_msg_->enable_reduction(
-                [](const fast_rec& r) {
-                  return static_cast<std::uint64_t>(r.loc);
-                },
+                [](const fast_rec& r) { return static_cast<std::uint64_t>(r.loc); },
                 [](const fast_rec& a, const fast_rec& b) {
-                  using VT = typename fshape::value_type;
-                  bool b_wins;
-                  if constexpr (fshape::min_update)
-                    b_wins = b.val < a.val;
-                  else
-                    b_wins = a.val < b.val;
-                  if constexpr (std::is_floating_point_v<VT>) {
-                    // A NaN candidate never beats anything; prefer the
-                    // other record so the cache stays monotone.
-                    if (b.val != b.val) b_wins = false;
-                    else if (a.val != a.val) b_wins = true;
-                  }
-                  return b_wins ? b : a;
+                  return detail::b_wins<fshape::min_update>(a.val, b.val) ? b : a;
                 });
           // Combining scatter: contributions fold into the rank's
           // accumulator (fast_apply) and reach this lane at the drain,
           // which the transport runs before every full flush.
-          if (kCombine && use_reduce_) {
+          if constexpr (kCombine) {
             acc_ = std::vector<sum_accumulator>(tp_->size());
             drain_id_ = tp_->add_drain(
                 [this](ampp::transport_context& ctx, bool discard) { drain(ctx, discard); });
@@ -1033,7 +1009,7 @@ class instantiated_action final : public action_instance {
           // Auto-generated address map: extract the destination vertex from
           // the payload, ask the graph for its owner (§IV-D).
           [g, loc](const gather_state& s) { return g->owner(loc(s)); }));
-      if (use_compact_ && !wire_layouts_[k - 1].empty())
+      if (!wire_layouts_[k - 1].empty())
         hop_msgs_.back()->set_wire_layout(wire_layouts_[k - 1]);
     }
     if (!merged_) {
@@ -1045,7 +1021,7 @@ class instantiated_action final : public action_instance {
             run_final(ctx, copy);
           },
           [g, loc](const gather_state& s) { return g->owner(loc(s)); });
-      if (use_compact_ && !wire_layouts_.back().empty())
+      if (!wire_layouts_.back().empty())
         final_msg_->set_wire_layout(wire_layouts_.back());
     }
   }
@@ -1094,7 +1070,7 @@ class instantiated_action final : public action_instance {
       // made inside a TD round's drain-and-dispatch loop would escape that
       // round's report. Everywhere else the record is sent at once.
       if constexpr (kCombine) {
-        if (use_reduce_ && !t.nested && !ampp::in_handler()) {
+        if (!acc_.empty() && !t.nested && !ampp::in_handler()) {
           sum_accumulator& a = acc_[ctx.rank()];
           const graph::vertex_id n = g_->num_vertices();
           if (a.touched.size() < n) {
@@ -1349,7 +1325,7 @@ class instantiated_action final : public action_instance {
   bool value_reads_target_ = false;
   std::function<bool(gather_state&)> atomic_exec_;
 
-  // Single-locality fast path (engaged when kFastShape and not disabled).
+  // Single-locality fast path (engaged when kFastShape and its guard can fire).
   typename fshape::pm_type* fast_pm_ = nullptr;
   std::optional<fast_idx_fn_t> fast_idx_;
   std::optional<fast_val_fn_t> fast_val_;
@@ -1366,11 +1342,9 @@ class instantiated_action final : public action_instance {
   bool use_fast_ = false;
   bool fast_local_ = false;
   bool fast_dep_ = false;
-  bool use_reduce_ = false;  ///< sender-side cache or accumulator on the fast lane
-  std::vector<sum_accumulator> acc_;    ///< combining scatter: one per rank
+  std::vector<sum_accumulator> acc_;    ///< combining scatter with a lane: one per rank
   std::optional<std::size_t> drain_id_;  ///< the accumulator's transport drain
 
-  bool use_compact_ = false;
   /// Truncated layouts per wire: gather wires in hop order, then the
   /// evaluate wire when the final stage is not merged.
   std::vector<std::vector<ampp::wire_range>> wire_layouts_;
@@ -1388,9 +1362,8 @@ class instantiated_action final : public action_instance {
 template <class Gen, class... Whens>
 std::unique_ptr<instantiated_action<Gen, Whens...>> instantiate(
     ampp::transport& tp, const graph::distributed_graph& g, pmap::lock_map& locks,
-    action_def<Gen, Whens...> def, compile_options opts = {}) {
-  return std::make_unique<instantiated_action<Gen, Whens...>>(tp, g, locks,
-                                                              std::move(def), opts);
+    action_def<Gen, Whens...> def) {
+  return std::make_unique<instantiated_action<Gen, Whens...>>(tp, g, locks, std::move(def));
 }
 
 }  // namespace dpg::pattern

@@ -1,7 +1,7 @@
 // Multi-pattern fusion (§II-A relax shapes, N at a time): run several
 // analytics in one traversal wave with a fused wire format.
 //
-// `pattern::fuse(tp, g, opts, defs...)` takes N single-when action
+// `pattern::fuse(tp, g, defs...)` takes N single-when action
 // definitions over the same graph whose generator/locality shape matches
 // (each compiles to the single-locality fast record — see
 // detail::fast_shape) and synthesizes ONE fused message family for the
@@ -158,11 +158,10 @@ class fused_action final : public action_instance {
   static_assert(sizeof(fused_rec) == sizeof(graph::vertex_id) + kMembers * 8);
 
   fused_action(ampp::transport& tp, const graph::distributed_graph& g,
-               std::tuple<action_def<Gen, Whens>...> defs,
-               compile_options opts = {})
+               std::tuple<action_def<Gen, Whens>...> defs)
       : tp_(&tp), g_(&g) {
     init_rank_state(tp.size());
-    build(defs, opts);
+    build(defs);
     register_messages();
   }
 
@@ -233,7 +232,7 @@ class fused_action final : public action_instance {
 
   // ---- plan construction --------------------------------------------------
 
-  void build(std::tuple<action_def<Gen, Whens>...>& defs, compile_options opts) {
+  void build(std::tuple<action_def<Gen, Whens>...>& defs) {
     [&]<std::size_t... I>(std::index_sequence<I...>) {
       ((build_member<I>(std::get<I>(defs))), ...);
     }(std::index_sequence_for<Whens...>{});
@@ -241,11 +240,6 @@ class fused_action final : public action_instance {
     name_ = member_names_[0];
     for (std::size_t i = 1; i < member_names_.size(); ++i)
       name_ += "+" + member_names_[i];
-
-    // The fused family is itself the fast path; the fast_path /
-    // compact_wire toggles have no general plan to fall back to here, so
-    // only the reduction toggle applies.
-    use_reduce_ = opts.fast_reduction;
 
     std::vector<ampp::fused_slot> slots;
     [&]<std::size_t... I>(std::index_sequence<I...>) {
@@ -264,7 +258,7 @@ class fused_action final : public action_instance {
     plan_.atomic_path = true;
     plan_.conditions = static_cast<int>(kMembers);
     plan_.fast_path = true;
-    plan_.fast_reduction = use_reduce_;
+    plan_.fast_reduction = true;
     plan_.hop_localities = {"v"};
     plan_.hop_reads = {0};
     plan_.final_locality = "trg(e)";
@@ -333,17 +327,16 @@ class fused_action final : public action_instance {
     // merge slot by slot under each member's own comparator (sentinels
     // never win), so candidates from different waves coalesce into one
     // record even when different members produced them.
-    if (use_reduce_)
-      fused_msg_->enable_reduction(
-          [](const fused_rec& r) { return static_cast<std::uint64_t>(r.loc); },
-          [](const fused_rec& a, const fused_rec& b) {
-            fused_rec out;
-            out.loc = a.loc;
-            [&]<std::size_t... I>(std::index_sequence<I...>) {
-              ((out.val[I] = better_bits<I>(a.val[I], b.val[I])), ...);
-            }(std::index_sequence_for<Whens...>{});
-            return out;
-          });
+    fused_msg_->enable_reduction(
+        [](const fused_rec& r) { return static_cast<std::uint64_t>(r.loc); },
+        [](const fused_rec& a, const fused_rec& b) {
+          fused_rec out;
+          out.loc = a.loc;
+          [&]<std::size_t... I>(std::index_sequence<I...>) {
+            ((out.val[I] = better_bits<I>(a.val[I], b.val[I])), ...);
+          }(std::index_sequence_for<Whens...>{});
+          return out;
+        });
     [&]<std::size_t... I>(std::index_sequence<I...>) {
       ((register_solo<I>()), ...);
     }(std::index_sequence_for<Whens...>{});
@@ -361,17 +354,11 @@ class fused_action final : public action_instance {
           solo_handle<I>(ctx, r);
         },
         [g](const solo_rec& r) { return g->owner(r.loc); });
-    if (use_reduce_)
-      m.solo_msg->enable_reduction(
-          [](const solo_rec& r) { return static_cast<std::uint64_t>(r.loc); },
-          [](const solo_rec& a, const solo_rec& b) {
-            const std::uint64_t best =
-                better_bits<I>(std::bit_cast<std::uint64_t>(a.val),
-                               std::bit_cast<std::uint64_t>(b.val));
-            solo_rec out = a;
-            out.val = std::bit_cast<typename M::value_type>(best);
-            return out;
-          });
+    m.solo_msg->enable_reduction(
+        [](const solo_rec& r) { return static_cast<std::uint64_t>(r.loc); },
+        [](const solo_rec& a, const solo_rec& b) {
+          return detail::b_wins<shape_t<I>::min_update>(a.val, b.val) ? b : a;
+        });
   }
 
   /// The better of two member-I value bit patterns under the member's
@@ -379,18 +366,9 @@ class fused_action final : public action_instance {
   template <std::size_t I>
   static std::uint64_t better_bits(std::uint64_t ab, std::uint64_t bb) {
     using VT = typename shape_t<I>::value_type;
-    const VT a = std::bit_cast<VT>(ab);
-    const VT b = std::bit_cast<VT>(bb);
-    bool b_wins;
-    if constexpr (shape_t<I>::min_update)
-      b_wins = b < a;
-    else
-      b_wins = a < b;
-    if constexpr (std::is_floating_point_v<VT>) {
-      if (b != b) b_wins = false;
-      else if (a != a) b_wins = true;
-    }
-    return b_wins ? bb : ab;
+    return detail::b_wins<shape_t<I>::min_update>(std::bit_cast<VT>(ab), std::bit_cast<VT>(bb))
+               ? bb
+               : ab;
   }
 
   // ---- generation ----------------------------------------------------------
@@ -572,7 +550,6 @@ class fused_action final : public action_instance {
   ampp::fused_layout layout_;
   ampp::message_type<fused_rec>* fused_msg_ = nullptr;
   std::string fused_label_;
-  bool use_reduce_ = false;
 };
 
 // ---------------------------------------------------------------------------
@@ -586,10 +563,9 @@ class fused_action final : public action_instance {
 /// returned object must outlive all runs that use it.
 template <class Gen, class... Whens>
 std::unique_ptr<fused_action<Gen, Whens...>> fuse(
-    ampp::transport& tp, const graph::distributed_graph& g, compile_options opts,
-    action_def<Gen, Whens>... defs) {
+    ampp::transport& tp, const graph::distributed_graph& g, action_def<Gen, Whens>... defs) {
   return std::make_unique<fused_action<Gen, Whens...>>(
-      tp, g, std::tuple<action_def<Gen, Whens>...>{std::move(defs)...}, opts);
+      tp, g, std::tuple<action_def<Gen, Whens>...>{std::move(defs)...});
 }
 
 /// Renders a fused plan: the packed wire layout (shared addressing bytes,
@@ -597,14 +573,10 @@ std::unique_ptr<fused_action<Gen, Whens...>> fuse(
 /// and fixed-point sharing summary — the fusion analogue of explain().
 template <class Gen, class... Whens>
 std::string explain_fused(const fused_action<Gen, Whens...>& a) {
-  const plan_info& p = a.plan();
   std::string out = a.layout().describe(a.name());
   out += "  group dispatch: fused lane for multi-member waves, per-member solo "
          "lanes for single-member tails\n";
-  out += std::string("  sender reduction: ") +
-         (p.fast_reduction ? "elementwise combining cache on the fused lane"
-                           : "off") +
-         "\n";
+  out += "  sender reduction: elementwise combining cache on the fused lane\n";
   out += "  fixed point: one epoch loop, one termination detection for " +
          std::to_string(sizeof...(Whens)) + " members\n";
   return out;

@@ -528,7 +528,7 @@ class analyzer {
       if (read_pmaps_.count(wp)) p.has_dependencies = true;
     choose_kernel(p);
     // A compiled record is the destination vertex plus an 8-byte value.
-    gp.report_wires(p.fast_path, sizeof(vertex_id) + kSlot, true);
+    gp.report_wires(p.fast_path, sizeof(vertex_id) + kSlot);
     return analyzed_action{std::move(p), act_.name};
   }
 

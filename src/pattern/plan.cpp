@@ -140,7 +140,7 @@ gather_plan plan_gather(const plan_request& req) {
   return out;
 }
 
-void gather_plan::report_wires(bool fast, std::size_t record_bytes, bool compact) {
+void gather_plan::report_wires(bool fast, std::size_t record_bytes) {
   info.wire_bytes.clear();
   if (fast) {
     if (!info.final_merged) info.wire_bytes.push_back(record_bytes);
@@ -149,7 +149,7 @@ void gather_plan::report_wires(bool fast, std::size_t record_bytes, bool compact
   for (const auto& layout : wires) {
     std::size_t b = 0;
     for (const auto& r : layout) b += r.len;
-    info.wire_bytes.push_back(compact ? b : sizeof(gather_state));
+    info.wire_bytes.push_back(b);
   }
 }
 

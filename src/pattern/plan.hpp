@@ -104,7 +104,6 @@ struct plan_info {
   /// Bytes each synthesized message carries on the wire, in send order:
   /// gather wires first (into hop 1, hop 2, …), then the evaluate message
   /// when the final stage is not merged. Empty for fully local actions.
-  /// Reflects the compact layout when it is enabled, else full payloads.
   std::vector<std::size_t> wire_bytes;
 
   int messages_per_application() const {
@@ -143,9 +142,8 @@ struct gather_plan {
   std::vector<std::vector<ampp::wire_range>> wires;
 
   /// Fills info.wire_bytes: one `record_bytes` record for a compiled
-  /// kernel (none when it is merged at v), else each wire's compact layout
-  /// or, with `compact` off, the full gather_state.
-  void report_wires(bool fast, std::size_t record_bytes, bool compact);
+  /// kernel (none when it is merged at v), else each wire's compact layout.
+  void report_wires(bool fast, std::size_t record_bytes);
 };
 
 /// Partitions the reads into gather hops and final (synchronized) reads,

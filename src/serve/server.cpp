@@ -75,6 +75,23 @@ void validate_removals(const graph::distributed_graph& g,
   }
 }
 
+/// Refuses a configuration the server cannot serve. Runs first in the
+/// member initializers, before any pool, cache or session exists.
+const server_config& checked(const server_config& cfg) {
+  // The serving layer's topology gate (topo_mu_) and snapshot_view::refresh
+  // assume a mutation is visible process-wide the moment apply_edges
+  // releases the exclusive lock — true only when every rank lives in this
+  // process. Cross-process serving needs a single-writer topology protocol
+  // (the envelope header's version/structure-version stamp is the enforcing
+  // half; see docs/runtime.md "Transport backends"), which the server does
+  // not yet implement — so refuse instead of serving stale shards.
+  if (cfg.machine.backend.cross_process())
+    throw std::invalid_argument(
+        "serve::server requires the in-process backend: its topology gate "
+        "assumes process-wide visibility of mutations");
+  return cfg;
+}
+
 }  // namespace
 
 /// One in-flight solve followers merge onto: the leader fills `result` and
@@ -91,26 +108,15 @@ server::server(graph::distributed_graph& g,
                pmap::edge_property_map<double>& weights, server_config cfg)
     : g_(&g),
       weights_(&weights),
-      cfg_(cfg),
+      cfg_(checked(cfg)),
       wire_pool_(std::make_shared<ampp::wire_pool>(cfg.machine.n_ranks)),
       cache_(cfg.cache_capacity) {
-  // The serving layer's topology gate (topo_mu_) and snapshot_view::refresh
-  // assume a mutation is visible process-wide the moment apply_edges
-  // releases the exclusive lock — true only when every rank lives in this
-  // process. Cross-process serving needs a single-writer topology protocol
-  // (the envelope header's version/structure-version stamp is the enforcing
-  // half; see docs/runtime.md "Transport backends"), which the server does
-  // not yet implement — so refuse loudly instead of serving stale shards.
-  DPG_ASSERT_MSG(!cfg_.machine.backend.cross_process(),
-                 "serve::server requires the in-process backend: its topology gate "
-                 "assumes process-wide visibility of mutations");
   algo::session_env env;
   env.g = g_;
   env.weights = weights_;
   env.machine = cfg_.machine;
   env.tuning = cfg_.tuning;
   env.pool = wire_pool_;
-  env.copts = cfg_.copts;
   env.sopts = cfg_.sopts;
   pool_ = std::make_unique<session_pool>(
       [env](algorithm a) { return algo::make_solver_session(a, env); },

@@ -53,7 +53,6 @@ struct server_config {
   ampp::tuning_config tuning{};    ///< runtime knobs shared by every session
   std::size_t max_warm_sessions = 2;  ///< warm pool depth per algorithm
   std::size_t cache_capacity = 1024;
-  pattern::compile_options copts{};
   strategy::options sopts{};
 };
 

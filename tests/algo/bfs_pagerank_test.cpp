@@ -73,38 +73,30 @@ TEST(PageRank, MatchesSequentialPowerIteration) {
     ASSERT_NEAR(pr.ranks()[v], oracle[v], 1e-12) << "v=" << v;
 }
 
-TEST(PageRank, ScatterKernelMatchesGeneralPath) {
-  // The unconditional scatter compiles to the 16-byte scatter record; with
-  // the fast path off the same pattern takes the general gather path.
-  // Both must land on the sequential ranks, and on each other.
+TEST(PageRank, ScatterKernelMatchesSequentialRanks) {
+  // The unconditional scatter compiles to the 16-byte scatter record and
+  // lands on the sequential ranks.
   const vertex_id n = 300;
   const auto edges = graph::erdos_renyi(n, 2400, 9);
   distributed_graph g(n, edges, distribution::cyclic(n, 4));
   const auto oracle = pagerank(g, 0.85, 20);
   ampp::transport tp(ampp::transport_config{.n_ranks = 4});
   pagerank_solver fast(tp, g);
-  pagerank_solver general(tp, g, {.fast_path = false});
   EXPECT_TRUE(fast.plan().fast_path);
   EXPECT_EQ(fast.plan().wire_bytes, std::vector<std::size_t>{16});
-  EXPECT_FALSE(general.plan().fast_path);
-  tp.run([&](ampp::transport_context& ctx) {
-    fast.run(ctx, 0.85, 20);
-    general.run(ctx, 0.85, 20);
-  });
-  for (vertex_id v = 0; v < n; ++v) {
+  tp.run([&](ampp::transport_context& ctx) { fast.run(ctx, 0.85, 20); });
+  for (vertex_id v = 0; v < n; ++v)
     ASSERT_NEAR(fast.ranks()[v], oracle[v], 1e-12) << "v=" << v;
-    ASSERT_NEAR(general.ranks()[v], oracle[v], 1e-12) << "v=" << v;
-    ASSERT_NEAR(fast.ranks()[v], general.ranks()[v], 1e-12) << "v=" << v;
-  }
 }
 
 TEST(PageRank, CombiningScatterSendsOneRecordPerRemoteTargetPerSweep) {
   // The solver's scatter is an `add`, so each sweep each rank sends one
   // record per distinct remote target; every other contribution is folded
-  // on the sender or applied in place. With fast_reduction off it sends
-  // one record per remote edge. Both, and the general gather path, land on
-  // the sequential ranks — over R-MAT scale 10 plus a hub every vertex
-  // points at, with and without handler threads.
+  // on the sender or applied in place, and the ranks match the sequential
+  // ones. The same sweeps through the lambda `modify` twin of the scatter
+  // (uncombined by shape: its F is opaque) send one record per remote
+  // edge — over R-MAT scale 10 plus a hub every vertex points at, with and
+  // without handler threads.
   constexpr int kIters = 10;
   for (const ampp::rank_t ranks : {2u, 4u}) {
     for (const unsigned threads : {0u, 1u, 2u}) {
@@ -131,29 +123,47 @@ TEST(PageRank, CombiningScatterSendsOneRecordPerRemoteTargetPerSweep) {
       const auto oracle = pagerank(g, 0.85, kIters);
       ampp::transport tp(ampp::transport_config{.n_ranks = ranks, .handler_threads = threads});
       pagerank_solver combined(tp, g);
-      pagerank_solver uncombined(tp, g, {.fast_reduction = false});
-      pagerank_solver general(tp, g, {.fast_path = false});
       EXPECT_TRUE(combined.plan().fast_reduction);
-      EXPECT_FALSE(uncombined.plan().fast_reduction);
-      const auto solve = [&](pagerank_solver& pr) {
-        obs::stats_scope sc(tp.obs());
-        tp.run([&](ampp::transport_context& ctx) { pr.run(ctx, 0.85, kIters); });
-        return sc.finish().core;
-      };
-      const auto c = solve(combined);
+      obs::stats_scope sc(tp.obs());
+      tp.run([&](ampp::transport_context& ctx) { combined.run(ctx, 0.85, kIters); });
+      const auto c = sc.finish().core;
       EXPECT_EQ(c.messages_sent, pairs.size() * kIters);
       EXPECT_EQ(c.cache_hits, (remote - pairs.size()) * kIters);
       EXPECT_EQ(c.local_applies, local * kIters);
       EXPECT_EQ(c.messages_sent + c.cache_hits + c.local_applies, g.num_edges() * kIters);
-      const auto u = solve(uncombined);
+      for (vertex_id v = 0; v < n; ++v)
+        ASSERT_NEAR(combined.ranks()[v], oracle[v], 1e-12) << "v=" << v;
+
+      // The twin: kIters sweeps of the oracle's shares into one map.
+      using namespace pattern;
+      pmap::vertex_property_map<double> share_map(g, 0.0), next_map(g, 0.0);
+      std::vector<double> sums(n, 0.0);
+      for (vertex_id v = 0; v < n; ++v) {
+        if (g.out_degree(v) == 0) continue;
+        share_map[v] = oracle[v] / static_cast<double>(g.out_degree(v));
+        for (const graph::edge_handle e : g.out_edges(v)) sums[e.dst] += kIters * share_map[v];
+      }
+      pmap::lock_map locks(g.dist(), pmap::lock_scheme::per_vertex);
+      property share(share_map), next(next_map);
+      auto twin = instantiate(
+          tp, g, locks,
+          make_action("pr.twin", out_edges_gen{},
+                      when(lit(true), modify(next(trg(e_)),
+                                             [](double& acc, double x) { acc += x; },
+                                             share(v_)))));
+      EXPECT_FALSE(twin->plan().fast_reduction);
+      obs::stats_scope su(tp.obs());
+      tp.run([&](ampp::transport_context& ctx) {
+        for (int it = 0; it < kIters; ++it) {
+          ampp::epoch ep(ctx);
+          strategy::for_each_local_vertex(ctx, g, [&](vertex_id v) { (*twin)(ctx, v); });
+        }
+      });
+      const auto u = su.finish().core;
       EXPECT_EQ(u.messages_sent, remote * kIters);
       EXPECT_EQ(u.cache_hits, 0u);
-      (void)solve(general);
-      for (vertex_id v = 0; v < n; ++v) {
-        ASSERT_NEAR(combined.ranks()[v], oracle[v], 1e-12) << "v=" << v;
-        ASSERT_NEAR(combined.ranks()[v], uncombined.ranks()[v], 1e-12) << "v=" << v;
-        ASSERT_NEAR(combined.ranks()[v], general.ranks()[v], 1e-12) << "v=" << v;
-      }
+      EXPECT_EQ(u.local_applies, local * kIters);
+      for (vertex_id v = 0; v < n; ++v) ASSERT_NEAR(next_map[v], sums[v], 1e-9) << "v=" << v;
     }
   }
 }

@@ -215,6 +215,24 @@ TEST(Cc, OneRankSendsNoUserMessages) {
   EXPECT_EQ(cc.search_stats().core.local_applies, g.num_edges());
 }
 
+TEST(Cc, OneJumpRoundReachesTheFixedPoint) {
+  // After the union-find, chg maps every colliding root straight to its
+  // final label, so a single cc_jump round rewrites every label: the
+  // rewrite changes something exactly when two searches met, and the
+  // partition equals union-find's.
+  for (const ampp::rank_t ranks : {1u, 2u, 4u}) {
+    SCOPED_TRACE(testing::Message() << "ranks=" << ranks);
+    const distributed_graph g = hub_and_rmat(ranks);
+    cc_solver cc(g, ampp::transport_config{.n_ranks = ranks});
+    for (const bool flush : {true, false}) {
+      cc.solve(flush);
+      expect_same_partition(cc_union_find(g), cc.components(), g.num_vertices());
+      EXPECT_LE(cc.jump_rounds(), 1);
+      EXPECT_EQ(cc.jump_rounds(), cc.conflict_pairs() > 0 ? 1 : 0);
+    }
+  }
+}
+
 TEST(Cc, SolveIsRepeatable) {
   const auto edges = graph::symmetrize(graph::erdos_renyi(80, 100, 2));
   distributed_graph g(80, edges, distribution::cyclic(80, 2));

@@ -8,14 +8,18 @@
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
+#include <sys/mman.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
 #include <cstring>
 #include <future>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -199,6 +203,13 @@ TEST(ShmRingBackend, GeometryMismatchIsRejected) {
   // Rank 0 times out waiting for rank 1's attach — also an error, never a
   // half-attached machine.
   EXPECT_THROW(f0.get(), wire_error);
+  // Neither failed constructor leaves the segment behind.
+  const std::string name = "/dpg_" + cfg0.session + "_c" + std::to_string(channel);
+  errno = 0;
+  const int fd = ::shm_open(name.c_str(), O_RDWR, 0600);
+  if (fd >= 0) ::close(fd);
+  EXPECT_EQ(fd, -1) << name << " outlived both ranks";
+  EXPECT_EQ(errno, ENOENT);
 }
 
 // ---- TCP -----------------------------------------------------------------

@@ -35,6 +35,24 @@ TEST(Transport, SingleRankSelfDelivery) {
   EXPECT_EQ(tp.obs().core().self_deliveries.load(), 100u);
 }
 
+TEST(Transport, RejectsAnImpossibleMachine) {
+  // Caller configuration errors are typed errors, raised before any rank
+  // state exists; a transport built afterwards works.
+  EXPECT_THROW(transport(transport_config{.n_ranks = 0}), std::invalid_argument);
+  EXPECT_THROW(transport(transport_config{.n_ranks = 2, .coalescing_size = 0}),
+               std::invalid_argument);
+  EXPECT_THROW(transport(machine_config{.n_ranks = 0}, tuning_config{}), std::invalid_argument);
+  transport tp(transport_config{.n_ranks = 2});
+  std::atomic<std::uint64_t> sum{0};
+  auto& mt = tp.make_message_type<ping>(
+      "ping", [&](transport_context&, const ping& p) { sum += p.value; });
+  tp.run([&](transport_context& ctx) {
+    epoch ep(ctx);
+    mt.send(ctx, 1 - ctx.rank(), ping{ctx.rank() + 1u, 0});
+  });
+  EXPECT_EQ(sum.load(), 3u);
+}
+
 TEST(Transport, AllToAllDelivery) {
   constexpr rank_t kRanks = 4;
   constexpr int kPerPair = 50;

@@ -94,16 +94,11 @@ TEST(Explain, CompiledPlanShowsWireBytesCseAndFastPath) {
   world w;
   property d(w.dist);
   property wt(w.weight);
-  auto mk = [&](compile_options opts) {
-    return instantiate(w.tp, w.g, w.locks,
-                       make_action("relax", out_edges_gen{},
-                                   when(d(trg(e_)) > d(v_) + wt(e_),
-                                        assign(d(trg(e_)), d(v_) + wt(e_)))),
-                       opts);
-  };
-
-  const std::string fast =
-      explain("relax", mk({.fast_path = true, .compact_wire = true})->plan());
+  auto relax = instantiate(w.tp, w.g, w.locks,
+                           make_action("relax", out_edges_gen{},
+                                       when(d(trg(e_)) > d(v_) + wt(e_),
+                                            assign(d(trg(e_)), d(v_) + wt(e_)))));
+  const std::string fast = explain("relax", relax->plan());
   EXPECT_NE(fast.find("compiled wire payloads: relax=16B"), std::string::npos);
   EXPECT_NE(fast.find("(full gather_state = 96B)"), std::string::npos);
   EXPECT_NE(fast.find("gather read CSE: 2 shared slot(s)"), std::string::npos);
@@ -112,29 +107,21 @@ TEST(Explain, CompiledPlanShowsWireBytesCseAndFastPath) {
   EXPECT_NE(fast.find("sender reduction: combining cache on the relax lane"),
             std::string::npos);
 
-  const std::string general =
-      explain("relax", mk({.fast_path = false, .compact_wire = true})->plan());
-  EXPECT_NE(general.find("compiled wire payloads: eval=24B"), std::string::npos);
+  // A second assign (sssp_tree's parent) leaves the record shape: the
+  // general plan ships the compact evaluate message — src(e), trg(e),
+  // dist(v) and weight(e), 32 of gather_state's 96 bytes — with no sender
+  // reduction.
+  pmap::vertex_property_map<vertex_id> parent(w.g, graph::invalid_vertex);
+  property par(parent);
+  auto tree = instantiate(w.tp, w.g, w.locks,
+                          make_action("tree", out_edges_gen{},
+                                      when(d(trg(e_)) > d(v_) + wt(e_),
+                                           assign(d(trg(e_)), d(v_) + wt(e_)),
+                                           assign(par(trg(e_)), src(e_)))));
+  const std::string general = explain("tree", tree->plan());
+  EXPECT_NE(general.find("compiled wire payloads: eval=32B"), std::string::npos);
   EXPECT_NE(general.find("fast path: off"), std::string::npos);
   EXPECT_NE(general.find("sender reduction: off"), std::string::npos);
-
-  // The fast path alone, compact wire left at its default, keeps the
-  // sender-side combining cache on.
-  const std::string fastonly = explain("relax", mk({.fast_path = true})->plan());
-  EXPECT_NE(fastonly.find("fast path: compiled single-locality relax kernel"),
-            std::string::npos);
-  EXPECT_NE(fastonly.find("sender reduction: combining cache on the relax lane"),
-            std::string::npos);
-
-  // The combining cache can be held off independently of the fast path.
-  const std::string noreduce = explain(
-      "relax",
-      mk({.fast_path = true, .fast_reduction = false})->plan());
-  EXPECT_NE(noreduce.find("sender reduction: off"), std::string::npos);
-
-  const std::string full =
-      explain("relax", mk({.fast_path = false, .compact_wire = false})->plan());
-  EXPECT_NE(full.find("compiled wire payloads: eval=96B"), std::string::npos);
 }
 
 TEST(Explain, FullyLocalPlanHasNoWirePayloads) {
@@ -149,31 +136,21 @@ TEST(Explain, FullyLocalPlanHasNoWirePayloads) {
 
 TEST(Explain, ScatterPlanLabelsTheScatterRecord) {
   // An unconditional modify compiles to the scatter kernel: explain names
-  // its 16-byte payload `scatter`, not `relax`, and the general path
-  // (fast path off) falls back to the eval message.
+  // its 16-byte payload `scatter`, not `relax`.
   world w;
   property d(w.dist);
-  auto mk = [&](compile_options opts) {
-    return instantiate(w.tp, w.g, w.locks,
-                       make_action("pr.scatter", out_edges_gen{},
-                                   when(lit(true), modify(d(trg(e_)),
-                                                          [](double& acc, double x) {
-                                                            acc += x;
-                                                          },
-                                                          d(v_)))),
-                       opts);
-  };
-  const std::string fast = explain("pr.scatter", mk({})->plan());
+  auto scatter = instantiate(
+      w.tp, w.g, w.locks,
+      make_action("pr.scatter", out_edges_gen{},
+                  when(lit(true), modify(d(trg(e_)), [](double& acc, double x) { acc += x; },
+                                         d(v_)))));
+  const std::string fast = explain("pr.scatter", scatter->plan());
   EXPECT_NE(fast.find("compiled wire payloads: scatter=16B"), std::string::npos);
   EXPECT_NE(fast.find("fast path: compiled single-locality scatter kernel"),
             std::string::npos);
   EXPECT_NE(fast.find("synchronization: lock map"), std::string::npos);
   EXPECT_NE(fast.find("sender reduction: off"), std::string::npos);
   EXPECT_NE(fast.find("dependencies: yes"), std::string::npos);  // reads+writes d
-  const std::string general = explain(
-      "pr.scatter", mk({.fast_path = false})->plan());
-  EXPECT_NE(general.find("compiled wire payloads: eval=16B"), std::string::npos);
-  EXPECT_NE(general.find("fast path: off"), std::string::npos);
 }
 
 TEST(Explain, FusedPlanShowsWireLayoutAndGroupDispatch) {
@@ -191,7 +168,7 @@ TEST(Explain, FusedPlanShowsWireLayoutAndGroupDispatch) {
   property dep(depth);
   property cp(cap);
   auto fused = fuse(
-      w.tp, w.g, compile_options{},
+      w.tp, w.g,
       make_action("sssp.relax", out_edges_gen{},
                   when(d(trg(e_)) > d(v_) + wt(e_),
                        assign(d(trg(e_)), d(v_) + wt(e_)))),
@@ -217,6 +194,8 @@ TEST(Explain, FusedPlanShowsWireLayoutAndGroupDispatch) {
             std::string::npos);
   EXPECT_NE(text.find("group dispatch: fused lane for multi-member waves"),
             std::string::npos);
+  EXPECT_NE(text.find("sender reduction: elementwise combining cache on the fused lane"),
+            std::string::npos);
   EXPECT_NE(text.find("fixed point: one epoch loop, one termination detection "
                       "for 3 members"),
             std::string::npos);
@@ -234,25 +213,7 @@ TEST(Explain, FusedPlanShowsWireLayoutAndGroupDispatch) {
   EXPECT_EQ(p.wire_bytes[1], 16u);
   EXPECT_EQ(p.wire_bytes[2], 16u);
   EXPECT_EQ(p.wire_bytes[3], 16u);
-
-  // Toggled-off reduction renders as off (the default is covered above
-  // via the default compile_options).
-  pmap::vertex_property_map<double> dist2(w.g, 1e100);
-  pmap::vertex_property_map<double> width2(w.g, 0.0);
-  property d2(dist2);
-  property wd2(width2);
-  auto off = fuse(
-      w.tp, w.g,
-      compile_options{.fast_reduction = false},
-      make_action("a", out_edges_gen{},
-                  when(d2(trg(e_)) > d2(v_) + wt(e_),
-                       assign(d2(trg(e_)), d2(v_) + wt(e_)))),
-      make_action("b", out_edges_gen{},
-                  when(wd2(trg(e_)) < min_(wd2(v_), cp(e_)),
-                       assign(wd2(trg(e_)), min_(wd2(v_), cp(e_))))));
-  const std::string offtext = explain_fused(*off);
-  EXPECT_NE(offtext.find("sender reduction: off"), std::string::npos);
-  EXPECT_NE(offtext.find("for 2 members"), std::string::npos);
+  EXPECT_TRUE(p.fast_reduction);
 }
 
 TEST(Explain, PlanInfoCountsConditions) {

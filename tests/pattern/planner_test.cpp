@@ -197,16 +197,11 @@ TEST(Planner, UnconditionalScatterCompilesToSixteenByteRecord) {
   pmap::lock_map locks(g.dist(), pmap::lock_scheme::per_vertex);
   ampp::transport tp(ampp::transport_config{.n_ranks = 3});
   property next(next_map), share(share_map);
-  auto mk = [&](compile_options opts) {
-    return instantiate(
-        tp, g, locks,
-        make_action("scatter", out_edges_gen{},
-                    when(lit(true), modify(next(trg(e_)),
-                                           [](double& acc, double x) { acc += x; },
-                                           share(v_)))),
-        opts);
-  };
-  auto fast = mk({});
+  auto fast = instantiate(
+      tp, g, locks,
+      make_action("scatter", out_edges_gen{},
+                  when(lit(true), modify(next(trg(e_)), [](double& acc, double x) { acc += x; },
+                                         share(v_)))));
   const plan_info& p = fast->plan();
   EXPECT_TRUE(p.fast_path);
   EXPECT_FALSE(p.atomic_path);
@@ -219,30 +214,21 @@ TEST(Planner, UnconditionalScatterCompilesToSixteenByteRecord) {
   EXPECT_NE(text.find("fast path: compiled single-locality scatter kernel"),
             std::string::npos);
 
-  auto general = mk({.fast_path = false, .compact_wire = false});
-  EXPECT_FALSE(general->plan().fast_path);
-  EXPECT_EQ(general->plan().wire_bytes, std::vector<std::size_t>{sizeof(gather_state)});
-
-  for (auto* act : {fast.get(), general.get()}) {
-    next_map.fill(0.0);
-    obs::stats_scope sc(tp.obs());
-    tp.run([&](ampp::transport_context& ctx) {
-      ampp::epoch ep(ctx);
-      for (vertex_id v = 0; v < n; ++v)
-        if (g.owner(v) == ctx.rank()) (*act)(ctx, v);
-    });
-    const obs::stats_snapshot& delta = sc.finish();
-    // One message per edge; every application fires (the guard is true).
-    EXPECT_EQ(delta.core.messages_sent, g.num_edges());
-    // The fast lane's envelope loop counts every scatter record it
-    // consumes; the general gather chain has no envelope loop.
-    EXPECT_EQ(delta.core.batch_records, act == fast.get() ? g.num_edges() : 0u);
-    EXPECT_LE(delta.core.batch_kernels_run, delta.core.batch_records);
+  obs::stats_scope sc(tp.obs());
+  tp.run([&](ampp::transport_context& ctx) {
+    ampp::epoch ep(ctx);
     for (vertex_id v = 0; v < n; ++v)
-      EXPECT_DOUBLE_EQ(next_map[v], v == 0 || v == n - 1 ? 1.0 : 2.0) << "v=" << v;
-  }
+      if (g.owner(v) == ctx.rank()) (*fast)(ctx, v);
+  });
+  const obs::stats_snapshot& delta = sc.finish();
+  // One message per edge; every application fires (the guard is true).
+  EXPECT_EQ(delta.core.messages_sent, g.num_edges());
+  // The fast lane's envelope loop counts every scatter record it consumes.
+  EXPECT_EQ(delta.core.batch_records, g.num_edges());
+  EXPECT_LE(delta.core.batch_kernels_run, delta.core.batch_records);
+  for (vertex_id v = 0; v < n; ++v)
+    EXPECT_DOUBLE_EQ(next_map[v], v == 0 || v == n - 1 ? 1.0 : 2.0) << "v=" << v;
   EXPECT_EQ(fast->modifications(), g.num_edges());
-  EXPECT_EQ(general->modifications(), g.num_edges());
 }
 
 /// R-MAT scale 10 plus a hub every vertex points at: the hub's in-edges
@@ -293,8 +279,8 @@ TEST(Planner, AddScatterSendsOneRecordPerRemoteTarget) {
   // would send into one record per distinct remote target, drained when
   // the epoch's termination detection flushes the rank. Owned targets
   // still commit in place. Every contribution is either sent, folded or
-  // applied locally; the sums match the uncombined scatter, the lambda
-  // `modify` scatter and the general path.
+  // applied locally; the sums match the lambda `modify` twin, which is
+  // uncombined by shape (F is opaque, so it is not known to be a sum).
   for (const ampp::rank_t ranks : {2u, 4u}) {
     for (const unsigned threads : {0u, 1u, 2u}) {
       SCOPED_TRACE("ranks=" + std::to_string(ranks) + " threads=" + std::to_string(threads));
@@ -310,29 +296,20 @@ TEST(Planner, AddScatterSendsOneRecordPerRemoteTarget) {
       pmap::lock_map locks(g.dist(), pmap::lock_scheme::per_vertex);
       ampp::transport tp(ampp::transport_config{.n_ranks = ranks, .handler_threads = threads});
       property share(share_map);
-      std::vector<pmap::vertex_property_map<double>> next(4, pmap::vertex_property_map<double>(g, 0.0));
-      property n0(next[0]), n1(next[1]), n2(next[2]), n3(next[3]);
+      std::vector<pmap::vertex_property_map<double>> next(2, pmap::vertex_property_map<double>(g, 0.0));
+      property n0(next[0]), n1(next[1]);
       const auto sum = [](double& acc, double x) { acc += x; };
       auto combined = instantiate(
           tp, g, locks, make_action("sum", out_edges_gen{}, when(lit(true), add(n0(trg(e_)), share(v_)))));
       auto uncombined = instantiate(
-          tp, g, locks, make_action("sum", out_edges_gen{}, when(lit(true), add(n1(trg(e_)), share(v_)))),
-          {.fast_reduction = false});
-      auto lambda = instantiate(
           tp, g, locks,
-          make_action("lambda", out_edges_gen{}, when(lit(true), modify(n2(trg(e_)), sum, share(v_)))));
-      auto general = instantiate(
-          tp, g, locks,
-          make_action("sum", out_edges_gen{}, when(lit(true), add(n3(trg(e_)), share(v_)))),
-          {.fast_path = false});
+          make_action("lambda", out_edges_gen{}, when(lit(true), modify(n1(trg(e_)), sum, share(v_)))));
       EXPECT_TRUE(combined->plan().fast_reduction);
       EXPECT_NE(explain("sum", combined->plan())
                     .find("sender reduction: per-target sum accumulator on the scatter lane"),
                 std::string::npos);
       EXPECT_FALSE(uncombined->plan().fast_reduction);
       EXPECT_TRUE(uncombined->plan().fast_path);
-      EXPECT_FALSE(lambda->plan().fast_reduction);
-      EXPECT_FALSE(general->plan().fast_path);
 
       const auto sweep = [&](action_instance& act) {
         obs::stats_scope sc(tp.obs());
@@ -357,13 +334,11 @@ TEST(Planner, AddScatterSendsOneRecordPerRemoteTarget) {
       EXPECT_EQ(u.messages_sent, o.remote);
       EXPECT_EQ(u.cache_hits, 0u);
       EXPECT_EQ(u.local_applies, o.local);
-      EXPECT_EQ(sweep(*lambda).messages_sent, o.remote);
-      (void)sweep(*general);
       // A folded contribution is still a firing of the action.
       EXPECT_EQ(combined->modifications(), 2 * g.num_edges());
       EXPECT_EQ(uncombined->modifications(), g.num_edges());
       for (vertex_id v = 0; v < n; ++v)
-        for (int k = 0; k < 4; ++k)
+        for (int k = 0; k < 2; ++k)
           ASSERT_NEAR(next[k][v], o.sums[v], 1e-12) << "v=" << v << " variant " << k;
     }
   }

@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -195,73 +196,57 @@ TEST(SsspPattern, AtomicAndLockedPathsAgree) {
   EXPECT_EQ(run_variant(false), run_variant(true));
 }
 
-TEST(SsspPattern, CompiledPathsAreBitIdentical) {
-  // The fast single-locality relax kernel and the compact wire layout are
-  // pure transport optimizations: forcing each toggle on and off must give
-  // identical distances, down to the last bit, on an irregular graph with
-  // distinct per-edge weights.
+TEST(SsspPattern, CompiledRelaxIsBitIdenticalToDijkstra) {
+  // The single-locality relax record is a pure transport optimization:
+  // the fixed point equals the sequential oracle down to the last bit, on
+  // an irregular graph with distinct per-edge weights.
   const vertex_id n = 96;
-  const auto edges = graph::erdos_renyi(n, 700, 29);
-  auto run_variant = [&](bool fast, bool compact) {
-    sssp_fixture fx(n, edges, 3);
-    fx.weight_map = pmap::edge_property_map<double>(fx.g, [](const edge_handle& e) {
-      return graph::edge_weight(e.src, e.dst, 7, 3.0);
-    });
-    ampp::transport tp(ampp::transport_config{.n_ranks = 3});
-    property dist(fx.dist_map);
-    property weight(fx.weight_map);
-    auto relax = instantiate(tp, fx.g, fx.locks,
-                             make_action("relax", out_edges_gen{},
-                                         when(dist(trg(e_)) > dist(v_) + weight(e_),
-                                              assign(dist(trg(e_)), dist(v_) + weight(e_)))),
-                             compile_options{.fast_path = fast, .compact_wire = compact});
-    relax->work([&](ampp::transport_context& ctx, vertex_id dep) { (*relax)(ctx, dep); });
-    fx.dist_map[0] = 0.0;
-    tp.run([&](ampp::transport_context& ctx) {
-      ampp::epoch ep(ctx);
-      if (fx.g.owner(0) == ctx.rank()) (*relax)(ctx, 0);
-    });
-    std::vector<double> out(n);
-    for (vertex_id v = 0; v < n; ++v) out[v] = fx.dist_map[v];
-    return std::pair{out, relax->plan()};
-  };
-  const auto [fast_on, p_fast] = run_variant(true, true);
-  const auto [fast_off, p_compact] = run_variant(false, true);
-  const auto [full, p_full] = run_variant(false, false);
-
-  EXPECT_TRUE(p_fast.fast_path);
-  ASSERT_EQ(p_fast.wire_bytes.size(), 1u);
-  EXPECT_EQ(p_fast.wire_bytes[0], 16u);  // {target vertex, candidate distance}
-  EXPECT_FALSE(p_compact.fast_path);
-  ASSERT_EQ(p_compact.wire_bytes.size(), 1u);
-  EXPECT_EQ(p_compact.wire_bytes[0], 24u);  // trg(e) + dist(v) + weight(e)
-  ASSERT_EQ(p_full.wire_bytes.size(), 1u);
-  EXPECT_EQ(p_full.wire_bytes[0], sizeof(gather_state));
-
-  EXPECT_EQ(fast_on, fast_off);
-  EXPECT_EQ(fast_on, full);
+  sssp_fixture fx(n, graph::erdos_renyi(n, 700, 29), 3);
+  fx.weight_map = pmap::edge_property_map<double>(fx.g, [](const edge_handle& e) {
+    return graph::edge_weight(e.src, e.dst, 7, 3.0);
+  });
+  ampp::transport tp(ampp::transport_config{.n_ranks = 3});
+  auto relax = make_relax(tp, fx);
+  const plan_info& p = relax->plan();
+  EXPECT_TRUE(p.fast_path);
+  EXPECT_EQ(p.wire_bytes, std::vector<std::size_t>{16});  // {target vertex, candidate}
+  relax->work([&](ampp::transport_context& ctx, vertex_id dep) { (*relax)(ctx, dep); });
+  fx.dist_map[0] = 0.0;
+  tp.run([&](ampp::transport_context& ctx) {
+    ampp::epoch ep(ctx);
+    if (fx.g.owner(0) == ctx.rank()) (*relax)(ctx, 0);
+  });
+  const auto oracle = algo::dijkstra(fx.g, fx.weight_map, 0);
+  for (vertex_id v = 0; v < n; ++v) ASSERT_EQ(fx.dist_map[v], oracle[v]) << "v=" << v;
 }
 
-TEST(SsspPattern, CompactWireReducesBytesOnTheWire) {
-  // One relax at the hub of a star produces exactly n-1 records of the
-  // synthesized type; the wire-byte counters must show each compilation
-  // mode's per-payload footprint exactly. The fast kernel commits the
-  // records its sender owns in place, so only those it sends are on the
-  // wire; the general path sends every record.
+TEST(SsspPattern, WireBytesMatchTheCompiledPayloads) {
+  // One relax at the hub of a star produces exactly n-1 records. The
+  // relax kernel commits the records its sender owns in place, so only
+  // those it sends are on the wire, 16 bytes each. The general plan of the
+  // same relax with a parent assign (sssp_tree's shape) sends every record
+  // as its compact evaluate payload: src(e), trg(e), dist(v), weight(e).
   const vertex_id n = 32;
   struct traffic {
     std::uint64_t wire, sent, local;
   };
-  auto measure = [&](bool fast, bool compact) {
+  const auto measure = [&](bool tree) {
     sssp_fixture fx(n, graph::star_graph(n), 2, 1.0);
+    pmap::vertex_property_map<vertex_id> parent(fx.g, graph::invalid_vertex);
     ampp::transport tp(ampp::transport_config{.n_ranks = 2, .coalescing_size = 4});
     property dist(fx.dist_map);
     property weight(fx.weight_map);
-    auto relax = instantiate(tp, fx.g, fx.locks,
-                             make_action("relax", out_edges_gen{},
-                                         when(dist(trg(e_)) > dist(v_) + weight(e_),
-                                              assign(dist(trg(e_)), dist(v_) + weight(e_)))),
-                             compile_options{.fast_path = fast, .compact_wire = compact});
+    property par(parent);
+    std::unique_ptr<action_instance> relax;
+    if (tree)
+      relax = instantiate(tp, fx.g, fx.locks,
+                          make_action("tree", out_edges_gen{},
+                                      when(dist(trg(e_)) > dist(v_) + weight(e_),
+                                           assign(dist(trg(e_)), dist(v_) + weight(e_)),
+                                           assign(par(trg(e_)), src(e_)))));
+    else
+      relax = make_relax(tp, fx);
+    EXPECT_EQ(relax->plan().wire_bytes, std::vector<std::size_t>{tree ? 32u : 16u});
     fx.dist_map[0] = 0.0;
     tp.run([&](ampp::transport_context& ctx) {
       ampp::epoch ep(ctx);
@@ -273,12 +258,13 @@ TEST(SsspPattern, CompactWireReducesBytesOnTheWire) {
       if (!c.internal) t.wire += c.wire_bytes;
     return t;
   };
-  const traffic fast = measure(true, true);
+  const traffic fast = measure(false);
   EXPECT_EQ(fast.sent + fast.local, n - 1);
-  EXPECT_EQ(fast.sent, n / 2);           // the odd spokes live on rank 1
-  EXPECT_EQ(fast.wire, 16u * fast.sent);  // fast relax record
-  EXPECT_EQ(measure(false, true).wire, 24u * (n - 1));  // compact eval payload
-  EXPECT_EQ(measure(false, false).wire, sizeof(gather_state) * (n - 1));
+  EXPECT_EQ(fast.sent, n / 2);  // the odd spokes live on rank 1
+  EXPECT_EQ(fast.wire, 16u * fast.sent);
+  const traffic general = measure(true);
+  EXPECT_EQ(general.sent, n - 1);
+  EXPECT_EQ(general.wire, 32u * (n - 1));
 }
 
 // ---------------------------------------------------------------------------
@@ -385,24 +371,16 @@ struct envelope_run {
 };
 
 /// Runs the fast relax pattern from vertex 0 to its fixed point with the
-/// given coalescing size and sender-side reduction toggle.
+/// given coalescing size.
 envelope_run run_envelopes(const std::vector<graph::edge>& edges, vertex_id n,
-                           ampp::rank_t ranks, std::size_t coalescing,
-                           bool reduce = true) {
+                           ampp::rank_t ranks, std::size_t coalescing) {
   sssp_fixture fx(n, edges, ranks);
   fx.weight_map = pmap::edge_property_map<double>(fx.g, [](const edge_handle& e) {
     return graph::edge_weight(e.src, e.dst, 11, 7.0);
   });
   ampp::transport tp(
       ampp::transport_config{.n_ranks = ranks, .coalescing_size = coalescing});
-  property dist(fx.dist_map);
-  property weight(fx.weight_map);
-  auto relax = instantiate(tp, fx.g, fx.locks,
-                           make_action("relax", out_edges_gen{},
-                                       when(dist(trg(e_)) > dist(v_) + weight(e_),
-                                            assign(dist(trg(e_)), dist(v_) + weight(e_)))),
-                           compile_options{.fast_path = true,
-                                           .fast_reduction = reduce});
+  auto relax = make_relax(tp, fx);
   EXPECT_TRUE(relax->plan().fast_path);
   relax->work([&](ampp::transport_context& ctx, vertex_id dep) { (*relax)(ctx, dep); });
   fx.dist_map[0] = 0.0;
@@ -418,17 +396,26 @@ envelope_run run_envelopes(const std::vector<graph::edge>& edges, vertex_id n,
 }
 
 TEST(SsspPattern, EnvelopeWithDuplicateTargets) {
-  // A multigraph hub: four parallel edges to each spoke, so one coalesced
-  // envelope carries several records for the same target vertex, each
-  // with its own weight, and the loop must keep the best of them. The
-  // sender-side combining cache is pinned off: it would merge the
-  // duplicates before they reach an envelope.
-  const vertex_id n = 9;
-  std::vector<graph::edge> edges;
-  for (vertex_id v = 1; v < n; ++v)
-    for (int dup = 0; dup < 4; ++dup) edges.push_back(graph::edge{0, v});
-  const envelope_run r = run_envelopes(edges, n, 3, 64, false);
-  EXPECT_GT(r.delta.core.batch_records, 0u);
+  // Two hubs on rank 0 (vertices 0 and 2, 0 -> 2) both reach the same
+  // kSpokes odd spokes on rank 1, more than the relax lane's 2^10
+  // combining-cache slots. The first hub's sweep must evict some spoke
+  // from the cache into the buffer, and the second hub's record for that
+  // spoke then rides the same envelope: the coalescing size holds every
+  // send, so the lane flushes once, at the end of the sweep. The envelope
+  // loop must keep the best record of each target.
+  constexpr vertex_id kSpokes = 1500;
+  const vertex_id n = 2 * kSpokes + 1;
+  std::vector<graph::edge> edges{{0, 2}};
+  for (vertex_id s = 1; s < n; s += 2) {
+    edges.push_back({0, s});
+    edges.push_back({2, s});
+  }
+  const envelope_run r = run_envelopes(edges, n, 2, 4 * kSpokes);
+  const auto& c = r.delta.core;
+  EXPECT_GT(c.cache_evictions, 0u);
+  // One envelope carried more records than it has distinct targets.
+  EXPECT_EQ(c.batch_kernels_run, 1u);
+  EXPECT_GT(c.batch_records, kSpokes);
 }
 
 TEST(SsspPattern, SingleRecordEnvelopes) {

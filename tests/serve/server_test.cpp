@@ -86,6 +86,22 @@ TEST(ServerTest, SsspMatchesDirectSolverAndOracle) {
         << "v=" << v;
 }
 
+TEST(ServerTest, RejectsCrossProcessBackend) {
+  // The topology gate assumes every rank lives in this process: a
+  // cross-process machine is refused with a typed error before any pool,
+  // cache or session exists, and a server built afterwards serves.
+  fixture fx;
+  server_config bad = fx.cfg();
+  bad.machine.backend.kind = ampp::backend_config::kind_t::shm_ring;
+  EXPECT_THROW(server(fx.g, fx.w, bad), std::invalid_argument);
+  server srv(fx.g, fx.w, fx.cfg());
+  auto r = srv.query({.algo = algorithm::sssp, .params = {.source = 0}});
+  ASSERT_NE(r, nullptr);
+  const auto oracle = algo::dijkstra(fx.g, fx.w, 0);
+  for (graph::vertex_id v = 0; v < kN; ++v)
+    EXPECT_EQ(r->value_as_double(v), oracle[v]) << "v=" << v;
+}
+
 TEST(ServerTest, BfsAndCcMatchDirectSolvers) {
   fixture fx;
   server srv(fx.g, fx.w, fx.cfg());

@@ -200,38 +200,6 @@ TEST(FusionSweep, TripleBitIdenticalToSeparateSolves) {
   EXPECT_GT(total.solo, 0u) << "no single-member wave ever took a solo lane";
 }
 
-TEST(FusionSweep, TogglesBitIdentical) {
-  // The fused lane's sender reduction is a pure transport optimization:
-  // forcing the toggle both ways under every fault plan must produce
-  // bit-identical triples.
-  sweep("fused_toggles", [](std::uint64_t seed, ampp::rank_t ranks,
-                            const plan_spec& ps, std::uint64_t& events) {
-    distributed_graph g(kN, fusion_edges(seed), distribution::cyclic(kN, ranks));
-    auto weight = fusion_weights(g);
-    auto cap = fusion_caps(g);
-    std::vector<triple_bits> runs;
-    for (const bool t : {true, false}) {
-      ampp::transport tp(sim_config(ranks, seed, ps));
-      algo::fused_triple_solver fused(
-          tp, g, weight, cap,
-          pattern::compile_options{.fast_reduction = t});
-      ASSERT_EQ(fused.action().plan().fast_reduction, t);
-      ASSERT_EQ(fused.action().plan().conditions, 3);
-      ASSERT_TRUE(fused.action().plan().fast_path);
-      tp.run([&](ampp::transport_context& ctx) {
-        fused.run(ctx, {.sssp = kSsspSrc, .widest = kWidestSrc, .bfs = kBfsSrc});
-      });
-      const auto s = tp.obs().snapshot();
-      assert_fault_consistency(s);
-      assert_fused_family_conserved(s, fused.layout().record_bytes);
-      assert_occupancy_conserved(tp);
-      events += fault_events(s);
-      runs.push_back(bits_of(fused.dist(), fused.width(), fused.depth()));
-    }
-    ASSERT_EQ(runs[0], runs[1]) << "reduction toggle changed the fixed point";
-  });
-}
-
 TEST(FusionSweep, RerunRepeatsBitIdentically) {
   // A second run on the same solver (fresh reset, including the fused
   // action's per-member emission tracking) must reproduce the first —

@@ -77,37 +77,6 @@ TEST(SeedSweep, SsspFixedPoint) {
   });
 }
 
-TEST(SeedSweep, SsspFixedPointCompileToggles) {
-  // The compiled fast relax kernel and the compact wire layout are pure
-  // transport optimizations: forcing each toggle both ways under every
-  // fault plan must still reproduce the oracle bit-for-bit, and the two
-  // runs must agree with each other exactly.
-  sweep("sssp_fp_toggles", [](std::uint64_t seed, ampp::rank_t ranks,
-                              const plan_spec& ps, std::uint64_t& events) {
-    distributed_graph g(kN, sim_edges(seed, false), distribution::cyclic(kN, ranks));
-    auto weight = sim_weights(g);
-    const auto oracle = algo::dijkstra(g, weight, 0);
-    std::vector<std::vector<double>> runs;
-    for (const bool t : {true, false}) {
-      ampp::transport tp(sim_config(ranks, seed, ps));
-      algo::sssp_solver solver(tp, g, weight, pmap::lock_scheme::per_vertex,
-                               pattern::compile_options{.fast_path = t, .compact_wire = t});
-      ASSERT_EQ(solver.relax().plan().fast_path, t);
-      tp.run([&](ampp::transport_context& ctx) { solver.run_fixed_point(ctx, 0); });
-      for (vertex_id v = 0; v < kN; ++v)
-        ASSERT_DOUBLE_EQ(solver.dist()[v], oracle[v])
-            << "v=" << v << " fast=" << (t);
-      const auto s = tp.obs().snapshot();
-      assert_fault_consistency(s);
-      assert_occupancy_conserved(tp);
-      events += fault_events(s);
-      runs.emplace_back();
-      for (vertex_id v = 0; v < kN; ++v) runs.back().push_back(solver.dist()[v]);
-    }
-    ASSERT_EQ(runs[0], runs[1]);
-  });
-}
-
 TEST(SeedSweep, FixedPointHandlerThreads) {
   // With dedicated handler threads, fixed_point's per-rank work queue is
   // filled by helpers while the rank's own thread drains it. Every

@@ -236,7 +236,9 @@ TEST(FixedPointQueue, VertexImprovedTwiceWhilePendingIsAppliedOnce) {
   // The seed files 2 then 4; applying them sends two relax records for 1
   // in one envelope, the worse one (via 2) first. Both records lower
   // dist[1], so 1 is improved twice while pending — and applied once.
-  // The sender-side reduction is off, or it would merge the two records.
+  // The relax also records the parent (sssp_tree's second assign), which
+  // takes it off the relax record and its sender-side cache, so the two
+  // records are not merged before they reach the envelope.
   const std::vector<graph::edge> edges{{0, 2}, {0, 4}, {2, 1}, {4, 1}};
   distributed_graph g(5, edges, distribution::cyclic(5, 2));
   pmap::vertex_property_map<double> dist(g, kInf);
@@ -245,20 +247,22 @@ TEST(FixedPointQueue, VertexImprovedTwiceWhilePendingIsAppliedOnce) {
   });
   pmap::lock_map locks(g.dist(), pmap::lock_scheme::per_vertex);
   ampp::transport tp(ampp::transport_config{.n_ranks = 2});
-  pattern::compile_options copts;
-  copts.fast_reduction = false;
+  pmap::vertex_property_map<vertex_id> parent(g, graph::invalid_vertex);
   property d(dist);
   property w(weight);
+  property par(parent);
   auto relax = instantiate(tp, g, locks,
                            make_action("relax", out_edges_gen{},
                                        when(d(trg(e_)) > d(v_) + w(e_),
-                                            assign(d(trg(e_)), d(v_) + w(e_)))),
-                           copts);
+                                            assign(d(trg(e_)), d(v_) + w(e_)),
+                                            assign(par(trg(e_)), src(e_)))));
+  EXPECT_FALSE(relax->plan().fast_reduction);
   dist[0] = 0.0;
   tp.run([&](ampp::transport_context& ctx) {
     fixed_point(ctx, *relax, owned_seeds(ctx, g, 0));
   });
   EXPECT_EQ(dist[1], 2.0);
+  EXPECT_EQ(parent[1], 4u);
   // 2 and 4 once each, 1 twice (11, then 2).
   ASSERT_EQ(relax->modifications(), 4u);
   // The seed, then 2, 4 and 1 once each: the second improvement of 1 found
