@@ -15,8 +15,8 @@ namespace dpg::ampp {
 // ---------------------------------------------------------------------------
 
 namespace {
-thread_local rank_t tl_current_rank = invalid_rank;
-thread_local bool tl_in_handler = false;
+using detail::tl_current_rank;
+using detail::tl_in_handler;
 
 /// Marks the calling thread as dispatching a handler for its lifetime.
 class handler_scope {
@@ -39,10 +39,6 @@ transport_config checked(transport_config cfg) {
   return cfg;
 }
 }  // namespace
-
-rank_t current_rank() noexcept { return tl_current_rank; }
-
-bool in_handler() noexcept { return tl_in_handler; }
 
 namespace detail {
 

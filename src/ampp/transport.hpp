@@ -28,6 +28,7 @@
 // same progress discipline AM++ uses.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <concepts>
@@ -41,6 +42,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -268,7 +270,15 @@ class message_type final : public detail::message_type_base {
 
   /// Send `p` to rank `dest`. Must be called from inside transport::run on
   /// the sending rank's thread and, for non-internal types, inside an epoch.
-  void send(transport_context& ctx, rank_t dest, const Payload& p);
+  void send(transport_context& ctx, rank_t dest, const Payload& p) {
+    send(ctx, dest, std::span<const Payload>(&p, 1));
+  }
+
+  /// Send a run of payloads to one rank: checked once and appended under
+  /// one acquisition of the lane lock, with exactly the reduction,
+  /// coalescing and flush rules of sending them one by one. The one send
+  /// path; the single-payload send is a run of one.
+  void send(transport_context& ctx, rank_t dest, std::span<const Payload> run);
 
   /// Object-based addressing: destination computed by the address map.
   void send(transport_context& ctx, const Payload& p);
@@ -781,53 +791,61 @@ void message_type<Payload>::set_wire_layout(std::vector<wire_range> ranges) {
 }
 
 template <class Payload>
-void message_type<Payload>::send(transport_context& ctx, rank_t dest, const Payload& p) {
+void message_type<Payload>::send(transport_context& ctx, rank_t dest,
+                                 std::span<const Payload> run) {
   DPG_ASSERT_MSG(ctx.rank() == current_rank(), "send from a foreign rank's context");
   DPG_ASSERT_MSG(dest < tp_->size(), "destination rank out of range");
   DPG_ASSERT_MSG(internal_ || ctx.in_epoch(),
                  "user messages may only be sent inside an epoch");
   lane& ln = rows_[ctx.rank()].lanes[dest];
   std::lock_guard<dpg::spinlock> lane_guard(ln.mu);
+  const std::size_t cap = tp_->cfg_.coalescing_size;
 
   if (reduce_) {
-    const std::uint64_t key = reduce_->key(p);
-    // Fibonacci hash into the direct-mapped cache.
-    const std::size_t slot_idx =
-        static_cast<std::size_t>((key * 0x9e3779b97f4a7c15ULL) >> (64 - reduce_->bits));
-    red_slot& slot = ln.cache[slot_idx];
-    if (slot.used && slot.key == key) {
-      if (reduce_->combine) {
-        slot.payload = reduce_->combine(slot.payload, p);
-        ++ln.hits;
-        return;
+    for (const Payload& p : run) {
+      const std::uint64_t key = reduce_->key(p);
+      // Fibonacci hash into the direct-mapped cache.
+      const std::size_t slot_idx =
+          static_cast<std::size_t>((key * 0x9e3779b97f4a7c15ULL) >> (64 - reduce_->bits));
+      red_slot& slot = ln.cache[slot_idx];
+      if (slot.used && slot.key == key) {
+        if (reduce_->combine) {
+          slot.payload = reduce_->combine(slot.payload, p);
+          ++ln.hits;
+          continue;
+        }
+        if (std::memcmp(&slot.payload, &p, sizeof(Payload)) == 0) {
+          ++ln.hits;
+          continue;
+        }
       }
-      if (std::memcmp(&slot.payload, &p, sizeof(Payload)) == 0) {
-        ++ln.hits;
-        return;
+      if (slot.used) {
+        // Evict: the old payload moves slot -> buf (still buffered) and the
+        // new one takes the slot, so the net occupancy change is +1.
+        ln.buf.push_back(slot.payload);
+        ++ln.evictions;
+      } else {
+        ++ln.used_slots;
+        ln.used_list.push_back(static_cast<std::uint32_t>(slot_idx));
       }
+      slot.used = true;
+      slot.key = key;
+      slot.payload = p;
+      note_occupancy(ln, +1);
+      if (ln.buf.size() >= cap) flush_lane_locked(ctx.rank(), dest, ln, /*spill_cache=*/false);
     }
-    if (slot.used) {
-      // Evict: the old payload moves slot -> buf (still buffered) and the
-      // new one takes the slot, so the net occupancy change is +1.
-      ln.buf.push_back(slot.payload);
-      ++ln.evictions;
-    } else {
-      ++ln.used_slots;
-      ln.used_list.push_back(static_cast<std::uint32_t>(slot_idx));
-    }
-    slot.used = true;
-    slot.key = key;
-    slot.payload = p;
-    note_occupancy(ln, +1);
-    if (ln.buf.size() >= tp_->cfg_.coalescing_size)
-      flush_lane_locked(ctx.rank(), dest, ln, /*spill_cache=*/false);
     return;
   }
 
-  ln.buf.push_back(p);
-  note_occupancy(ln, +1);
-  if (ln.buf.size() >= tp_->cfg_.coalescing_size)
-    flush_lane_locked(ctx.rank(), dest, ln, /*spill_cache=*/false);
+  // Append in chunks that fill the lane exactly to the coalescing size, so
+  // every envelope carries what one-by-one sends would have put in it.
+  while (!run.empty()) {
+    const std::size_t take = std::min(run.size(), cap - std::min(cap, ln.buf.size()));
+    ln.buf.insert(ln.buf.end(), run.begin(), run.begin() + static_cast<std::ptrdiff_t>(take));
+    note_occupancy(ln, static_cast<std::int64_t>(take));
+    run = run.subspan(take);
+    if (ln.buf.size() >= cap) flush_lane_locked(ctx.rank(), dest, ln, /*spill_cache=*/false);
+  }
 }
 
 template <class Payload>

@@ -218,15 +218,42 @@ class action_instance {
  protected:
   /// Sizes the per-rank state — counters and work queues — for `ranks`
   /// ranks. vector(n) constructs in place (atomics and locks do not move).
-  void init_rank_state(ampp::rank_t ranks) {
+  /// `handler_threads`: whether threads other than a rank's own write its
+  /// counters (see bump).
+  void init_rank_state(ampp::rank_t ranks, bool handler_threads) {
     invocations_ = std::vector<padded_counter>(ranks);
     mods_ = std::vector<padded_counter>(ranks);
+    local_applies_ = std::vector<padded_counter>(ranks);
     work_ = std::vector<work_queue>(ranks);
+    shared_counters_ = handler_threads;
+  }
+
+  /// Moves rank r's tally of owner-local applies to the transport's shared
+  /// local_applies counter. Records committed in place are tallied per
+  /// rank, so applications on different ranks share no cache line, and
+  /// published by the action's transport drain, which runs at the start of
+  /// every full flush: every epoch ends with termination-detection rounds
+  /// that flush, so the shared counter is exact at every epoch end.
+  void publish_local_applies(ampp::rank_t r, ampp::transport_stats& core) {
+    std::atomic<std::uint64_t>& c = local_applies_[r].n;
+    if (c.load(std::memory_order_relaxed) != 0)
+      core.local_applies.fetch_add(c.exchange(0, std::memory_order_relaxed),
+                                   std::memory_order_relaxed);
   }
 
   struct padded_counter {
     alignas(64) std::atomic<std::uint64_t> n{0};
   };
+  /// Adds k to one of a rank's counters. Under polling progress only the
+  /// rank's own thread writes them, so a relaxed load and store suffice —
+  /// a locked add per application was a measurable share of PageRank's
+  /// scatter loop; with handler threads they take an atomic add.
+  void bump(padded_counter& c, std::uint64_t k) const {
+    if (shared_counters_)
+      c.n.fetch_add(k, std::memory_order_relaxed);
+    else
+      c.n.store(c.n.load(std::memory_order_relaxed) + k, std::memory_order_relaxed);
+  }
   static std::uint64_t sum(const std::vector<padded_counter>& v) {
     std::uint64_t t = 0;
     for (const auto& c : v) t += c.n.load(std::memory_order_relaxed);
@@ -238,7 +265,9 @@ class action_instance {
   work_hook hook_;
   std::vector<padded_counter> invocations_;
   std::vector<padded_counter> mods_;
+  std::vector<padded_counter> local_applies_;  ///< unpublished, per rank
   std::vector<work_queue> work_;
+  bool shared_counters_ = false;  ///< handler threads also write the counters
 };
 
 // ---------------------------------------------------------------------------
@@ -669,7 +698,7 @@ class instantiated_action final : public action_instance {
                       pmap::lock_map& locks, action_def<Gen, Whens...> def)
       : tp_(&tp), g_(&g), locks_(&locks), gen_(def.gen) {
     name_ = std::move(def.name);
-    init_rank_state(tp.size());
+    init_rank_state(tp.size(), tp.config().handler_threads > 0);
     build(def);
     register_messages();
   }
@@ -682,7 +711,7 @@ class instantiated_action final : public action_instance {
 
   void operator()(ampp::transport_context& ctx, graph::vertex_id v) override {
     DPG_ASSERT_MSG(g_->owner(v) == ctx.rank(), "action invoked off the owner of v");
-    invocations_[ctx.rank()].n.fetch_add(1, std::memory_order_relaxed);
+    bump(invocations_[ctx.rank()], 1);
     if constexpr (kFastShape) {
       if (use_fast_) {
         fast_generate(ctx, v);
@@ -760,8 +789,7 @@ class instantiated_action final : public action_instance {
   using fast_idx_fn_t = decltype(plan_builder<Gen>::compile_direct(
       std::declval<const typename fshape::idx_expr&>()));
   using fast_val_fn_t = decltype(plan_builder<Gen>::compile_direct_hoisted(
-      std::declval<const typename fshape::val_expr&>(),
-      std::declval<hoisted_reads&>()));
+      std::declval<const typename fshape::val_expr&>()));
 
   // ---- plan construction --------------------------------------------------
 
@@ -841,16 +869,14 @@ class instantiated_action final : public action_instance {
       fast_pm_ = a0.target.pm;
       fast_idx_.emplace(plan_builder<Gen>::compile_direct(a0.target.idx));
       // The proposed value (or scatter argument) hoists its v-indexed reads
-      // out of the edge loop (fast_generate runs fast_hoists_ once per
-      // application) — the same value economy as a hand-written relax
-      // handler.
+      // and edge-map views out of the edge loop (fast_generate runs the
+      // loads once per application) — the same value economy as a
+      // hand-written relax handler.
       if constexpr (kScatter) {
-        fast_val_.emplace(
-            plan_builder<Gen>::compile_direct_hoisted(std::get<0>(a0.args), fast_hoists_));
+        fast_val_.emplace(plan_builder<Gen>::compile_direct_hoisted(std::get<0>(a0.args)));
         fast_fn_.emplace(a0.fn);
       } else {
-        fast_val_.emplace(
-            plan_builder<Gen>::compile_direct_hoisted(a0.value, fast_hoists_));
+        fast_val_.emplace(plan_builder<Gen>::compile_direct_hoisted(a0.value));
       }
       // A `lit(false)` guard never fires; leave it to the general path.
       bool guard_holds = true;
@@ -981,14 +1007,13 @@ class instantiated_action final : public action_instance {
                   return detail::b_wins<fshape::min_update>(a.val, b.val) ? b : a;
                 });
           // Combining scatter: contributions fold into the rank's
-          // accumulator (fast_apply) and reach this lane at the drain,
-          // which the transport runs before every full flush.
-          if constexpr (kCombine) {
-            acc_ = std::vector<sum_accumulator>(tp_->size());
-            drain_id_ = tp_->add_drain(
-                [this](ampp::transport_context& ctx, bool discard) { drain(ctx, discard); });
-          }
+          // accumulator (fast_apply) and reach this lane at the drain.
+          if constexpr (kCombine) acc_ = std::vector<sum_accumulator>(tp_->size());
         }
+        // The drain, which the transport runs before every full flush,
+        // publishes the rank's local-apply tally and sends its folds.
+        drain_id_ = tp_->add_drain(
+            [this](ampp::transport_context& ctx, bool discard) { drain(ctx, discard); });
         return;
       }
     }
@@ -1033,13 +1058,15 @@ class instantiated_action final : public action_instance {
 
   /// A combining scatter's sender-side accumulator, one per rank and only
   /// ever touched by that rank's own thread: the pending sum per remote
-  /// target (indexed by global vertex id), a touched mark, and the touched
-  /// targets in first-fold order. Sized on first use, kept across runs,
-  /// and empty after every drain.
+  /// target and a touched bit (both indexed by global vertex id, so a fold
+  /// makes two independent accesses), and, blocked per destination rank,
+  /// the touched targets in first-fold order as records whose sums the
+  /// drain fills in — the run it hands that destination's lane whole.
+  /// Sized on first use, kept across runs, and empty after every drain.
   struct alignas(64) sum_accumulator {
     std::vector<typename fshape::slot_type> sum;
-    std::vector<std::uint8_t> touched;
-    std::vector<graph::vertex_id> order;
+    std::vector<std::uint64_t> touched;          ///< one bit per global vertex
+    std::vector<std::vector<fast_rec>> pending;  ///< indexed by destination rank
     std::uint64_t folds = 0;  ///< contributions merged into a pending sum since the drain
   };
 
@@ -1063,7 +1090,8 @@ class instantiated_action final : public action_instance {
     if constexpr (kFastShape) {
       gather_state s;
       s.v = v;
-      fast_hoists_.run(s);  // v-homed reads: once per application, not per edge
+      // Hoisted reads and edge views: once per application, not per edge.
+      fast_val_->reads.run(s, ctx.rank(), g_->dist().local_index(v));
       local_tally t{fast_pm_->local(ctx.rank()), detail::in_local_commit};
       // Fold only on the rank's own thread outside handler dispatch and
       // local commits: the drain runs at the start of a flush, so a fold
@@ -1073,9 +1101,10 @@ class instantiated_action final : public action_instance {
         if (!acc_.empty() && !t.nested && !ampp::in_handler()) {
           sum_accumulator& a = acc_[ctx.rank()];
           const graph::vertex_id n = g_->num_vertices();
-          if (a.touched.size() < n) {
+          if (a.sum.size() < n) {
             a.sum.resize(n);
-            a.touched.resize(n, 0);
+            a.touched.resize((n + 63) / 64, 0);
+            a.pending.resize(tp_->size());
           }
           t.acc = &a;
         }
@@ -1106,17 +1135,19 @@ class instantiated_action final : public action_instance {
       } else {
         fast_apply(ctx, s, t);
       }
-      if (t.applied != 0)
-        tp_->obs().core().local_applies.fetch_add(t.applied, std::memory_order_relaxed);
-      if (t.fired != 0) mods_[ctx.rank()].n.fetch_add(t.fired, std::memory_order_relaxed);
+      if (t.applied != 0) bump(local_applies_[ctx.rank()], t.applied);
+      if (t.fired != 0) bump(mods_[ctx.rank()], t.fired);
     }
   }
 
-  void fast_apply(ampp::transport_context& ctx, const gather_state& s, local_tally& t) {
+  /// One generated record: committed in place, folded, or sent. Forced
+  /// inline: it is the body of the generator loop.
+  [[gnu::always_inline]] void fast_apply(ampp::transport_context& ctx, const gather_state& s,
+                                         local_tally& t) {
     if constexpr (kFastShape) {
       fast_rec r;
       r.loc = (*fast_idx_)(s);
-      r.val = static_cast<typename fshape::value_type>((*fast_val_)(s));
+      r.val = static_cast<typename fshape::value_type>(fast_val_->eval(s));
       // Explicit destination: same routing as the registered address map
       // (§IV-D), minus its type-erased call — this loop is the hot path.
       const ampp::rank_t dest = g_->owner(r.loc);
@@ -1127,47 +1158,60 @@ class instantiated_action final : public action_instance {
         ++t.applied;
         t.fired += fast_commit(ctx, t.shard, r);
       } else if (kCombine && t.acc != nullptr) {
-        fold(*t.acc, r);
+        fold(*t.acc, dest, r);
       } else {
         fast_msg_->send(ctx, dest, r);
       }
     }
   }
 
-  /// Adds a remote scatter contribution to the pending sum of its target;
-  /// the first contribution opens the target's entry.
-  static void fold(sum_accumulator& a, const fast_rec& r) {
+  /// Adds a remote scatter contribution for destination `dest` to the
+  /// pending sum of its target; the first contribution opens the target's
+  /// record.
+  [[gnu::always_inline]] static void fold(sum_accumulator& a, ampp::rank_t dest,
+                                          const fast_rec& r) {
     if constexpr (kCombine) {
-      if (a.touched[r.loc]) {
+      std::uint64_t& word = a.touched[r.loc >> 6];
+      const std::uint64_t bit = std::uint64_t{1} << (r.loc & 63);
+      if ((word & bit) != 0) {
         a.sum[r.loc] += r.val;
         ++a.folds;
       } else {
-        a.touched[r.loc] = 1;
+        word |= bit;
         a.sum[r.loc] = r.val;
-        a.order.push_back(r.loc);
+        a.pending[dest].push_back(fast_rec{r.loc, {}});
       }
     }
   }
 
-  /// The transport's drain (transport::add_drain): sends one {target, sum}
-  /// record per touched target into the scatter lane and resets the marks.
-  /// The folds are published in bulk: as sends absorbed by a sender-side
+  /// The transport's drain (transport::add_drain). Publishes the rank's
+  /// local-apply tally; a combining scatter also hands each destination's
+  /// pending {target, sum} records to the scatter lane as one run (one
+  /// lane-lock acquisition per destination) and resets the marks. The
+  /// folds are published in bulk: as sends absorbed by a sender-side
   /// reduction (cache_hits), and as firings — each folded contribution is
   /// one, as it would be uncombined — so modifications() still counts
   /// every contribution. `discard` (after an aborted run) drops the sums.
   void drain(ampp::transport_context& ctx, bool discard) {
+    publish_local_applies(ctx.rank(), tp_->obs().core());
     if constexpr (kCombine) {
+      if (acc_.empty()) return;
       sum_accumulator& a = acc_[ctx.rank()];
-      if (a.order.empty()) return;
-      for (const graph::vertex_id t : a.order) {
-        a.touched[t] = 0;
-        if (!discard) fast_msg_->send(ctx, g_->owner(t), fast_rec{t, a.sum[t]});
+      for (std::size_t d = 0; d < a.pending.size(); ++d) {
+        std::vector<fast_rec>& run = a.pending[d];
+        if (run.empty()) continue;
+        for (fast_rec& x : run) {
+          a.touched[x.loc >> 6] = 0;
+          x.val = a.sum[x.loc];
+        }
+        if (!discard)
+          fast_msg_->send(ctx, static_cast<ampp::rank_t>(d), std::span<const fast_rec>(run));
+        run.clear();
       }
-      a.order.clear();
       if (discard) a.folds = 0;
       if (a.folds != 0) {
         tp_->obs().core().cache_hits.fetch_add(a.folds, std::memory_order_relaxed);
-        mods_[ctx.rank()].n.fetch_add(std::exchange(a.folds, 0), std::memory_order_relaxed);
+        bump(mods_[ctx.rank()], std::exchange(a.folds, 0));
       }
     }
   }
@@ -1177,7 +1221,7 @@ class instantiated_action final : public action_instance {
     if constexpr (kFastShape) {
       obs::trace_span sp(&tp_->obs().trace(), "plan", fast_label_.c_str(), ctx.rank());
       if (fast_commit(ctx, fast_pm_->local(ctx.rank()), r))
-        mods_[ctx.rank()].n.fetch_add(1, std::memory_order_relaxed);
+        bump(mods_[ctx.rank()], 1);
     }
   }
 
@@ -1189,7 +1233,8 @@ class instantiated_action final : public action_instance {
   /// with handler threads. A firing of a dependency arm runs the work hook.
   /// Returns whether the record fired — a scatter always does; callers add
   /// firings to the modification count in bulk.
-  bool fast_commit(ampp::transport_context& ctx, shard_t shard, const fast_rec& r) {
+  [[gnu::always_inline]] bool fast_commit(ampp::transport_context& ctx, shard_t shard,
+                                          const fast_rec& r) {
     if constexpr (kFastShape) {
       DPG_DEBUG_ASSERT(g_->owner(r.loc) == ctx.rank());
       const std::uint64_t li = g_->dist().local_index(r.loc);
@@ -1265,7 +1310,7 @@ class instantiated_action final : public action_instance {
         std::memcpy(&r, data + i * sizeof(fast_rec), sizeof(fast_rec));
         fired += fast_commit(ctx, shard, r);
       }
-      if (fired != 0) mods_[ctx.rank()].n.fetch_add(fired, std::memory_order_relaxed);
+      if (fired != 0) bump(mods_[ctx.rank()], fired);
     }
   }
 
@@ -1290,7 +1335,7 @@ class instantiated_action final : public action_instance {
     bool fired_dependency = false;
     if (atomic_ok_) {
       if (atomic_exec_(s)) {
-        mods_[ctx.rank()].n.fetch_add(1, std::memory_order_relaxed);
+        bump(mods_[ctx.rank()], 1);
         fired_dependency = when_dep_[0];
       }
     } else {
@@ -1301,7 +1346,7 @@ class instantiated_action final : public action_instance {
         fired = detail::eval_whens(*whens_c_, s);
       }
       if (fired >= 0) {
-        mods_[ctx.rank()].n.fetch_add(1, std::memory_order_relaxed);
+        bump(mods_[ctx.rank()], 1);
         fired_dependency = when_dep_[static_cast<std::size_t>(fired)];
       }
     }
@@ -1328,7 +1373,7 @@ class instantiated_action final : public action_instance {
   // Single-locality fast path (engaged when kFastShape and its guard can fire).
   typename fshape::pm_type* fast_pm_ = nullptr;
   std::optional<fast_idx_fn_t> fast_idx_;
-  std::optional<fast_val_fn_t> fast_val_;
+  std::optional<fast_val_fn_t> fast_val_;  ///< evaluator + hoisted loads
   /// Scatter only: the modify's F.
   std::optional<typename detail::scatter_shape<FirstWhen, Gen>::fn_type> fast_fn_;
   /// Claim only: the collision set map F and the unclaimed sentinel.
@@ -1337,13 +1382,12 @@ class instantiated_action final : public action_instance {
   typename fshape::value_type claim_sentinel_{};
   bool locked_commit_ = false;  ///< scatter and set-insert commits take the lock-map guard
   ampp::message_type<fast_rec>* fast_msg_ = nullptr;
-  hoisted_reads fast_hoists_;  ///< per-application invariant loads for fast_val_
   std::string fast_label_;
   bool use_fast_ = false;
   bool fast_local_ = false;
   bool fast_dep_ = false;
   std::vector<sum_accumulator> acc_;    ///< combining scatter with a lane: one per rank
-  std::optional<std::size_t> drain_id_;  ///< the accumulator's transport drain
+  std::optional<std::size_t> drain_id_;  ///< tally publish + accumulator drain
 
   /// Truncated layouts per wire: gather wires in hop order, then the
   /// evaluate wire when the final stage is not merged.

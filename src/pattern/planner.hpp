@@ -25,6 +25,7 @@
 
 #include <atomic>
 #include <functional>
+#include <tuple>
 #include <typeindex>
 #include <utility>
 #include <vector>
@@ -150,26 +151,71 @@ template <class T>
 inline constexpr bool is_edge_map<pmap::edge_property_map<T>> = true;
 }  // namespace detail
 
-/// Loop-invariant reads hoisted out of the fast-path generator loop. The
-/// recorded closures load v-homed property values into the arena once per
-/// action application, so the per-edge kernel evaluation reads a stack
-/// slot instead of repeating the sharded (and, for atomic-capable values,
-/// atomic) property-map access for every generated edge — the same value
-/// economy as a hand-written relax handler, which computes its source
-/// value once and carries it through the edge loop. Freshness is
-/// unaffected in spirit: property reads are freshness-relaxed anyway (see
+/// Loop-invariant reads hoisted out of the fast-path generator loop. Each
+/// load runs once per action application: a vertex_load copies a property
+/// value indexed by the invocation vertex into its arena slot, and an
+/// edge_view_load resolves the rank's slice of an edge map, so the per-edge
+/// kernel evaluation reads a stack slot or indexes a resolved array instead
+/// of repeating the sharded (and, for atomic-capable values, atomic)
+/// property-map access for every generated edge — the same value economy
+/// as a hand-written relax handler, which computes its source value once
+/// and carries it through the edge loop. Freshness is unaffected in
+/// spirit: property reads are freshness-relaxed anyway (see
 /// read_step::perform), and any concurrent improvement of a hoisted value
 /// re-triggers the action through the dependency work hook.
+///
+/// `Loads` is a std::tuple of the typed loads, one per hoisted read in the
+/// compiled expression, in evaluation order; running them is a statically
+/// dispatched sequence with no type erasure.
+template <class Loads>
 struct hoisted_reads {
-  std::vector<std::function<void(gather_state&)>> loads;
+  Loads loads;
+  /// Bytes of hoisted values, packed from arena offset 0. Edge views sit
+  /// at the top of the arena, above every value.
   std::size_t arena_used = 0;
-  /// One entry per hoisted (map, slot) pair: repeated reads of the same
-  /// v-indexed map share a slot (the fast-path analogue of gather CSE).
-  std::vector<std::pair<const void*, std::size_t>> slots;
 
-  void run(gather_state& s) const {
-    for (const auto& f : loads) f(s);
+  /// Runs every load for the invocation vertex s.v, local index `li` on
+  /// its owner `r` (the calling rank).
+  void run(gather_state& s, ampp::rank_t r, std::uint64_t li) const {
+    std::apply([&](const auto&... l) { (l(s, r, li), ...); }, loads);
   }
+};
+
+/// Hoisted read of vertex map `pm` at the invocation vertex.
+template <class PM>
+struct vertex_load {
+  const PM* pm;
+  std::size_t ofs;
+
+  void operator()(gather_state& s, ampp::rank_t r, std::uint64_t li) const {
+    using T = typename PM::value_type;
+    const T& x = pm->local(r)[li];
+    if constexpr (pmap::atomic_capable<T>)
+      s.arena_put(ofs, std::atomic_ref<T>(const_cast<T&>(x)).load(std::memory_order_relaxed));
+    else
+      s.arena_put(ofs, x);
+  }
+};
+
+/// Hoisted resolution of an edge map's rank view: the primary copy for the
+/// out-edge generator, the mirror for the in-edge generator.
+template <class T, bool Mirror>
+struct edge_view_load {
+  const pmap::edge_property_map<T>* pm;
+  std::size_t ofs;
+
+  void operator()(gather_state& s, ampp::rank_t r, std::uint64_t) const {
+    s.arena_put(ofs, Mirror ? pm->mirror_view(r) : pm->primary_view(r));
+  }
+};
+
+/// A fast-path expression compiled with hoisting: the per-edge evaluator
+/// and the hoisted loads that feed it (run them first, once per
+/// application).
+template <class Fn, class Loads>
+struct hoisted_expr {
+  Fn eval;
+  hoisted_reads<Loads> reads;
 };
 
 /// Accumulates read steps and arena layout while compiling the expressions
@@ -331,53 +377,21 @@ class plan_builder {
 
   /// compile_direct with loop-invariant hoisting: reads indexed by the
   /// invocation vertex itself load into the arena once per application
-  /// (recorded in `h`) and evaluate as a branchless stack-slot fetch per
-  /// edge; all other nodes compile exactly as compile_direct. Hoisted
-  /// reads always fit: they are a subset of the registered gather reads,
+  /// and evaluate as a stack-slot fetch per edge; an edge map read at the
+  /// generated edge resolves the rank's view once per application and
+  /// indexes it per edge; all other nodes compile exactly as
+  /// compile_direct. Repeated reads of one map share a slot. Hoisted
+  /// values always fit: they are a subset of the registered gather reads,
   /// and build() aborts on arena overflow before any fast compile runs.
+  /// Edge views are hoisted only when every view fits beside the values.
   template <class Expr>
-  static auto compile_direct_hoisted(const Expr& ex, hoisted_reads& h) {
-    using E = std::remove_cvref_t<Expr>;
-    if constexpr (pattern::detail::is_read_expr<E>::value) {
-      using PM = typename pattern::detail::is_read_expr<E>::pm_type;
-      using T = typename PM::value_type;
-      if constexpr (std::is_same_v<std::remove_cvref_t<decltype(ex.idx)>, v_expr> &&
-                    !detail::is_edge_map<PM>) {
-        PM* pm = ex.pm;
-        std::size_t ofs = gather_state::arena_bytes;
-        for (const auto& [id, slot] : h.slots)
-          if (id == pm) ofs = slot;
-        if (ofs == gather_state::arena_bytes) {
-          DPG_ASSERT_MSG(h.arena_used + sizeof(T) <= gather_state::arena_bytes,
-                         "hoisted reads exceed the gather arena");
-          ofs = h.arena_used;
-          h.arena_used += sizeof(T);
-          h.slots.emplace_back(pm, ofs);
-          h.loads.push_back([pm, ofs](gather_state& s) {
-            if constexpr (pmap::atomic_capable<T>) {
-              T& slot = const_cast<T&>(std::as_const(*pm)[s.v]);
-              s.arena_put(ofs,
-                          std::atomic_ref<T>(slot).load(std::memory_order_relaxed));
-            } else {
-              s.arena_put(ofs, std::as_const(*pm)[s.v]);
-            }
-          });
-        }
-        return [ofs](const gather_state& s) { return s.template arena_get<T>(ofs); };
-      } else {
-        return compile_direct(ex);
-      }
-    } else if constexpr (pattern::detail::is_bin_expr<E>::value) {
-      auto l = compile_direct_hoisted(ex.lhs, h);
-      auto r = compile_direct_hoisted(ex.rhs, h);
-      using Op = typename pattern::detail::is_bin_expr<E>::op_type;
-      return [l, r](const gather_state& s) { return apply_op<Op>(l(s), r(s)); };
-    } else if constexpr (pattern::detail::is_not_expr<E>::value) {
-      auto f = compile_direct_hoisted(ex.inner, h);
-      return [f](const gather_state& s) { return !f(s); };
-    } else {
-      return compile_direct(ex);
-    }
+  static auto compile_direct_hoisted(const Expr& ex) {
+    hoist_layout h;
+    auto compiled = hoist<std::remove_cvref_t<Expr>>(ex, h);
+    using fn_t = decltype(compiled.first);
+    using loads_t = decltype(compiled.second);
+    return hoisted_expr<fn_t, loads_t>{
+        std::move(compiled.first), hoisted_reads<loads_t>{std::move(compiled.second), h.used}};
   }
 
   const std::vector<read_step>& steps() const { return steps_; }
@@ -441,6 +455,108 @@ class plan_builder {
   };
   template <class E> struct is_not : std::false_type {};
   template <class X> struct is_not<un_expr<op_not, X>> : std::true_type {};
+
+  /// Arena slots handed out while hoisting: values grow up from offset 0,
+  /// edge views grow down from the top.
+  struct hoist_layout {
+    std::size_t used = 0;
+    std::size_t top = gather_state::arena_bytes;
+    std::vector<std::pair<const void*, std::size_t>> slots;  ///< (map, offset)
+
+    /// The offset already given to `pm`, or gather_state::arena_bytes.
+    std::size_t find(const void* pm) const {
+      for (const auto& [id, ofs] : slots)
+        if (id == pm) return ofs;
+      return gather_state::arena_bytes;
+    }
+  };
+
+  /// An edge-map read the hoister resolves as a view: indexed by the
+  /// generated edge of an edge generator.
+  template <class PM, class Idx>
+  static constexpr bool edge_view_read =
+      detail::is_edge_map<PM> && std::is_same_v<Idx, e_expr> &&
+      (std::is_same_v<Gen, out_edges_gen> || std::is_same_v<Gen, in_edges_gen>);
+
+  /// Upper bound of the arena bytes hoisting Expr takes (no slot sharing).
+  template <class Expr>
+  static constexpr std::size_t hoist_bytes() {
+    if constexpr (pattern::detail::is_read_expr<Expr>::value) {
+      using PM = typename pattern::detail::is_read_expr<Expr>::pm_type;
+      using Idx = typename pattern::detail::is_read_expr<Expr>::idx_type;
+      if constexpr (std::is_same_v<Idx, v_expr> && !detail::is_edge_map<PM>)
+        return sizeof(typename PM::value_type);
+      else if constexpr (edge_view_read<PM, Idx>)
+        return sizeof(typename PM::rank_view);
+      else
+        return 0;
+    } else if constexpr (pattern::detail::is_bin_expr<Expr>::value) {
+      return hoist_bytes<typename pattern::detail::is_bin_expr<Expr>::lhs_type>() +
+             hoist_bytes<typename pattern::detail::is_bin_expr<Expr>::rhs_type>();
+    } else if constexpr (pattern::detail::is_not_expr<Expr>::value) {
+      return hoist_bytes<typename pattern::detail::is_not_expr<Expr>::inner>();
+    } else {
+      return 0;
+    }
+  }
+
+  /// The recursion of compile_direct_hoisted: returns the evaluator and
+  /// the tuple of loads of `ex`, a subexpression of `Root`.
+  template <class Root, class Expr>
+  static auto hoist(const Expr& ex, hoist_layout& h) {
+    using E = std::remove_cvref_t<Expr>;
+    if constexpr (pattern::detail::is_read_expr<E>::value) {
+      using PM = typename pattern::detail::is_read_expr<E>::pm_type;
+      using Idx = typename pattern::detail::is_read_expr<E>::idx_type;
+      using T = typename PM::value_type;
+      if constexpr (std::is_same_v<Idx, v_expr> && !detail::is_edge_map<PM>) {
+        std::size_t ofs = h.find(ex.pm);
+        if (ofs == gather_state::arena_bytes) {
+          DPG_ASSERT_MSG(h.used + sizeof(T) <= h.top, "hoisted reads exceed the gather arena");
+          ofs = h.used;
+          h.used += sizeof(T);
+          h.slots.emplace_back(ex.pm, ofs);
+        }
+        auto fn = [ofs](const gather_state& s) { return s.template arena_get<T>(ofs); };
+        return std::pair{fn, std::tuple<vertex_load<PM>>{vertex_load<PM>{ex.pm, ofs}}};
+      } else if constexpr (edge_view_read<PM, Idx> &&
+                           hoist_bytes<Root>() <= gather_state::arena_bytes) {
+        using view = typename PM::rank_view;
+        constexpr bool mirror = std::is_same_v<Gen, in_edges_gen>;
+        std::size_t ofs = h.find(ex.pm);
+        if (ofs == gather_state::arena_bytes) {
+          h.top -= sizeof(view);
+          ofs = h.top;
+          h.slots.emplace_back(ex.pm, ofs);
+        }
+        auto fn = [ofs](const gather_state& s) -> T {
+          const view w = s.template arena_get<view>(ofs);
+          if constexpr (mirror)
+            return w.in(s.e);
+          else
+            return w.out(s.e);
+        };
+        using load = edge_view_load<T, mirror>;
+        return std::pair{fn, std::tuple<load>{load{ex.pm, ofs}}};
+      } else {
+        return std::pair{compile_direct(ex), std::tuple<>{}};
+      }
+    } else if constexpr (pattern::detail::is_bin_expr<E>::value) {
+      auto lhs = hoist<Root>(ex.lhs, h);
+      auto rhs = hoist<Root>(ex.rhs, h);
+      using Op = typename pattern::detail::is_bin_expr<E>::op_type;
+      auto fn = [l = lhs.first, r = rhs.first](const gather_state& s) {
+        return apply_op<Op>(l(s), r(s));
+      };
+      return std::pair{fn, std::tuple_cat(std::move(lhs.second), std::move(rhs.second))};
+    } else if constexpr (pattern::detail::is_not_expr<E>::value) {
+      auto inner = hoist<Root>(ex.inner, h);
+      auto fn = [f = inner.first](const gather_state& s) { return !f(s); };
+      return std::pair{fn, std::move(inner.second)};
+    } else {
+      return std::pair{compile_direct(ex), std::tuple<>{}};
+    }
+  }
 
   template <class PM, class Idx>
   auto compile_read(const read_expr<PM, Idx>& ex) {

@@ -153,6 +153,43 @@ class edge_property_map {
     return mirror_[to][e.mirror_slot];
   }
 
+  /// One rank's edge values, resolved once per action application: the
+  /// pattern fast path reads every generated edge of a vertex the rank owns
+  /// through it, without read()'s owner lookup and rank check per edge.
+  /// Valid until the graph next mutates (mutation happens between runs).
+  struct rank_view {
+    const T* base = nullptr;   ///< the rank's primary (or mirror) values
+    const T* delta = nullptr;  ///< the rank's overlay primary (or mirror) values
+    std::uint64_t first = 0;   ///< edge id of base[0]: edge_base(r), 0 for a mirror
+
+    /// The value of an out-edge of a vertex the rank owns (primary view).
+    const T& out(const edge_handle& e) const {
+      return graph::is_delta_edge(e.eid) ? delta[graph::delta_edge_index(e.eid)]
+                                         : base[e.eid - first];
+    }
+    /// The value of an in-edge of a vertex the rank owns (mirror view).
+    const T& in(const edge_handle& e) const {
+      return (e.mirror_slot & graph::delta_edge_flag) != 0
+                 ? delta[e.mirror_slot & ~graph::delta_edge_flag]
+                 : base[e.mirror_slot];
+    }
+  };
+
+  /// Rank r's primary copy: the edges whose source r owns (out-edges).
+  /// Overlay edges of those sources live in r's own delta shard.
+  rank_view primary_view(rank_t r) const {
+    sync();
+    check_rank(r);
+    return {primary_[r].data(), delta_primary_[r].data(), g_->edge_base(r)};
+  }
+  /// Rank r's mirror copy: the in-edges of the vertices r owns.
+  rank_view mirror_view(rank_t r) const {
+    sync();
+    check_rank(r);
+    DPG_ASSERT_MSG(g_->bidirectional(), "mirror view of a graph without in-edges");
+    return {mirror_[r].data(), delta_mirror_[r].data(), 0};
+  }
+
   /// The graph version this map has synced to (tests observe the lazy
   /// subscription through it).
   std::uint64_t observed_version() const {
@@ -300,6 +337,11 @@ class edge_property_map {
         ") and this map has no pure init function to grow from - rebuild it";
     dpg::assert_fail("edge map version == graph version", __FILE__, __LINE__,
                      msg.c_str());
+  }
+
+  void check_rank(rank_t r) const {
+    const rank_t cur = ampp::current_rank();
+    DPG_ASSERT_MSG(cur == ampp::invalid_rank || cur == r, "edge shard accessed from a foreign rank");
   }
 
   rank_t checked_src_owner(const edge_handle& e) const {

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -70,8 +71,57 @@ INSTANTIATE_TEST_SUITE_P(
     AllSchemes, DistributionProperty,
     ::testing::Combine(::testing::Values(0, 1, 2),
                        ::testing::Values<vertex_id>(1, 2, 7, 64, 100, 1000),
-                       ::testing::Values<rank_t>(1, 2, 3, 8, 16)),
+                       ::testing::Values<rank_t>(1, 2, 3, 4, 5, 7, 8, 16)),
     param_name);
+
+TEST(Distribution, BlockAndCyclicMatchDivisionFormulas) {
+  // Block and cyclic resolve their divisor once (shift and mask for a
+  // power of two, exact division otherwise); every id must still map by
+  // the plain / and % formulas, including ids past 2^32 and near 2^40
+  // and vertex counts the rank count does not divide.
+  const vertex_id p32 = vertex_id{1} << 32, p40 = vertex_id{1} << 40;
+  for (const vertex_id n : {p32 + 3, p40 + 5, p40 + 4096, 3 * p32}) {
+    for (const rank_t ranks : {1u, 2u, 3u, 4u, 5u, 7u, 8u, 16u}) {
+      SCOPED_TRACE("n=" + std::to_string(n) + " ranks=" + std::to_string(ranks));
+      const distribution b = distribution::block(n, ranks);
+      const distribution c = distribution::cyclic(n, ranks);
+      const vertex_id chunk = (n + ranks - 1) / ranks;
+      std::vector<vertex_id> ids = {0, 1, ranks - 1u, ranks, chunk - 1, chunk, n - 1};
+      for (const vertex_id base : {p32, p40})
+        for (vertex_id d = 0; d < 5; ++d) {
+          if (base - 2 + d < n) ids.push_back(base - 2 + d);
+        }
+      for (const vertex_id v : ids) {
+        if (v >= n) continue;
+        ASSERT_EQ(b.owner(v), static_cast<rank_t>(v / chunk)) << "block v=" << v;
+        ASSERT_EQ(b.local_index(v), v % chunk) << "block v=" << v;
+        ASSERT_EQ(b.global(b.owner(v), b.local_index(v)), v) << "block v=" << v;
+        ASSERT_EQ(c.owner(v), static_cast<rank_t>(v % ranks)) << "cyclic v=" << v;
+        ASSERT_EQ(c.local_index(v), v / ranks) << "cyclic v=" << v;
+        ASSERT_EQ(c.global(c.owner(v), c.local_index(v)), v) << "cyclic v=" << v;
+      }
+      std::uint64_t total_b = 0, total_c = 0;
+      for (rank_t r = 0; r < ranks; ++r) {
+        total_b += b.count(r);
+        total_c += c.count(r);
+      }
+      EXPECT_EQ(total_b, n);
+      EXPECT_EQ(total_c, n);
+    }
+  }
+}
+
+TEST(Distribution, OneRankIsTheIdentity) {
+  for (const vertex_id n : {vertex_id{1}, vertex_id{7}, vertex_id{64}, vertex_id{1000}}) {
+    for (const distribution& d : {distribution::block(n, 1), distribution::cyclic(n, 1)}) {
+      for (vertex_id v = 0; v < n; ++v) {
+        ASSERT_EQ(d.owner(v), 0u);
+        ASSERT_EQ(d.local_index(v), v);
+        ASSERT_EQ(d.global(0, v), v);
+      }
+    }
+  }
+}
 
 TEST(Distribution, BlockIsContiguous) {
   const auto d = distribution::block(100, 4);

@@ -233,14 +233,30 @@ TEST(Planner, UnconditionalScatterCompilesToSixteenByteRecord) {
 
 /// R-MAT scale 10 plus a hub every vertex points at: the hub's in-edges
 /// from each rank fold into one record per rank.
-distributed_graph hub_and_rmat(ampp::rank_t ranks) {
+distributed_graph hub_and_rmat(ampp::rank_t ranks,
+                               distribution::kind kind = distribution::kind::cyclic) {
   graph::rmat_params p;
   p.scale = 10;
   p.edge_factor = 8;
   std::vector<graph::edge> e = graph::rmat(p, 31);
   const vertex_id n = vertex_id{1} << p.scale;
   for (vertex_id v = 1; v < n; ++v) e.push_back({v, 0});
+  switch (kind) {
+    case distribution::kind::block: return distributed_graph(n, e, distribution::block(n, ranks));
+    case distribution::kind::hashed:
+      return distributed_graph(n, e, distribution::hashed(n, ranks));
+    case distribution::kind::cyclic: break;
+  }
   return distributed_graph(n, e, distribution::cyclic(n, ranks));
+}
+
+const char* kind_name(distribution::kind k) {
+  switch (k) {
+    case distribution::kind::block: return "block";
+    case distribution::kind::cyclic: return "cyclic";
+    case distribution::kind::hashed: return "hashed";
+  }
+  return "?";
 }
 
 /// What one scatter sweep over the out-edges of the picked vertices must
@@ -281,65 +297,76 @@ TEST(Planner, AddScatterSendsOneRecordPerRemoteTarget) {
   // still commit in place. Every contribution is either sent, folded or
   // applied locally; the sums match the lambda `modify` twin, which is
   // uncombined by shape (F is opaque, so it is not known to be a sum).
-  for (const ampp::rank_t ranks : {2u, 4u}) {
-    for (const unsigned threads : {0u, 1u, 2u}) {
-      SCOPED_TRACE("ranks=" + std::to_string(ranks) + " threads=" + std::to_string(threads));
-      const distributed_graph g = hub_and_rmat(ranks);
-      const vertex_id n = g.num_vertices();
-      std::vector<double> shares(n);
-      pmap::vertex_property_map<double> share_map(g, 0.0);
-      for (vertex_id v = 0; v < n; ++v) share_map[v] = shares[v] = 1.0 / (3.0 + v);
-      const scatter_oracle o = scatter_counts(g, shares, [](vertex_id) { return true; });
-      ASSERT_EQ(o.local + o.remote, g.num_edges());
-      ASSERT_LT(o.pairs, o.remote);  // the hub alone folds n/ranks edges per rank
+  // Local applies are tallied per rank and published at the drain, so
+  // they are exact at epoch end, at power-of-two rank counts and others,
+  // under every distribution.
+  for (const ampp::rank_t ranks : {2u, 3u, 4u}) {
+    for (const auto kind : {distribution::kind::cyclic, distribution::kind::block,
+                            distribution::kind::hashed}) {
+      for (const unsigned threads : {0u, 1u, 2u}) {
+        SCOPED_TRACE("ranks=" + std::to_string(ranks) + " " + kind_name(kind) +
+                     " threads=" + std::to_string(threads));
+        const distributed_graph g = hub_and_rmat(ranks, kind);
+        const vertex_id n = g.num_vertices();
+        std::vector<double> shares(n);
+        pmap::vertex_property_map<double> share_map(g, 0.0);
+        for (vertex_id v = 0; v < n; ++v) share_map[v] = shares[v] = 1.0 / (3.0 + v);
+        const scatter_oracle o = scatter_counts(g, shares, [](vertex_id) { return true; });
+        ASSERT_EQ(o.local + o.remote, g.num_edges());
+        ASSERT_LT(o.pairs, o.remote);  // the hub alone folds n/ranks edges per rank
 
-      pmap::lock_map locks(g.dist(), pmap::lock_scheme::per_vertex);
-      ampp::transport tp(ampp::transport_config{.n_ranks = ranks, .handler_threads = threads});
-      property share(share_map);
-      std::vector<pmap::vertex_property_map<double>> next(2, pmap::vertex_property_map<double>(g, 0.0));
-      property n0(next[0]), n1(next[1]);
-      const auto sum = [](double& acc, double x) { acc += x; };
-      auto combined = instantiate(
-          tp, g, locks, make_action("sum", out_edges_gen{}, when(lit(true), add(n0(trg(e_)), share(v_)))));
-      auto uncombined = instantiate(
-          tp, g, locks,
-          make_action("lambda", out_edges_gen{}, when(lit(true), modify(n1(trg(e_)), sum, share(v_)))));
-      EXPECT_TRUE(combined->plan().fast_reduction);
-      EXPECT_NE(explain("sum", combined->plan())
-                    .find("sender reduction: per-target sum accumulator on the scatter lane"),
-                std::string::npos);
-      EXPECT_FALSE(uncombined->plan().fast_reduction);
-      EXPECT_TRUE(uncombined->plan().fast_path);
+        pmap::lock_map locks(g.dist(), pmap::lock_scheme::per_vertex);
+        ampp::transport tp(ampp::transport_config{.n_ranks = ranks, .handler_threads = threads});
+        property share(share_map);
+        std::vector<pmap::vertex_property_map<double>> next(2, pmap::vertex_property_map<double>(g, 0.0));
+        property n0(next[0]), n1(next[1]);
+        const auto sum = [](double& acc, double x) { acc += x; };
+        auto combined = instantiate(
+            tp, g, locks, make_action("sum", out_edges_gen{}, when(lit(true), add(n0(trg(e_)), share(v_)))));
+        auto uncombined = instantiate(
+            tp, g, locks,
+            make_action("lambda", out_edges_gen{}, when(lit(true), modify(n1(trg(e_)), sum, share(v_)))));
+        EXPECT_TRUE(combined->plan().fast_reduction);
+        EXPECT_NE(explain("sum", combined->plan())
+                      .find("sender reduction: per-target sum accumulator on the scatter lane"),
+                  std::string::npos);
+        EXPECT_FALSE(uncombined->plan().fast_reduction);
+        EXPECT_TRUE(uncombined->plan().fast_path);
 
-      const auto sweep = [&](action_instance& act) {
-        obs::stats_scope sc(tp.obs());
-        tp.run([&](ampp::transport_context& ctx) {
-          ampp::epoch ep(ctx);
-          for (vertex_id v = 0; v < n; ++v)
-            if (g.owner(v) == ctx.rank()) act(ctx, v);
-        });
-        return sc.finish().core;
-      };
-      // Twice: the accumulator is empty after each drain and kept for the
-      // next run, so the second sweep costs exactly what the first did.
-      for (int run = 0; run < 2; ++run) {
-        next[0].fill(0.0);
-        const auto c = sweep(*combined);
-        EXPECT_EQ(c.messages_sent, o.pairs);
-        EXPECT_EQ(c.cache_hits, o.remote - o.pairs);
-        EXPECT_EQ(c.local_applies, o.local);
-        EXPECT_EQ(c.messages_sent + c.cache_hits + c.local_applies, g.num_edges());
+        const auto sweep = [&](action_instance& act) {
+          obs::stats_scope sc(tp.obs());
+          tp.run([&](ampp::transport_context& ctx) {
+            ampp::epoch ep(ctx);
+            for (vertex_id v = 0; v < n; ++v)
+              if (g.owner(v) == ctx.rank()) act(ctx, v);
+          });
+          return sc.finish().core;
+        };
+        // Twice: the accumulator is empty after each drain and kept for the
+        // next run, so the second sweep costs exactly what the first did.
+        for (int run = 0; run < 2; ++run) {
+          next[0].fill(0.0);
+          const auto c = sweep(*combined);
+          EXPECT_EQ(c.messages_sent, o.pairs);
+          EXPECT_EQ(c.cache_hits, o.remote - o.pairs);
+          EXPECT_EQ(c.local_applies, o.local);
+          EXPECT_EQ(c.messages_sent + c.cache_hits + c.local_applies, g.num_edges());
+        }
+        const auto u = sweep(*uncombined);
+        EXPECT_EQ(u.messages_sent, o.remote);
+        EXPECT_EQ(u.cache_hits, 0u);
+        EXPECT_EQ(u.local_applies, o.local);
+        EXPECT_EQ(u.messages_sent + u.cache_hits + u.local_applies, g.num_edges());
+        // One application per vertex per sweep; a folded contribution is
+        // still a firing of the action.
+        EXPECT_EQ(combined->invocations(), 2 * n);
+        EXPECT_EQ(uncombined->invocations(), n);
+        EXPECT_EQ(combined->modifications(), 2 * g.num_edges());
+        EXPECT_EQ(uncombined->modifications(), g.num_edges());
+        for (vertex_id v = 0; v < n; ++v)
+          for (int k = 0; k < 2; ++k)
+            ASSERT_NEAR(next[k][v], o.sums[v], 1e-12) << "v=" << v << " variant " << k;
       }
-      const auto u = sweep(*uncombined);
-      EXPECT_EQ(u.messages_sent, o.remote);
-      EXPECT_EQ(u.cache_hits, 0u);
-      EXPECT_EQ(u.local_applies, o.local);
-      // A folded contribution is still a firing of the action.
-      EXPECT_EQ(combined->modifications(), 2 * g.num_edges());
-      EXPECT_EQ(uncombined->modifications(), g.num_edges());
-      for (vertex_id v = 0; v < n; ++v)
-        for (int k = 0; k < 2; ++k)
-          ASSERT_NEAR(next[k][v], o.sums[v], 1e-12) << "v=" << v << " variant " << k;
     }
   }
 }

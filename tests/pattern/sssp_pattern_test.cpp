@@ -3,6 +3,7 @@
 // evaluate+modify at trg(e)).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -39,7 +40,10 @@ struct sssp_fixture {
 
   sssp_fixture(vertex_id n, const std::vector<graph::edge>& edges, ampp::rank_t ranks,
                double uniform_weight = 1.0)
-      : g(n, edges, distribution::cyclic(n, ranks)),
+      : sssp_fixture(edges, distribution::cyclic(n, ranks), uniform_weight) {}
+  sssp_fixture(const std::vector<graph::edge>& edges, const distribution& d,
+               double uniform_weight = 1.0)
+      : g(d.num_vertices(), edges, d),
         dist_map(g, kInf),
         weight_map(g, uniform_weight),
         locks(g.dist(), pmap::lock_scheme::per_vertex) {}
@@ -199,25 +203,52 @@ TEST(SsspPattern, AtomicAndLockedPathsAgree) {
 TEST(SsspPattern, CompiledRelaxIsBitIdenticalToDijkstra) {
   // The single-locality relax record is a pure transport optimization:
   // the fixed point equals the sequential oracle down to the last bit, on
-  // an irregular graph with distinct per-edge weights.
+  // an irregular graph with distinct per-edge weights, under every
+  // distribution at a rank count that is not a power of two. Every record
+  // an application generates is sent, absorbed by the sender's reduction
+  // cache, or committed in place, and the action's counters agree with an
+  // independent count of applications and firings.
   const vertex_id n = 96;
-  sssp_fixture fx(n, graph::erdos_renyi(n, 700, 29), 3);
-  fx.weight_map = pmap::edge_property_map<double>(fx.g, [](const edge_handle& e) {
-    return graph::edge_weight(e.src, e.dst, 7, 3.0);
-  });
-  ampp::transport tp(ampp::transport_config{.n_ranks = 3});
-  auto relax = make_relax(tp, fx);
-  const plan_info& p = relax->plan();
-  EXPECT_TRUE(p.fast_path);
-  EXPECT_EQ(p.wire_bytes, std::vector<std::size_t>{16});  // {target vertex, candidate}
-  relax->work([&](ampp::transport_context& ctx, vertex_id dep) { (*relax)(ctx, dep); });
-  fx.dist_map[0] = 0.0;
-  tp.run([&](ampp::transport_context& ctx) {
-    ampp::epoch ep(ctx);
-    if (fx.g.owner(0) == ctx.rank()) (*relax)(ctx, 0);
-  });
-  const auto oracle = algo::dijkstra(fx.g, fx.weight_map, 0);
-  for (vertex_id v = 0; v < n; ++v) ASSERT_EQ(fx.dist_map[v], oracle[v]) << "v=" << v;
+  const auto edges = graph::erdos_renyi(n, 700, 29);
+  for (const distribution& d : {distribution::cyclic(n, 3), distribution::block(n, 3),
+                                distribution::hashed(n, 3)}) {
+    for (const unsigned threads : {0u, 1u}) {
+      SCOPED_TRACE("kind=" + std::to_string(static_cast<int>(d.which())) +
+                   " threads=" + std::to_string(threads));
+      sssp_fixture fx(edges, d);
+      fx.weight_map = pmap::edge_property_map<double>(fx.g, [](const edge_handle& e) {
+        return graph::edge_weight(e.src, e.dst, 7, 3.0);
+      });
+      ampp::transport tp(ampp::transport_config{.n_ranks = 3, .handler_threads = threads});
+      auto relax = make_relax(tp, fx);
+      const plan_info& p = relax->plan();
+      EXPECT_TRUE(p.fast_path);
+      EXPECT_EQ(p.wire_bytes, std::vector<std::size_t>{16});  // {target vertex, candidate}
+      std::atomic<std::uint64_t> applications{0}, records{0}, firings{0};
+      const auto apply = [&](ampp::transport_context& ctx, vertex_id v) {
+        applications.fetch_add(1, std::memory_order_relaxed);
+        records.fetch_add(fx.g.out_degree(v), std::memory_order_relaxed);
+        (*relax)(ctx, v);
+      };
+      relax->work([&](ampp::transport_context& ctx, vertex_id dep) {
+        firings.fetch_add(1, std::memory_order_relaxed);
+        apply(ctx, dep);
+      });
+      fx.dist_map[0] = 0.0;
+      obs::stats_scope sc(tp.obs());
+      tp.run([&](ampp::transport_context& ctx) {
+        ampp::epoch ep(ctx);
+        if (fx.g.owner(0) == ctx.rank()) apply(ctx, 0);
+      });
+      const obs::counters c = sc.finish().core;
+      EXPECT_EQ(c.messages_sent + c.cache_hits + c.local_applies, records.load());
+      EXPECT_GT(c.local_applies, 0u);
+      EXPECT_EQ(relax->invocations(), applications.load());
+      EXPECT_EQ(relax->modifications(), firings.load());
+      const auto oracle = algo::dijkstra(fx.g, fx.weight_map, 0);
+      for (vertex_id v = 0; v < n; ++v) ASSERT_EQ(fx.dist_map[v], oracle[v]) << "v=" << v;
+    }
+  }
 }
 
 TEST(SsspPattern, WireBytesMatchTheCompiledPayloads) {
