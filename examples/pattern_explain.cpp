@@ -130,7 +130,7 @@ int run_measure() {
 // Fuses the sssp+widest+bfs-tree triple (the bench_fusion workload) on a
 // small graph, prints the fused plan — the packed wire layout plus the
 // group-dispatch/fixed-point summary — runs it, and prints the measured
-// per-type chain so the fused lane and the per-member solo lanes are
+// per-type chain so the fused lane and each member's own relax lane are
 // visible side by side.
 int run_fuse() {
   using namespace dpg;

@@ -14,6 +14,16 @@ namespace dpg::algo {
 
 using graph::vertex_id;
 
+/// The BFS explore action: the relax shape with unit weights.
+/// bfs_solver and fused_triple_solver both build it here.
+inline auto bfs_explore_def(pmap::vertex_property_map<std::uint64_t>& depth) {
+  using namespace pattern;
+  property d(depth);
+  return make_action("bfs.explore", out_edges_gen{},
+                     when(d(trg(e_)) > d(v_) + lit<std::uint64_t>(1),
+                          assign(d(trg(e_)), d(v_) + lit<std::uint64_t>(1))));
+}
+
 class bfs_solver {
  public:
   /// Depth value for unreachable vertices: num_vertices() (no reachable
@@ -22,15 +32,8 @@ class bfs_solver {
       : g_(&g),
         unreachable_(g.num_vertices()),
         depth_(g, unreachable_),
-        locks_(g.dist(), pmap::lock_scheme::per_vertex) {
-    using namespace pattern;
-    property d(depth_);
-    explore_ = instantiate(
-        tp, g, locks_,
-        make_action("bfs.explore", out_edges_gen{},
-                    when(d(trg(e_)) > d(v_) + lit<std::uint64_t>(1),
-                         assign(d(trg(e_)), d(v_) + lit<std::uint64_t>(1)))));
-  }
+        locks_(g.dist(), pmap::lock_scheme::per_vertex),
+        explore_(pattern::instantiate(tp, g, locks_, bfs_explore_def(depth_))) {}
 
   /// Collective: chaotic fixed-point BFS.
   strategy::result run_fixed_point(ampp::transport_context& ctx, vertex_id source,

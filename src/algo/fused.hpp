@@ -1,11 +1,12 @@
 // SSSP + widest-path + BFS-tree in one traversal wave (multi-pattern
-// fusion, GraFS-style). The three relax actions are declared exactly as
-// their standalone solvers declare them — same DSL text, same shapes —
-// and handed to pattern::fuse, which synthesizes one fused message
-// family and drives all three to their fixed points in a single epoch
-// loop with a single termination detection. Result maps are
-// bit-identical to running sssp_solver / widest_path_solver / bfs_solver
-// separately (asserted under every fault plan by the fusion sweep).
+// fusion, GraFS-style). The three relax actions come from the same
+// definitions the standalone solvers use (sssp_relax_def,
+// widest_relax_def, bfs_explore_def) and are handed to pattern::fuse,
+// which runs each on its own relax lane, adds one fused message family,
+// and drives all three to their fixed points in a single epoch loop with
+// a single termination detection. Result maps are bit-identical to running
+// sssp_solver / widest_path_solver / bfs_solver separately (asserted
+// under every fault plan by the fusion sweep).
 //
 // The sources may differ per member: a candidate generated at a vertex
 // one member has not reached yet carries that member's self-rejecting
@@ -20,6 +21,9 @@
 #include <utility>
 #include <vector>
 
+#include "algo/bfs.hpp"
+#include "algo/sssp.hpp"
+#include "algo/widest_path.hpp"
 #include "pattern/fuse.hpp"
 #include "strategy/strategies.hpp"
 
@@ -27,50 +31,16 @@ namespace dpg::algo {
 
 using graph::vertex_id;
 
-namespace detail {
-
-// The member action definitions, verbatim from sssp_solver /
-// widest_path_solver / bfs_solver. Factored as free builders so the
-// fused action's concrete type (which spells out the when-clause types)
-// can be named by decltype inside the solver class.
-inline auto sssp_def(pmap::vertex_property_map<double>& dist,
-                     pmap::edge_property_map<double>& weight) {
-  using namespace pattern;
-  property d(dist);
-  property wt(weight);
-  return make_action("sssp.relax", out_edges_gen{},
-                     when(d(trg(e_)) > d(v_) + wt(e_),
-                          assign(d(trg(e_)), d(v_) + wt(e_))));
-}
-inline auto widest_def(pmap::vertex_property_map<double>& width,
-                       pmap::edge_property_map<double>& capacity) {
-  using namespace pattern;
-  property w(width);
-  property cap(capacity);
-  return make_action("widest.relax", out_edges_gen{},
-                     when(w(trg(e_)) < min_(w(v_), cap(e_)),
-                          assign(w(trg(e_)), min_(w(v_), cap(e_)))));
-}
-inline auto bfs_def(pmap::vertex_property_map<std::uint64_t>& depth) {
-  using namespace pattern;
-  property d(depth);
-  return make_action("bfs.explore", out_edges_gen{},
-                     when(d(trg(e_)) > d(v_) + lit<std::uint64_t>(1),
-                          assign(d(trg(e_)), d(v_) + lit<std::uint64_t>(1))));
-}
-
-}  // namespace detail
-
 class fused_triple_solver {
  private:
   using fused_ptr = decltype(pattern::fuse(
       std::declval<ampp::transport&>(),
       std::declval<const graph::distributed_graph&>(),
-      detail::sssp_def(std::declval<pmap::vertex_property_map<double>&>(),
-               std::declval<pmap::edge_property_map<double>&>()),
-      detail::widest_def(std::declval<pmap::vertex_property_map<double>&>(),
-                 std::declval<pmap::edge_property_map<double>&>()),
-      detail::bfs_def(std::declval<pmap::vertex_property_map<std::uint64_t>&>())));
+      sssp_relax_def(std::declval<pmap::vertex_property_map<double>&>(),
+                     std::declval<pmap::edge_property_map<double>&>()),
+      widest_relax_def(std::declval<pmap::vertex_property_map<double>&>(),
+                       std::declval<pmap::edge_property_map<double>&>()),
+      bfs_explore_def(std::declval<pmap::vertex_property_map<std::uint64_t>&>())));
 
  public:
   static constexpr double infinity = std::numeric_limits<double>::infinity();
@@ -84,8 +54,8 @@ class fused_triple_solver {
 
   /// Registers the fused message family with `tp`. Construct before
   /// transport::run; `g`, `weight`, and `capacity` must outlive the
-  /// solver. The fused lane and each solo lane combine same-target
-  /// candidates on the sender.
+  /// solver. The fused lane and each member's relax lane combine
+  /// same-target candidates on the sender.
   fused_triple_solver(ampp::transport& tp, const graph::distributed_graph& g,
                       pmap::edge_property_map<double>& weight,
                       pmap::edge_property_map<double>& capacity)
@@ -94,8 +64,8 @@ class fused_triple_solver {
         dist_(g, infinity),
         width_(g, 0.0),
         depth_(g, unreachable_),
-        fused_(pattern::fuse(tp, g, detail::sssp_def(dist_, weight),
-                             detail::widest_def(width_, capacity), detail::bfs_def(depth_))) {}
+        fused_(pattern::fuse(tp, g, sssp_relax_def(dist_, weight),
+                             widest_relax_def(width_, capacity), bfs_explore_def(depth_))) {}
 
   /// Collective: resets all three maps and solves the three analytics to
   /// their common fixed point in one epoch loop.

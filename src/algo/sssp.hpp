@@ -22,6 +22,17 @@ namespace dpg::algo {
 
 using graph::vertex_id;
 
+/// The SSSP relax action (Fig. 2): lower trg(e)'s distance through v.
+/// sssp_solver and fused_triple_solver both build it here.
+inline auto sssp_relax_def(pmap::vertex_property_map<double>& dist,
+                           pmap::edge_property_map<double>& weight) {
+  using namespace pattern;
+  property d(dist);
+  property w(weight);
+  return make_action("sssp.relax", out_edges_gen{},
+                     when(d(trg(e_)) > d(v_) + w(e_), assign(d(trg(e_)), d(v_) + w(e_))));
+}
+
 class sssp_solver {
  public:
   static constexpr double infinity = std::numeric_limits<double>::infinity();
@@ -35,15 +46,8 @@ class sssp_solver {
       : g_(&g),
         dist_(g, infinity),
         locks_(g.dist(), locking),
-        weight_(&weight) {
-    pattern::property d(dist_);
-    pattern::property w(*weight_);
-    using namespace pattern;
-    relax_ = instantiate(tp, g, locks_,
-                         make_action("sssp.relax", out_edges_gen{},
-                                     when(d(trg(e_)) > d(v_) + w(e_),
-                                          assign(d(trg(e_)), d(v_) + w(e_)))));
-  }
+        weight_(&weight),
+        relax_(pattern::instantiate(tp, g, locks_, sssp_relax_def(dist_, weight))) {}
 
   /// Collective: resets distances and solves from `source` with the
   /// fixed_point strategy.

@@ -14,6 +14,20 @@ namespace dpg::algo {
 
 using graph::vertex_id;
 
+/// The widest-path relax action: improve trg(e)'s bottleneck width when
+/// the path through v is wider,
+///   width[trg(e)] = max(width[trg(e)], min(width[v], cap[e])).
+/// widest_path_solver and fused_triple_solver both build it here.
+inline auto widest_relax_def(pmap::vertex_property_map<double>& width,
+                             pmap::edge_property_map<double>& capacity) {
+  using namespace pattern;
+  property w(width);
+  property cap(capacity);
+  return make_action("widest.relax", out_edges_gen{},
+                     when(w(trg(e_)) < min_(w(v_), cap(e_)),
+                          assign(w(trg(e_)), min_(w(v_), cap(e_)))));
+}
+
 class widest_path_solver {
  public:
   static constexpr double infinity = std::numeric_limits<double>::infinity();
@@ -22,18 +36,8 @@ class widest_path_solver {
                      pmap::edge_property_map<double>& capacity)
       : g_(&g),
         width_(g, 0.0),
-        locks_(g.dist(), pmap::lock_scheme::per_vertex) {
-    using namespace pattern;
-    property w(width_);
-    property cap(capacity);
-    // Improve trg's bottleneck width when the path through v is wider:
-    //   width[trg(e)] = max(width[trg(e)], min(width[v], cap[e]))
-    relax_ = instantiate(
-        tp, g, locks_,
-        make_action("widest.relax", out_edges_gen{},
-                    when(w(trg(e_)) < min_(w(v_), cap(e_)),
-                         assign(w(trg(e_)), min_(w(v_), cap(e_))))));
-  }
+        locks_(g.dist(), pmap::lock_scheme::per_vertex),
+        relax_(pattern::instantiate(tp, g, locks_, widest_relax_def(width_, capacity))) {}
 
   /// Collective: solve from `source` by fixed point.
   strategy::result run(ampp::transport_context& ctx, vertex_id source,

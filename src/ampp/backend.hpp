@@ -147,6 +147,23 @@ class wire_backend {
   /// Returns the number of frames delivered. Throws wire_error on protocol
   /// violations or a dead peer with a partial frame in flight.
   virtual std::size_t poll(const frame_sink& sink) = 0;
+
+  /// What the framing step knows of a frame's length: throws wire_error
+  /// unless the header's length prefix is one it allows (validate_length
+  /// with the type's stride). The pipe runs it on every header before it
+  /// awaits the payload. A bare pipe checks only the header format.
+  using frame_check = std::function<void(const wire_header& h)>;
+  void set_frame_check(frame_check c) { check_ = std::move(c); }
+
+ protected:
+  /// validate_header, then the installed frame check.
+  void check_frame(const wire_header& h, rank_t n_ranks) const {
+    validate_header(h, n_ranks);
+    if (check_) check_(h);
+  }
+
+ private:
+  frame_check check_;
 };
 
 /// Builds the byte pipe described by `cfg` (shm_ring or tcp) for a machine

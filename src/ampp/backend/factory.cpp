@@ -1,4 +1,5 @@
 #include <atomic>
+#include <stdexcept>
 #include <thread>
 
 #include "ampp/backend.hpp"
@@ -42,7 +43,9 @@ class wire_link final : public envelope_backend {
         self_(host.cfg.backend.self_rank),
         pipe_(make_wire(host.cfg.backend, host.cfg.n_ranks)),
         expect_(host.cfg.n_ranks, 0),
-        oob_in_(host.cfg.n_ranks) {}
+        oob_in_(host.cfg.n_ranks) {
+    pipe_->set_frame_check([this](const wire_header& h) { check(h); });
+  }
 
   const char* name() const override { return pipe_->name(); }
 
@@ -74,8 +77,27 @@ class wire_link final : public envelope_backend {
   std::vector<std::vector<std::byte>> exchange_blobs(const std::vector<std::byte>& mine) override;
 
  private:
-  /// The pipe already ran validate_header (magic/version/endian/src); here
-  /// the frame meets the local process: registry, topology, ordering.
+  /// The pipe's frame check, run on each header before its payload is
+  /// awaited: the type must be registered under the same name here, and
+  /// the length prefix must be what the type's stride (or, out of band,
+  /// the exchange's bound) allows.
+  void check(const wire_header& h) const {
+    if (h.flags & wire_flag_oob) return validate_length(h, 0);
+    const auto& types = host_.types;
+    if (h.type_id >= types.size())
+      throw wire_error("wire frame: unknown message type id " + std::to_string(h.type_id) +
+                       " (registry has " + std::to_string(types.size()) + " types)");
+    const detail::message_type_base& mt = *types[h.type_id];
+    if (h.type_hash != mt.wire_hash())
+      throw wire_error("wire frame: type hash mismatch for id " + std::to_string(h.type_id) +
+                       " (local type '" + mt.name() +
+                       "') — processes registered message types in different orders");
+    validate_length(h, mt.wire_stride_bytes());
+  }
+
+  /// The pipe already ran validate_header (magic/version/endian/src) and
+  /// check (registry, length); here the frame meets the local process:
+  /// topology and ordering.
   void accept(const wire_header& h, const std::byte* payload) {
     if (h.flags & wire_flag_oob) {
       std::lock_guard<std::mutex> g(oob_mu_);
@@ -83,15 +105,7 @@ class wire_link final : public envelope_backend {
                                   std::vector<std::byte>(payload, payload + h.payload_bytes));
       return;
     }
-    const auto& types = host_.types;
-    if (h.type_id >= types.size())
-      throw wire_error("wire frame: unknown message type id " + std::to_string(h.type_id) +
-                       " (registry has " + std::to_string(types.size()) + " types)");
-    detail::message_type_base* mt = types[h.type_id].get();
-    if (h.type_hash != mt->wire_hash())
-      throw wire_error("wire frame: type hash mismatch for id " + std::to_string(h.type_id) +
-                       " (local type '" + mt->name() +
-                       "') — processes registered message types in different orders");
+    detail::message_type_base* mt = host_.types[h.type_id].get();
     const topology_stamp& s = host_.stamp;
     if (h.topo_version != s.version || h.structure_version != s.structure_version)
       throw wire_error(
@@ -105,9 +119,6 @@ class wire_link final : public envelope_backend {
                        std::to_string(expect_[h.src]) +
                        ") — the backend pipe is supposed to be reliable and ordered");
     ++expect_[h.src];
-    if (h.payload_bytes != h.count * mt->wire_stride_bytes())
-      throw wire_error("wire frame: length disagrees with payload stride for type '" +
-                       mt->name() + "'");
     detail::envelope env;
     env.vt = mt->wire_vtable();
     env.count = h.count;
@@ -134,7 +145,10 @@ class wire_link final : public envelope_backend {
 
 std::vector<std::vector<std::byte>> wire_link::exchange_blobs(
     const std::vector<std::byte>& mine) {
-  DPG_ASSERT_MSG(mine.size() < (std::uint64_t{1} << 32), "blob too large for one frame");
+  if (mine.size() > wire_max_blob_bytes)
+    throw std::length_error("exchange_blobs: a blob of " + std::to_string(mine.size()) +
+                            " bytes exceeds the " + std::to_string(wire_max_blob_bytes) +
+                            "-byte frame bound");
   const std::uint64_t gen = ++oob_gen_;
   const rank_t n = host_.cfg.n_ranks;
   wire_header h;

@@ -299,7 +299,7 @@ std::size_t shm_ring_backend::poll(const frame_sink& sink) {
                        std::memory_order_release);
       wire_header h;
       std::memcpy(&h, scratch.data(), sizeof(wire_header));
-      validate_header(h, n_ranks_);
+      check_frame(h, n_ranks_);
       if (sizeof(wire_header) + h.payload_bytes != frame_bytes)
         throw wire_error("shm backend: frame length disagrees with header");
       sink(h, scratch.data() + sizeof(wire_header));

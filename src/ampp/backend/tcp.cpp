@@ -249,7 +249,7 @@ std::size_t tcp_backend::drain_peer(rank_t src, const frame_sink& sink) {
   while (p.rx.size() - off >= sizeof(wire_header)) {
     wire_header h;
     std::memcpy(&h, p.rx.data() + off, sizeof(wire_header));
-    validate_header(h, n_ranks_);
+    check_frame(h, n_ranks_);  // before the payload is awaited
     const std::size_t frame = sizeof(wire_header) + h.payload_bytes;
     if (p.rx.size() - off < frame) break;  // partial read: wait for the rest
     sink(h, p.rx.data() + off + sizeof(wire_header));

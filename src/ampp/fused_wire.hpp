@@ -5,7 +5,7 @@
 // record: the shared addressing field (the target vertex every member
 // routes by) is sent once, and each member contributes one 8-byte live
 // slot. This header owns the layout arithmetic — slot offsets, record
-// size, and the byte comparison against N separate fast records — so the
+// size, and the byte comparison against the members' own records — so the
 // pattern-side fusion pass and the explain output agree on one source of
 // truth for what the fused wire carries.
 #pragma once
@@ -21,7 +21,7 @@ struct fused_slot {
   std::string member;           ///< member action name, e.g. "sssp.relax"
   std::size_t offset = 0;       ///< byte offset of the slot in the fused record
   std::size_t bytes = 0;        ///< slot width (8 for every atomic-capable value)
-  std::size_t solo_bytes = 0;   ///< bytes of the member's own 1-pattern fast record
+  std::size_t member_bytes = 0; ///< bytes of the member's own relax record (its plan's)
   std::string update;           ///< value kind + direction, e.g. "f64 min-update"
 };
 
@@ -36,7 +36,7 @@ struct fused_layout {
   /// (each repeating the addressing field the fused record shares).
   std::size_t separate_bytes() const {
     std::size_t b = 0;
-    for (const fused_slot& s : slots) b += s.solo_bytes;
+    for (const fused_slot& s : slots) b += s.member_bytes;
     return b;
   }
 
@@ -53,7 +53,7 @@ struct fused_layout {
       const fused_slot& s = slots[i];
       out += "  member " + std::to_string(i) + " " + s.member + ": live slot @" +
              std::to_string(s.offset) + "B +" + std::to_string(s.bytes) + "B " +
-             s.update + " (solo record " + std::to_string(s.solo_bytes) + "B)\n";
+             s.update + " (own record " + std::to_string(s.member_bytes) + "B)\n";
     }
     out += "  per-hop fused payload: " + std::to_string(record_bytes) + "B (vs " +
            std::to_string(separate_bytes()) + "B as separate records)\n";
@@ -63,7 +63,7 @@ struct fused_layout {
 
 /// Packs member slots after the shared addressing prefix, in declaration
 /// order, with no padding (every slot is 8 bytes, the prefix is 8 bytes).
-/// The caller supplies slots with `bytes`, `solo_bytes`, `member`, and
+/// The caller supplies slots with `bytes`, `member_bytes`, `member`, and
 /// `update` filled in; offsets and totals come back computed.
 inline fused_layout pack_fused_layout(std::size_t addressing_bytes,
                                       std::vector<fused_slot> slots) {

@@ -51,6 +51,10 @@ inline constexpr std::uint8_t wire_flag_oob = 0x01;  ///< out-of-band blob
                                                      ///< (exchange_blobs), not
                                                      ///< an envelope
 
+/// The largest blob one exchange_blobs call ships: the exchange refuses a
+/// larger one, so a longer out-of-band length prefix is corruption.
+inline constexpr std::uint32_t wire_max_blob_bytes = std::uint32_t{1} << 28;
+
 /// FNV-1a over a type name: stamped into every frame so a receiver whose
 /// message-type registration order diverged from the sender's fails loudly
 /// instead of dispatching payloads to the wrong handler.
@@ -147,6 +151,25 @@ inline void validate_header(const wire_header& h, std::uint32_t n_ranks) {
   if (h.src >= n_ranks)
     throw wire_error("wire frame: source rank " + std::to_string(h.src) +
                      " out of range");
+}
+
+/// The length prefix against what the header allows, checked before the
+/// payload is awaited: a typed frame carries exactly `count` records of
+/// `stride` bytes, an out-of-band frame at most wire_max_blob_bytes.
+/// Throws wire_error, so a corrupt prefix fails at once instead of
+/// holding the stream while up to 4 GiB that never come are awaited.
+inline void validate_length(const wire_header& h, std::uint64_t stride) {
+  if (h.flags & wire_flag_oob) {
+    if (h.payload_bytes > wire_max_blob_bytes)
+      throw wire_error("wire frame: out-of-band length " + std::to_string(h.payload_bytes) +
+                       " exceeds the exchange bound of " +
+                       std::to_string(wire_max_blob_bytes) + " bytes");
+    return;
+  }
+  if (std::uint64_t{h.count} * stride != h.payload_bytes)
+    throw wire_error("wire frame: length " + std::to_string(h.payload_bytes) +
+                     " disagrees with " + std::to_string(h.count) + " records of " +
+                     std::to_string(stride) + " bytes");
 }
 
 }  // namespace dpg::ampp

@@ -61,7 +61,9 @@ class distribution {
   }
 
   /// Dense index of v within its owner's shard, in [0, count(owner(v))).
-  std::uint64_t local_index(vertex_id v) const {
+  /// Forced inline: every compiled record commit resolves its slot here,
+  /// and left to the inliner's budget it became a call in the relax loop.
+  [[gnu::always_inline]] std::uint64_t local_index(vertex_id v) const {
     DPG_DEBUG_ASSERT(v < n_);
     if (kind_ == kind::hashed) [[unlikely]]
       return hashed_local_index(v);

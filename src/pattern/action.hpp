@@ -194,7 +194,7 @@ class action_instance {
   /// a condition modified a property value the action also reads. Default:
   /// dependencies are ignored (per the paper).
   using work_hook = std::function<void(ampp::transport_context&, graph::vertex_id)>;
-  void work(work_hook h) { hook_ = std::move(h); }
+  virtual void work(work_hook h) { hook_ = std::move(h); }
 
   const std::string& name() const { return name_; }
   const plan_info& plan() const { return plan_; }
@@ -202,9 +202,7 @@ class action_instance {
   /// Total applications of the action (across ranks).
   std::uint64_t invocations() const { return sum(invocations_); }
   /// Total successful condition firings, i.e. modifications performed.
-  std::uint64_t modifications() const { return sum(mods_); }
-  /// This-rank's modification counter (for `once`-style local deltas).
-  std::uint64_t modifications_on(ampp::rank_t r) const { return mods_[r].n.load(); }
+  virtual std::uint64_t modifications() const { return sum(mods_); }
 
   /// Distribution of the graph the action was instantiated on.
   virtual const graph::distribution& vertex_dist() const = 0;
@@ -791,6 +789,90 @@ class instantiated_action final : public action_instance {
   using fast_val_fn_t = decltype(plan_builder<Gen>::compile_direct_hoisted(
       std::declval<const typename fshape::val_expr&>()));
 
+ public:
+  // ---- Entry points of a fused plan (pattern/fuse.hpp) ---------------------
+  // A fused plan holds each member as a relax action instantiated here. It
+  // reads the member's compiled record for its change tracking and its
+  // fused record, ships a wave that wakes only this member through
+  // apply_loaded, and commits the member's slot of a fused record through
+  // commit_value.
+
+  /// The compiled record's target index and value (hoisted loads plus
+  /// evaluator); engaged with the fast path.
+  const fast_idx_fn_t& record_index() const { return *fast_idx_; }
+  const fast_val_fn_t& record_value() const { return *fast_val_; }
+
+  /// One application of the compiled record from `s`, whose v and hoisted
+  /// loads are loaded: iterates the graph's live ranges (base CSR +
+  /// overlay, so the kernel is mutation-oblivious like the arena path) and
+  /// commits each record in place, folds it or sends it. Local applies and
+  /// their firings reach the shared counters once per application, not
+  /// once per record.
+  void apply_loaded(ampp::transport_context& ctx, gather_state& s) {
+    if constexpr (kFastShape) {
+      const graph::vertex_id v = s.v;
+      local_tally t{fast_pm_->local(ctx.rank()), detail::in_local_commit};
+      // Fold only on the rank's own thread outside handler dispatch and
+      // local commits: the drain runs at the start of a flush, so a fold
+      // made inside a TD round's drain-and-dispatch loop would escape that
+      // round's report. Everywhere else the record is sent at once.
+      if constexpr (kCombine) {
+        if (!acc_.empty() && !t.nested && !ampp::in_handler()) {
+          sum_accumulator& a = acc_[ctx.rank()];
+          const graph::vertex_id n = g_->num_vertices();
+          if (a.sum.size() < n) {
+            a.sum.resize(n);
+            a.touched.resize((n + 63) / 64, 0);
+            a.pending.resize(tp_->size());
+          }
+          t.acc = &a;
+        }
+      }
+      // Every hook this loop runs is a local commit's, so the flag is set
+      // once per application rather than once per record.
+      detail::local_commit_scope in_commit;
+      if constexpr (std::is_same_v<Gen, out_edges_gen>) {
+        for (const graph::edge_handle e : g_->out_edges(v)) {
+          s.e = e;
+          fast_apply(ctx, s, t);
+        }
+      } else if constexpr (std::is_same_v<Gen, in_edges_gen>) {
+        for (const graph::edge_handle e : g_->in_edges(v)) {
+          s.e = e;
+          fast_apply(ctx, s, t);
+        }
+      } else if constexpr (std::is_same_v<Gen, adj_gen>) {
+        for (const graph::vertex_id u : g_->adjacent(v)) {
+          s.u = u;
+          fast_apply(ctx, s, t);
+        }
+      } else if constexpr (is_pmap_gen<Gen>) {
+        for (const graph::vertex_id u : std::as_const(*gen_.pm)[v]) {
+          s.u = u;
+          fast_apply(ctx, s, t);
+        }
+      } else {
+        fast_apply(ctx, s, t);
+      }
+      if (t.applied != 0) bump(local_applies_[ctx.rank()], t.applied);
+      if (t.fired != 0) bump(mods_[ctx.rank()], t.fired);
+    }
+  }
+
+  /// The relax rule alone at local index `li` of this rank's shard, counted
+  /// as a modification. The caller runs the work hook, so a fused record
+  /// runs one hook however many members it advances. Returns whether the
+  /// firing makes work.
+  bool commit_value(ampp::transport_context& ctx, std::uint64_t li,
+                    typename fshape::value_type val)
+    requires kRelax
+  {
+    if (!relax_update(fast_pm_->local(ctx.rank())[li], val)) return false;
+    bump(mods_[ctx.rank()], 1);
+    return fast_dep_;
+  }
+
+ private:
   // ---- plan construction --------------------------------------------------
 
   void build(action_def<Gen, Whens...>& def) {
@@ -1082,61 +1164,14 @@ class instantiated_action final : public action_instance {
   };
 
   /// Fast-path generator loop: evaluates destination and proposed value
-  /// directly from the generator state — no arena, no gather chain. Like
-  /// the arena path, iterates base + overlay ranges, so the fast kernel is
-  /// equally mutation-oblivious. Local applies and their firings reach the
-  /// shared counters once per application, not once per record.
+  /// directly from the generator state — no arena, no gather chain.
   void fast_generate(ampp::transport_context& ctx, graph::vertex_id v) {
     if constexpr (kFastShape) {
       gather_state s;
       s.v = v;
       // Hoisted reads and edge views: once per application, not per edge.
       fast_val_->reads.run(s, ctx.rank(), g_->dist().local_index(v));
-      local_tally t{fast_pm_->local(ctx.rank()), detail::in_local_commit};
-      // Fold only on the rank's own thread outside handler dispatch and
-      // local commits: the drain runs at the start of a flush, so a fold
-      // made inside a TD round's drain-and-dispatch loop would escape that
-      // round's report. Everywhere else the record is sent at once.
-      if constexpr (kCombine) {
-        if (!acc_.empty() && !t.nested && !ampp::in_handler()) {
-          sum_accumulator& a = acc_[ctx.rank()];
-          const graph::vertex_id n = g_->num_vertices();
-          if (a.sum.size() < n) {
-            a.sum.resize(n);
-            a.touched.resize((n + 63) / 64, 0);
-            a.pending.resize(tp_->size());
-          }
-          t.acc = &a;
-        }
-      }
-      // Every hook this loop runs is a local commit's, so the flag is set
-      // once per application rather than once per record.
-      detail::local_commit_scope in_commit;
-      if constexpr (std::is_same_v<Gen, out_edges_gen>) {
-        for (const graph::edge_handle e : g_->out_edges(v)) {
-          s.e = e;
-          fast_apply(ctx, s, t);
-        }
-      } else if constexpr (std::is_same_v<Gen, in_edges_gen>) {
-        for (const graph::edge_handle e : g_->in_edges(v)) {
-          s.e = e;
-          fast_apply(ctx, s, t);
-        }
-      } else if constexpr (std::is_same_v<Gen, adj_gen>) {
-        for (const graph::vertex_id u : g_->adjacent(v)) {
-          s.u = u;
-          fast_apply(ctx, s, t);
-        }
-      } else if constexpr (is_pmap_gen<Gen>) {
-        for (const graph::vertex_id u : std::as_const(*gen_.pm)[v]) {
-          s.u = u;
-          fast_apply(ctx, s, t);
-        }
-      } else {
-        fast_apply(ctx, s, t);
-      }
-      if (t.applied != 0) bump(local_applies_[ctx.rank()], t.applied);
-      if (t.fired != 0) bump(mods_[ctx.rank()], t.fired);
+      apply_loaded(ctx, s);
     }
   }
 
@@ -1248,14 +1283,20 @@ class instantiated_action final : public action_instance {
         } else {
           (*fast_fn_)(slot, r.val);
         }
-      } else {
-        const auto cmp = [](const auto& cur, const auto& prop) { return fshape::cmp(cur, prop); };
-        if (!pmap::atomic_update_if(slot, r.val, cmp)) return false;
+      } else if (!relax_update(slot, r.val)) {
+        return false;
       }
       if (fast_dep_ && hook_) hook_(ctx, r.loc);
       return true;
     }
     return false;
+  }
+
+  /// The relax rule: CAS the slot under the shape's comparator.
+  [[gnu::always_inline]] static bool relax_update(typename fshape::slot_type& slot,
+                                                  typename fshape::value_type val) {
+    const auto cmp = [](const auto& cur, const auto& prop) { return fshape::cmp(cur, prop); };
+    return pmap::atomic_update_if(slot, val, cmp);
   }
 
   /// The claim commit. Arm 1: CAS P(t) from the sentinel to X; success

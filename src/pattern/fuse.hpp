@@ -3,9 +3,10 @@
 //
 // `pattern::fuse(tp, g, defs...)` takes N single-when action
 // definitions over the same graph whose generator/locality shape matches
-// (each compiles to the single-locality fast record — see
-// detail::fast_shape) and synthesizes ONE fused message family for the
-// group:
+// (each compiles to the single-locality relax record — see
+// detail::fast_shape). Each member is instantiated as an ordinary relax
+// action, with its own plan (plan_gather), its own 16-byte record lane and
+// its own commit. Fusion adds one message family on top:
 //
 //   * the shared addressing field (the target vertex every member routes
 //     by) travels once per record;
@@ -31,11 +32,11 @@
 // last emission (per-member change tracking below); members that would
 // only repeat an earlier emission are skipped. A wave that wakes several
 // members ships one fused record (idle slots carry a self-rejecting
-// sentinel); a wave that wakes exactly one member ships that member's
-// 16-byte solo record on a per-member solo lane, so single-member tails
-// never pay the widened record. Both lanes dispatch per record, and a
-// record whose target the generating rank owns commits in place without
-// being sent (owner-local apply, as in action.hpp).
+// sentinel); a wave that wakes exactly one member runs that member's own
+// compiled application, so single-member tails ship the member's 16-byte
+// record on its relax lane and never pay the widened record. A record
+// whose target the generating rank owns commits in place without being
+// sent (owner-local apply, as in action.hpp).
 #pragma once
 
 #include <array>
@@ -45,7 +46,6 @@
 #include <cstring>
 #include <limits>
 #include <memory>
-#include <optional>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -129,6 +129,9 @@ class fused_action final : public action_instance {
   using when_t = std::tuple_element_t<I, std::tuple<Whens...>>;
   template <std::size_t I>
   using shape_t = detail::fast_shape<when_t<I>, Gen>;
+  /// Member I: an ordinary instantiated relax action.
+  template <std::size_t I>
+  using member_t = instantiated_action<Gen, when_t<I>>;
 
   static_assert((detail::fast_shape<Whens, Gen>::value && ...),
                 "every fused member must compile to the single-locality fast "
@@ -159,10 +162,14 @@ class fused_action final : public action_instance {
 
   fused_action(ampp::transport& tp, const graph::distributed_graph& g,
                std::tuple<action_def<Gen, Whens>...> defs)
-      : tp_(&tp), g_(&g) {
+      : tp_(&tp), g_(&g), locks_(g.dist(), pmap::lock_scheme::per_block) {
     init_rank_state(tp.size(), tp.config().handler_threads > 0);
-    build(defs);
-    register_messages();
+    for_members([&]<std::size_t I>() {
+      std::get<I>(members_) = instantiate(tp, g, locks_, std::move(std::get<I>(defs)));
+      track_member<I>();
+    });
+    build();
+    register_fused_lane();
     // Publishes the rank's local-apply tally at every full flush.
     drain_id_ = tp.add_drain([this](ampp::transport_context& ctx, bool) {
       publish_local_applies(ctx.rank(), tp_->obs().core());
@@ -179,136 +186,105 @@ class fused_action final : public action_instance {
     generate(ctx, v, std::index_sequence_for<Whens...>{});
   }
 
+  /// A member's own lane fires the hook of the fused action directly.
+  void work(work_hook h) override {
+    for_members([&]<std::size_t I>() { std::get<I>(members_)->work(h); });
+    hook_ = std::move(h);
+  }
+
+  /// Firings of every member, on its own lane and in fused records.
+  std::uint64_t modifications() const override {
+    std::uint64_t n = 0;
+    for_members([&]<std::size_t I>() { n += std::get<I>(members_)->modifications(); });
+    return n;
+  }
+
   /// Resets the calling rank's per-member emission tracking. Collective
   /// with the rest of a run's reset: call once per rank before each fixed
   /// point (the drivers in src/algo do), so candidates re-emit from the
   /// fresh initial state and the tracking arrays match the current shard
   /// sizes (graph mutation grows shards between runs).
   void reset_emission(ampp::rank_t r) {
-    [&]<std::size_t... I>(std::index_sequence<I...>) {
-      ((reset_member_emission<I>(r)), ...);
-    }(std::index_sequence_for<Whens...>{});
+    for_members([&]<std::size_t I>() { reset_member_emission<I>(r); });
   }
 
   /// The packed fused wire layout (shared addressing + per-member slots).
   const ampp::fused_layout& layout() const { return layout_; }
-  /// Member action names, in slot order.
-  const std::vector<std::string>& member_names() const { return member_names_; }
+  /// Member I, an instantiated relax action (its plan, name and lane).
+  template <std::size_t I>
+  const member_t<I>& member() const {
+    return *std::get<I>(members_);
+  }
 
  private:
-  /// Per-member compiled state. When is the member's single when-clause;
-  /// everything here mirrors one instantiated_action's fast path.
-  template <class When>
-  struct member {
-    using shape = detail::fast_shape<When, Gen>;
-    using value_type = typename shape::value_type;
-    /// The member's own 16-byte fast record, used on its solo lane when a
-    /// wave wakes only this member.
-    struct solo_rec {
-      graph::vertex_id loc = graph::invalid_vertex;
-      value_type val{};
-    };
-    static_assert(std::is_trivially_copyable_v<solo_rec>);
-    using idx_fn_t = decltype(plan_builder<Gen>::compile_direct(
-        std::declval<const typename shape::idx_expr&>()));
-    using val_fn_t = decltype(plan_builder<Gen>::compile_direct_hoisted(
-        std::declval<const typename shape::val_expr&>()));
-
-    std::string name;
-    typename shape::pm_type* pm = nullptr;
-    std::optional<idx_fn_t> idx;
-    std::optional<val_fn_t> val;  ///< evaluator + hoisted loads
-    bool dep = false;         ///< firing creates work (§IV-C)
-    bool skip_safe = false;   ///< change tracking captures the whole value input
-    std::size_t words = 0;    ///< tracked hoist-arena words per vertex
-    ampp::message_type<solo_rec>* solo_msg = nullptr;
-    /// Last-emitted hoist state per rank, shard-parallel: `last[r]` holds
-    /// `words` u64 words per local vertex, `seen[r]` one emitted-once
-    /// flag. Accessed through atomic_ref (handler threads of one rank may
-    /// race on a vertex); the seen flag is store-release / load-acquire so
-    /// an observed flag implies an observed (and therefore emitted) state.
+  /// Per-member change tracking: the last-emitted hoist state per rank,
+  /// shard-parallel. `last[r]` holds `words` u64 words per local vertex,
+  /// `seen[r]` one emitted-once flag. Accessed through atomic_ref (handler
+  /// threads of one rank may race on a vertex); the seen flag is
+  /// store-release / load-acquire so an observed flag implies an observed
+  /// (and therefore emitted) state.
+  struct tracking {
+    std::size_t words = 0;  ///< tracked hoist-arena words per vertex
     std::vector<std::vector<std::uint64_t>> last;
     std::vector<std::vector<std::uint8_t>> seen;
   };
 
-  template <std::size_t I>
-  using member_t = member<when_t<I>>;
-
-  // ---- plan construction --------------------------------------------------
-
-  void build(std::tuple<action_def<Gen, Whens>...>& defs) {
+  /// Calls f.template operator()<I>() for every member I, in slot order.
+  template <class F>
+  static void for_members(F&& f) {
     [&]<std::size_t... I>(std::index_sequence<I...>) {
-      ((build_member<I>(std::get<I>(defs))), ...);
-    }(std::index_sequence_for<Whens...>{});
-
-    name_ = member_names_[0];
-    for (std::size_t i = 1; i < member_names_.size(); ++i)
-      name_ += "+" + member_names_[i];
-
-    std::vector<ampp::fused_slot> slots;
-    [&]<std::size_t... I>(std::index_sequence<I...>) {
-      ((slots.push_back(ampp::fused_slot{
-           .member = std::get<I>(members_).name,
-           .offset = 0,
-           .bytes = sizeof(typename shape_t<I>::value_type),
-           .solo_bytes = sizeof(typename member_t<I>::solo_rec),
-           .update = update_kind<I>()})),
-       ...);
-    }(std::index_sequence_for<Whens...>{});
-    layout_ = ampp::pack_fused_layout(sizeof(graph::vertex_id), std::move(slots));
-
-    plan_.gather_hops = 1;
-    plan_.final_merged = false;
-    plan_.atomic_path = true;
-    plan_.conditions = static_cast<int>(kMembers);
-    plan_.fast_path = true;
-    plan_.fast_reduction = true;
-    plan_.hop_localities = {"v"};
-    plan_.hop_reads = {0};
-    plan_.final_locality = "trg(e)";
-    plan_.wire_bytes.push_back(sizeof(fused_rec));
-    [&]<std::size_t... I>(std::index_sequence<I...>) {
-      ((plan_.wire_bytes.push_back(sizeof(typename member_t<I>::solo_rec))), ...);
-      plan_.has_dependencies = (std::get<I>(members_).dep || ...);
+      (f.template operator()<I>(), ...);
     }(std::index_sequence_for<Whens...>{});
   }
 
+  // ---- plan construction --------------------------------------------------
+
   template <std::size_t I>
-  void build_member(action_def<Gen, when_t<I>>& def) {
-    auto& m = std::get<I>(members_);
-    auto& a0 = std::get<0>(std::get<0>(def.whens).mods);
-    m.name = def.name;
-    member_names_.push_back(def.name);
-    m.pm = a0.target.pm;
-    m.idx.emplace(plan_builder<Gen>::compile_direct(a0.target.idx));
-    m.val.emplace(plan_builder<Gen>::compile_direct_hoisted(a0.value));
-    m.words = (m.val->reads.arena_used + 7) / 8;
-    m.skip_safe = detail::skip_safe<typename shape_t<I>::val_expr>::value;
-    // Dependency probe (§IV-C): compiling the full when registers every
-    // read; the member makes work iff its condition or value reads the
-    // map it writes. (Always true for fast shapes — the condition reads
-    // the target — but derive it rather than assume it.)
-    {
-      plan_builder<Gen> pb;
-      detail::compile_ctx cx;
-      (void)detail::compile_one_when(pb, cx, std::get<0>(def.whens));
-      m.dep = pb.reads_pmap(a0.target.pm);
-    }
-    m.last.resize(tp_->size());
-    m.seen.resize(tp_->size());
+  void track_member() {
+    tracking& t = track_[I];
+    t.words = (member<I>().record_value().reads.arena_used + 7) / 8;
+    t.last.resize(tp_->size());
+    t.seen.resize(tp_->size());
     for (ampp::rank_t r = 0; r < tp_->size(); ++r) reset_member_emission<I>(r);
   }
 
   template <std::size_t I>
   void reset_member_emission(ampp::rank_t r) {
-    auto& m = std::get<I>(members_);
-    const std::size_t nloc = m.pm->local(r).size();
-    m.last[r].assign(nloc * m.words, 0);
-    m.seen[r].assign(nloc, 0);
+    const std::size_t nloc = g_->dist().count(r);
+    track_[I].last[r].assign(nloc * track_[I].words, 0);
+    track_[I].seen[r].assign(nloc, 0);
+  }
+
+  /// The fused plan is the members' plan_gather-built plans: they share
+  /// the generator and the target, so every member has member 0's hop
+  /// structure, localities and kernel. Fusion adds one condition per
+  /// member and the fused record in front of the members' own records.
+  void build() {
+    const plan_info& p0 = member<0>().plan();
+    plan_ = p0;
+    plan_.conditions = static_cast<int>(kMembers);
+    plan_.wire_bytes = {sizeof(fused_rec)};
+    std::vector<ampp::fused_slot> slots;
+    for_members([&]<std::size_t I>() {
+      const plan_info& p = member<I>().plan();
+      DPG_ASSERT_MSG(p.fast_path && p.atomic_path && p.wire_bytes.size() == 1 &&
+                         p.hop_localities == p0.hop_localities &&
+                         p.final_locality == p0.final_locality,
+                     "every fused member must plan to the same relax record");
+      plan_.has_dependencies = plan_.has_dependencies || p.has_dependencies;
+      plan_.wire_bytes.push_back(p.wire_bytes[0]);
+      slots.push_back(ampp::fused_slot{.member = member<I>().name(),
+                                       .offset = 0,
+                                       .bytes = sizeof(typename shape_t<I>::value_type),
+                                       .member_bytes = p.wire_bytes[0],
+                                       .update = update_kind<I>()});
+      name_ += (I == 0 ? "" : "+") + member<I>().name();
+    });
+    layout_ = ampp::pack_fused_layout(sizeof(graph::vertex_id), std::move(slots));
   }
 
   template <std::size_t I>
-  std::string update_kind() const {
+  static std::string update_kind() {
     using VT = typename shape_t<I>::value_type;
     std::string kind = std::is_floating_point_v<VT> ? "f64"
                        : std::is_signed_v<VT>       ? "i64"
@@ -316,15 +292,16 @@ class fused_action final : public action_instance {
     return kind + (shape_t<I>::min_update ? " min-update" : " max-update");
   }
 
-  // ---- message registration -----------------------------------------------
+  // ---- the fused lane -------------------------------------------------------
 
-  void register_messages() {
+  void register_fused_lane() {
     const auto* g = g_;
     fused_label_ = name_ + ".fused";
     fused_msg_ = &tp_->make_message_type<fused_rec>(
         fused_label_,
         [this](ampp::transport_context& ctx, const fused_rec& r) {
-          fused_handle(ctx, r);
+          obs::trace_span sp(&tp_->obs().trace(), "plan", fused_label_.c_str(), ctx.rank());
+          fused_commit(ctx, r);
         },
         [g](const fused_rec& r) { return g->owner(r.loc); });
     // Sender-side combining, elementwise: two same-target fused records
@@ -340,28 +317,6 @@ class fused_action final : public action_instance {
             ((out.val[I] = better_bits<I>(a.val[I], b.val[I])), ...);
           }(std::index_sequence_for<Whens...>{});
           return out;
-        });
-    [&]<std::size_t... I>(std::index_sequence<I...>) {
-      ((register_solo<I>()), ...);
-    }(std::index_sequence_for<Whens...>{});
-  }
-
-  template <std::size_t I>
-  void register_solo() {
-    using M = member_t<I>;
-    using solo_rec = typename M::solo_rec;
-    auto& m = std::get<I>(members_);
-    const auto* g = g_;
-    m.solo_msg = &tp_->make_message_type<solo_rec>(
-        m.name + ".solo",
-        [this](ampp::transport_context& ctx, const solo_rec& r) {
-          solo_handle<I>(ctx, r);
-        },
-        [g](const solo_rec& r) { return g->owner(r.loc); });
-    m.solo_msg->enable_reduction(
-        [](const solo_rec& r) { return static_cast<std::uint64_t>(r.loc); },
-        [](const solo_rec& a, const solo_rec& b) {
-          return detail::b_wins<shape_t<I>::min_update>(a.val, b.val) ? b : a;
         });
   }
 
@@ -385,20 +340,18 @@ class fused_action final : public action_instance {
     std::uint32_t active = 0;
     ((active |= prepare_member<I>(ctx.rank(), v, li, gs[I]) ? (1u << I) : 0u), ...);
     if (active == 0) return;  // every member would repeat its last emission
-    const bool multi = (active & (active - 1)) != 0;
+    if ((active & (active - 1)) == 0) {
+      // One member woke: its own application, on its own lane.
+      ((active == (1u << I) ? std::get<I>(members_)->apply_loaded(ctx, gs[I]) : void()), ...);
+      return;
+    }
     const bool nested = detail::in_local_commit;
+    // Every hook this loop runs is a local commit's (see apply_loaded).
+    detail::local_commit_scope in_commit;
     std::uint64_t applied = 0;  // records committed in place (owner-local apply)
     const auto emit = [&](const graph::edge_handle& e) {
       ((gs[I].e = e), ...);
-      if (multi) {
-        applied += emit_fused(ctx, gs, active, nested, std::index_sequence<I...>{});
-      } else {
-        const auto one = [&](auto ic) {
-          constexpr std::size_t J = decltype(ic)::value;
-          if ((active >> J) & 1u) applied += emit_solo<J>(ctx, gs[J], nested);
-        };
-        (one(std::integral_constant<std::size_t, I>{}), ...);
-      }
+      applied += emit_fused(ctx, gs, active, nested, std::index_sequence<I...>{});
     };
     // Like the single-pattern fast path, iterate the graph's live ranges
     // (base CSR + delta overlay): fused plans are mutation-oblivious too.
@@ -410,8 +363,7 @@ class fused_action final : public action_instance {
                     "record's shared addressing is the generated edge endpoint");
       for (const graph::edge_handle e : g_->in_edges(v)) emit(e);
     }
-    if (applied != 0)
-      bump(local_applies_[ctx.rank()], applied);
+    if (applied != 0) bump(local_applies_[ctx.rank()], applied);
   }
 
   /// Loads member I's hoisted v-state into `s` and decides whether the
@@ -423,18 +375,18 @@ class fused_action final : public action_instance {
   template <std::size_t I>
   bool prepare_member(ampp::rank_t rank, graph::vertex_id v, std::uint64_t li,
                       gather_state& s) {
-    auto& m = std::get<I>(members_);
     s.v = v;
-    m.val->reads.run(s, rank, li);
-    if (!m.skip_safe) return true;
-    auto& seen = m.seen[rank];
-    auto& last = m.last[rank];
+    member<I>().record_value().reads.run(s, rank, li);
+    if constexpr (!detail::skip_safe<typename shape_t<I>::val_expr>::value) return true;
+    tracking& t = track_[I];
+    auto& seen = t.seen[rank];
+    auto& last = t.last[rank];
     DPG_DEBUG_ASSERT(li < seen.size());
-    const std::size_t base = static_cast<std::size_t>(li) * m.words;
+    const std::size_t base = static_cast<std::size_t>(li) * t.words;
     bool changed =
         std::atomic_ref<std::uint8_t>(seen[li]).load(std::memory_order_acquire) == 0;
     if (!changed) {
-      for (std::size_t w = 0; w < m.words; ++w) {
+      for (std::size_t w = 0; w < t.words; ++w) {
         std::uint64_t cur;
         std::memcpy(&cur, s.arena + w * 8, 8);
         if (std::atomic_ref<std::uint64_t>(last[base + w])
@@ -450,7 +402,7 @@ class fused_action final : public action_instance {
       // and therefore emitted — exactly that state. Racing writers can
       // only cause spurious re-emission (harmless: redundant monotone
       // candidates), never a skipped one.
-      for (std::size_t w = 0; w < m.words; ++w) {
+      for (std::size_t w = 0; w < t.words; ++w) {
         std::uint64_t cur;
         std::memcpy(&cur, s.arena + w * 8, 8);
         std::atomic_ref<std::uint64_t>(last[base + w])
@@ -471,12 +423,12 @@ class fused_action final : public action_instance {
                                          std::uint32_t active, bool nested,
                                          std::index_sequence<I...>) {
     fused_rec r;
-    r.loc = (*std::get<0>(members_).idx)(gs[0]);
+    r.loc = member<0>().record_index()(gs[0]);
     ((r.val[I] =
           (active >> I) & 1u
               ? std::bit_cast<std::uint64_t>(
                     static_cast<typename shape_t<I>::value_type>(
-                        std::get<I>(members_).val->eval(gs[I])))
+                        member<I>().record_value().eval(gs[I])))
               : detail::sentinel_bits<shape_t<I>>()),
      ...);
     const ampp::rank_t dest = g_->owner(r.loc);
@@ -484,74 +436,31 @@ class fused_action final : public action_instance {
       fused_msg_->send(ctx, dest, r);
       return false;
     }
-    detail::local_commit_scope in_commit;
     fused_commit(ctx, r);
     return true;
   }
 
-  /// The solo-lane counterpart of emit_fused.
-  template <std::size_t I>
-  [[gnu::always_inline]] bool emit_solo(ampp::transport_context& ctx, const gather_state& s, bool nested) {
-    auto& m = std::get<I>(members_);
-    typename member_t<I>::solo_rec r;
-    r.loc = (*m.idx)(s);
-    r.val = static_cast<typename shape_t<I>::value_type>(m.val->eval(s));
-    const ampp::rank_t dest = g_->owner(r.loc);
-    if (dest != ctx.rank() || nested) {
-      m.solo_msg->send(ctx, dest, r);
-      return false;
-    }
-    detail::local_commit_scope in_commit;
-    solo_handle<I>(ctx, r);
-    return true;
-  }
-
-  // ---- delivery ------------------------------------------------------------
-
-  /// Commit one member-I candidate (a value bit pattern): CAS under the
-  /// member's comparator + modification accounting. Returns whether the
-  /// apply should make work.
-  template <std::size_t I>
-  bool commit_member(ampp::transport_context& ctx, graph::vertex_id loc,
-                     std::uint64_t bits) {
-    using VT = typename shape_t<I>::value_type;
-    auto& m = std::get<I>(members_);
-    const bool applied = pmap::atomic_update_if(
-        (*m.pm)[loc], std::bit_cast<VT>(bits),
-        [](const auto& cur, const auto& p) { return shape_t<I>::cmp(cur, p); });
-    if (!applied) return false;
-    bump(mods_[ctx.rank()], 1);
-    return m.dep;
-  }
-
-  void fused_handle(ampp::transport_context& ctx, const fused_rec& r) {
-    obs::trace_span sp(&tp_->obs().trace(), "plan", fused_label_.c_str(), ctx.rank());
-    fused_commit(ctx, r);
-  }
-
-  /// The fused lane's one commit, shared by delivery and owner-local apply.
+  /// The fused lane's one commit, shared by delivery and owner-local apply:
+  /// each member's own relax rule on its slot, then one hook per record
+  /// however many members it advanced — the re-generation it triggers
+  /// serves every member at once.
   void fused_commit(ampp::transport_context& ctx, const fused_rec& r) {
+    const std::uint64_t li = g_->dist().local_index(r.loc);
     bool fire = false;
     [&]<std::size_t... I>(std::index_sequence<I...>) {
-      ((fire = commit_member<I>(ctx, r.loc, r.val[I]) || fire), ...);
+      ((fire = std::get<I>(members_)->commit_value(
+                   ctx, li, std::bit_cast<typename shape_t<I>::value_type>(r.val[I])) ||
+               fire),
+       ...);
     }(std::index_sequence_for<Whens...>{});
-    // One hook per delivered record, however many members it advanced:
-    // the re-generation it triggers serves every member at once.
     if (fire && hook_) hook_(ctx, r.loc);
-  }
-
-  /// The solo lane's one commit, shared by delivery and owner-local apply.
-  template <std::size_t I>
-  void solo_handle(ampp::transport_context& ctx,
-                   const typename member_t<I>::solo_rec& r) {
-    if (commit_member<I>(ctx, r.loc, std::bit_cast<std::uint64_t>(r.val)) && hook_)
-      hook_(ctx, r.loc);
   }
 
   ampp::transport* tp_;
   const graph::distributed_graph* g_;
-  std::tuple<member<Whens>...> members_;
-  std::vector<std::string> member_names_;
+  pmap::lock_map locks_;  ///< the members' (a relax commit never takes it)
+  std::tuple<std::unique_ptr<instantiated_action<Gen, Whens>>...> members_;
+  std::array<tracking, kMembers> track_;
   ampp::fused_layout layout_;
   ampp::message_type<fused_rec>* fused_msg_ = nullptr;
   std::string fused_label_;
@@ -580,8 +489,8 @@ std::unique_ptr<fused_action<Gen, Whens...>> fuse(
 template <class Gen, class... Whens>
 std::string explain_fused(const fused_action<Gen, Whens...>& a) {
   std::string out = a.layout().describe(a.name());
-  out += "  group dispatch: fused lane for multi-member waves, per-member solo "
-         "lanes for single-member tails\n";
+  out += "  group dispatch: fused lane for multi-member waves, each member's own "
+         "relax lane for single-member tails\n";
   out += "  sender reduction: elementwise combining cache on the fused lane\n";
   out += "  fixed point: one epoch loop, one termination detection for " +
          std::to_string(sizeof...(Whens)) + " members\n";

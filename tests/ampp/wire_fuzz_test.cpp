@@ -227,6 +227,8 @@ void connect_peer(tcp_peer& out) {
       ::close(fd);
       continue;
     }
+    // The framing step's length rule, with make_stream's 16-byte records.
+    out.rank0->set_frame_check([](const wire_header& h) { validate_length(h, 16); });
     ASSERT_TRUE(shaken);
     out.fd = fd;
     return;
@@ -383,8 +385,7 @@ TEST(WireFuzz, TcpStreamTruncatedMidFrameIsAWireError) {
 }
 
 TEST(WireFuzz, TcpBitFlippedStreamsAreGraceful) {
-  // Flipped bits either fail a header check (wire_error), make a length
-  // prefix claim more bytes than ever arrive (a wire_error at hang-up), or
+  // Flipped bits either fail a header or length check (wire_error), or
   // land in a payload or an unchecked field and are delivered; every
   // delivered frame's checked fields are valid (poll_into checks them).
   xoshiro256ss rng(0x6e3f);
@@ -401,6 +402,37 @@ TEST(WireFuzz, TcpBitFlippedStreamsAreGraceful) {
     p.hang_up();
     settle(p, got, fs.headers.size() + 1, std::chrono::milliseconds(50));
     EXPECT_LE(got.headers.size(), fs.headers.size() + fs.bytes.size() / sizeof(wire_header));
+  }
+}
+
+TEST(WireFuzz, TcpFlippedLengthPrefixFromALivePeerIsAWireError) {
+  // Bit 30 of a frame's length prefix flipped, then a valid frame, from a
+  // peer that stays connected: the prefix disagrees with count x stride,
+  // so rank 0 must fail at once instead of awaiting a gigabyte that never
+  // comes and swallowing every later frame into it. The same for an
+  // out-of-band frame, whose bound is the exchange's.
+  xoshiro256ss rng(0x1e70);
+  for (const bool oob : {false, true}) {
+    SCOPED_TRACE(oob ? "out-of-band frame" : "typed frame");
+    tcp_peer p;
+    ASSERT_NO_FATAL_FAILURE(connect_peer(p));
+    frame_stream fs = make_stream(rng, 2);
+    wire_header bad = fs.headers[0];
+    if (oob) {
+      bad.flags = wire_flag_oob;
+      bad.type_id = 0;
+      bad.type_hash = 0;
+      bad.count = 0;
+    }
+    bad.payload_bytes ^= std::uint32_t{1} << 30;
+    std::memcpy(fs.bytes.data(), &bad, sizeof(bad));
+    received got;
+    p.write(fs.bytes.data(), fs.bytes.size());
+    const auto start = std::chrono::steady_clock::now();
+    settle(p, got, fs.headers.size());
+    EXPECT_TRUE(got.error) << "a corrupt length prefix must fail loudly, not stall";
+    EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::milliseconds(1500));
+    EXPECT_TRUE(got.headers.empty()) << "no frame may be delivered past the corrupt prefix";
   }
 }
 

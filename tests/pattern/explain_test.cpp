@@ -192,7 +192,8 @@ TEST(Explain, FusedPlanShowsWireLayoutAndGroupDispatch) {
             std::string::npos);
   EXPECT_NE(text.find("per-hop fused payload: 32B (vs 48B as separate records)"),
             std::string::npos);
-  EXPECT_NE(text.find("group dispatch: fused lane for multi-member waves"),
+  EXPECT_NE(text.find("group dispatch: fused lane for multi-member waves, each member's "
+                      "own relax lane for single-member tails"),
             std::string::npos);
   EXPECT_NE(text.find("sender reduction: elementwise combining cache on the fused lane"),
             std::string::npos);
@@ -200,19 +201,25 @@ TEST(Explain, FusedPlanShowsWireLayoutAndGroupDispatch) {
                       "for 3 members"),
             std::string::npos);
 
-  // The plan_info mirrors the fused shape: the fused family IS the fast
-  // path, one condition per member, wire bytes for the fused record plus
-  // each member's solo lane.
+  // The fused plan_info is the members' own plans (plan_gather's): the
+  // localities and the kernel of member 0's plan, one condition per
+  // member, and wire bytes for the fused record followed by each member's
+  // own relax record.
   const plan_info& p = fused->plan();
+  const plan_info& m0 = fused->member<0>().plan();
+  EXPECT_EQ(p.hop_localities, m0.hop_localities);
+  EXPECT_EQ(p.final_locality, m0.final_locality);
+  EXPECT_EQ(p.atomic_path, m0.atomic_path);
   EXPECT_TRUE(p.fast_path);
   EXPECT_TRUE(p.atomic_path);
   EXPECT_EQ(p.conditions, 3);
   EXPECT_TRUE(p.has_dependencies);
-  ASSERT_EQ(p.wire_bytes.size(), 4u);
-  EXPECT_EQ(p.wire_bytes[0], 32u);
-  EXPECT_EQ(p.wire_bytes[1], 16u);
-  EXPECT_EQ(p.wire_bytes[2], 16u);
-  EXPECT_EQ(p.wire_bytes[3], 16u);
+  const std::vector<std::size_t> wire = {fused->layout().record_bytes,
+                                         fused->member<0>().plan().wire_bytes.at(0),
+                                         fused->member<1>().plan().wire_bytes.at(0),
+                                         fused->member<2>().plan().wire_bytes.at(0)};
+  EXPECT_EQ(p.wire_bytes, wire);
+  EXPECT_EQ(p.wire_bytes, (std::vector<std::size_t>{32, 16, 16, 16}));
   EXPECT_TRUE(p.fast_reduction);
 }
 

@@ -59,7 +59,10 @@ std::string hash_of(const std::string& out) {
 
 /// Each multi-process launch gets its own shm session and a disjoint port
 /// block (48 ports is more than the widest machine: a channel of at most 4
-/// ports per solver).
+/// ports per solver). The blocks lie below Linux's ephemeral range
+/// (32768-60999 by default): a listen port inside it can be taken by some
+/// other connection's local port, or by a rank's own connect to it (a TCP
+/// self-connection), and the machine then fails to form.
 struct launch_ids {
   std::string session;
   std::uint16_t base_port;
@@ -71,7 +74,7 @@ launch_ids next_launch_ids() {
   launch_ids ids;
   ids.session = "bs" + std::to_string(::getpid()) + "c" + std::to_string(c);
   ids.base_port =
-      static_cast<std::uint16_t>(26000 + (::getpid() % 512) * 64 + (c % 64) * 48);
+      static_cast<std::uint16_t>(10000 + (::getpid() % 7) * 3072 + (c % 64) * 48);
   return ids;
 }
 

@@ -3,8 +3,9 @@
 // seeds, must land every member's result map bit-identical to running
 // the three solvers separately — and to the sequential oracles — with
 // the per-type conservation laws extended to the fused message family
-// (the fused lane's bytes are exactly records x fused-record size, solo
-// lanes exactly records x member fast-record size). Sources are
+// (the fused lane's bytes are exactly records x fused-record size, each
+// member's own relax lane exactly records x its plan's record size). A
+// second grid runs the same family with handler threads. Sources are
 // distinct per member: this grid is the serving layer's merged
 // distinct-source story under fault injection.
 #include <gtest/gtest.h>
@@ -111,30 +112,68 @@ void sweep(const char* algo, Body&& body) {
 }
 
 /// The conservation laws extended to fused families: every fused-lane
-/// payload is exactly one fused record wide, every solo-lane payload one
-/// member fast record, and the family moved at least one payload (the
-/// fused plan really carried the traffic). Returns the per-lane payload
-/// counts so sweeps can assert both dispatch shapes actually ran.
+/// payload is exactly one fused record wide, every payload on a member's
+/// own relax lane one record of that member's plan, and the family moved
+/// at least one payload (the fused plan really carried the traffic).
+/// Returns the per-lane payload counts so sweeps can assert both dispatch
+/// shapes actually ran.
 struct family_traffic {
   std::uint64_t fused = 0;
-  std::uint64_t solo = 0;
+  std::uint64_t member = 0;
 };
 
 family_traffic assert_fused_family_conserved(const obs::stats_snapshot& s,
-                                             std::size_t fused_bytes) {
+                                             const algo::fused_triple_solver& f) {
+  const auto& a = f.action();
+  // A member's relax lane is named after the member action (see
+  // instantiated_action::register_messages).
+  const std::vector<std::pair<std::string, std::size_t>> member_lanes = {
+      {a.member<0>().name() + ".relax", a.member<0>().plan().wire_bytes.at(0)},
+      {a.member<1>().name() + ".relax", a.member<1>().plan().wire_bytes.at(0)},
+      {a.member<2>().name() + ".relax", a.member<2>().plan().wire_bytes.at(0)}};
   family_traffic ft;
+  std::size_t lanes_seen = 0;
   for (const obs::type_counters& t : s.per_type) {
     const std::string name = t.name;
-    if (name.ends_with(".fused")) {
-      EXPECT_EQ(t.bytes, t.sent * fused_bytes) << "type " << name;
+    if (name == a.name() + ".fused") {
+      EXPECT_EQ(t.bytes, t.sent * f.layout().record_bytes) << "type " << name;
       ft.fused += t.sent;
-    } else if (name.ends_with(".solo")) {
-      EXPECT_EQ(t.bytes, t.sent * 16u) << "type " << name;
-      ft.solo += t.sent;
+      ++lanes_seen;
     }
+    for (const auto& [lane, bytes] : member_lanes)
+      if (name == lane) {
+        EXPECT_EQ(t.bytes, t.sent * bytes) << "type " << name;
+        ft.member += t.sent;
+        ++lanes_seen;
+      }
   }
-  EXPECT_GT(ft.fused + ft.solo, 0u) << "fused family carried no traffic";
+  EXPECT_EQ(lanes_seen, 1 + member_lanes.size()) << "a lane of the fused family is missing";
+  EXPECT_GT(ft.fused + ft.member, 0u) << "fused family carried no traffic";
   return ft;
+}
+
+/// The three separate solves from distinct sources, each on its own
+/// transport built by `make`, as exact result bits.
+template <class MakeTransport>
+triple_bits separate_solves(const distributed_graph& g, pmap::edge_property_map<double>& weight,
+                            pmap::edge_property_map<double>& cap, MakeTransport make,
+                            std::uint64_t* events = nullptr) {
+  ampp::transport stp(make());
+  algo::sssp_solver sssp(stp, g, weight);
+  stp.run([&](ampp::transport_context& ctx) { sssp.run_fixed_point(ctx, kSsspSrc); });
+  ampp::transport wtp(make());
+  algo::widest_path_solver widest(wtp, g, cap);
+  wtp.run([&](ampp::transport_context& ctx) { widest.run(ctx, kWidestSrc); });
+  ampp::transport btp(make());
+  algo::bfs_solver bfs(btp, g);
+  btp.run([&](ampp::transport_context& ctx) { bfs.run_fixed_point(ctx, kBfsSrc); });
+  for (ampp::transport* tp : {&stp, &wtp, &btp}) {
+    const auto s = tp->obs().snapshot();
+    assert_fault_consistency(s);
+    assert_occupancy_conserved(*tp);
+    if (events != nullptr) *events += fault_events(s);
+  }
+  return bits_of(sssp.dist(), widest.width(), bfs.depth());
 }
 
 TEST(FusionSweep, TripleBitIdenticalToSeparateSolves) {
@@ -149,22 +188,8 @@ TEST(FusionSweep, TripleBitIdenticalToSeparateSolves) {
     const auto depth_oracle = algo::bfs_levels(g, kBfsSrc);
 
     // Three separate solves, each on its own faulty transport.
-    ampp::transport stp(sim_config(ranks, seed, ps));
-    algo::sssp_solver sssp(stp, g, weight);
-    stp.run([&](ampp::transport_context& ctx) { sssp.run_fixed_point(ctx, kSsspSrc); });
-    ampp::transport wtp(sim_config(ranks, seed, ps));
-    algo::widest_path_solver widest(wtp, g, cap);
-    wtp.run([&](ampp::transport_context& ctx) { widest.run(ctx, kWidestSrc); });
-    ampp::transport btp(sim_config(ranks, seed, ps));
-    algo::bfs_solver bfs(btp, g);
-    btp.run([&](ampp::transport_context& ctx) { bfs.run_fixed_point(ctx, kBfsSrc); });
-    triple_bits separate = bits_of(sssp.dist(), widest.width(), bfs.depth());
-    for (ampp::transport* tp : {&stp, &wtp, &btp}) {
-      const auto s = tp->obs().snapshot();
-      assert_fault_consistency(s);
-      assert_occupancy_conserved(*tp);
-      events += fault_events(s);
-    }
+    const triple_bits separate = separate_solves(
+        g, weight, cap, [&] { return sim_config(ranks, seed, ps); }, &events);
 
     // One fused solve: all three analytics in a single fixed point.
     ampp::transport ftp(sim_config(ranks, seed, ps));
@@ -186,18 +211,57 @@ TEST(FusionSweep, TripleBitIdenticalToSeparateSolves) {
     }
     const auto fs = ftp.obs().snapshot();
     assert_fault_consistency(fs);
-    const family_traffic ft =
-        assert_fused_family_conserved(fs, fused.layout().record_bytes);
+    const family_traffic ft = assert_fused_family_conserved(fs, fused);
     total.fused += ft.fused;
-    total.solo += ft.solo;
+    total.member += ft.member;
     assert_occupancy_conserved(ftp);
     events += fault_events(fs);
   });
   // Distinct sources must exercise both dispatch shapes somewhere in the
   // grid: multi-member waves on the fused lane, single-member tails on
-  // the per-member solo lanes.
+  // the members' own relax lanes.
   EXPECT_GT(total.fused, 0u) << "no multi-member wave ever took the fused lane";
-  EXPECT_GT(total.solo, 0u) << "no single-member wave ever took a solo lane";
+  EXPECT_GT(total.member, 0u) << "no single-member wave ever took a member's lane";
+}
+
+TEST(FusionSweep, HandlerThreadsBitIdenticalToSeparateSolves) {
+  // With helper threads every lane of the fused family — the fused lane
+  // and each member's relax lane, which dispatches whole envelopes — runs
+  // its commits off the rank's own thread, concurrently with the rank's
+  // generation and owner-local commits. Distinct sources keep both
+  // dispatch shapes busy; under every fault plan the maps must equal the
+  // separate solves bit for bit.
+  family_traffic total;
+  std::uint64_t events = 0;
+  for (const std::uint64_t seed : sweep_seeds())
+    for (const ampp::rank_t ranks : {ampp::rank_t{2}, ampp::rank_t{3}})
+      for (const unsigned threads : {1u, 2u})
+        for (const plan_spec& ps : fault_plans()) {
+          SCOPED_TRACE(repro("fused_threads", ps.name, ranks, seed) +
+                       " handler_threads=" + std::to_string(threads));
+          distributed_graph g(kN, fusion_edges(seed), distribution::cyclic(kN, ranks));
+          auto weight = fusion_weights(g);
+          auto cap = fusion_caps(g);
+          const auto config = [&] { return sim_config(ranks, seed, ps, 8, threads); };
+          const triple_bits separate = separate_solves(g, weight, cap, config, &events);
+          ampp::transport ftp(config());
+          algo::fused_triple_solver fused(ftp, g, weight, cap);
+          ftp.run([&](ampp::transport_context& ctx) {
+            fused.run(ctx, {.sssp = kSsspSrc, .widest = kWidestSrc, .bfs = kBfsSrc});
+          });
+          ASSERT_EQ(bits_of(fused.dist(), fused.width(), fused.depth()), separate)
+              << "fused diverged from separate solves under helper threads";
+          const auto fs = ftp.obs().snapshot();
+          assert_fault_consistency(fs);
+          assert_occupancy_conserved(ftp);
+          const family_traffic ft = assert_fused_family_conserved(fs, fused);
+          total.fused += ft.fused;
+          total.member += ft.member;
+          events += fault_events(fs);
+        }
+  EXPECT_GT(events, 0u) << "no fault plan ever fired";
+  EXPECT_GT(total.fused, 0u) << "no multi-member wave ever took the fused lane";
+  EXPECT_GT(total.member, 0u) << "no single-member wave ever took a member's lane";
 }
 
 TEST(FusionSweep, RerunRepeatsBitIdentically) {
