@@ -129,9 +129,9 @@ class cc_solver {
         // an isolated vertex made no work, so there is nothing to flush.
         if (flush_between_seeds && g_->out_degree(v) != 0) do ep.flush(); while (drain());
       });
-      // Same termination argument as fixed_point: every push follows a
-      // counted receipt or a local commit made inside drain().
-      do drain(); while (!ep.try_finish());
+      // fixed_point's epoch loop: every push follows a counted receipt or a
+      // local commit made on this thread, which the loop pops.
+      strategy::detail::drain(ctx, ep, *search_, [&q] { return q.pop(); });
     });
     seeds_ = seeded.load();
     search_stats_ = sc.finish();

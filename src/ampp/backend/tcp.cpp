@@ -4,12 +4,14 @@
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <string>
 #include <thread>
 
 #include "util/assert.hpp"
@@ -81,6 +83,20 @@ rank_t shake(int fd, const wire_handshake& ours, rank_t expect_src, rank_t n_ran
   return theirs.src_rank;
 }
 
+// Waits until the listener `lfd` holds a connection to accept; false once
+// `deadline` passes first.
+bool await_connection(int lfd, std::chrono::steady_clock::time_point deadline) {
+  for (;;) {
+    const auto left = std::chrono::ceil<std::chrono::milliseconds>(
+        deadline - std::chrono::steady_clock::now());
+    if (left.count() <= 0) return false;
+    ::pollfd pfd{.fd = lfd, .events = POLLIN, .revents = 0};
+    const int ready = ::poll(&pfd, 1, static_cast<int>(left.count()));
+    if (ready > 0) return true;
+    if (ready < 0 && errno != EINTR) throw wire_error("tcp backend: poll() on the listener failed");
+  }
+}
+
 }  // namespace
 
 tcp_backend::tcp_backend(const backend_config& cfg, rank_t n_ranks, std::uint32_t channel)
@@ -147,8 +163,20 @@ tcp_backend::tcp_backend(const backend_config& cfg, rank_t n_ranks, std::uint32_
     }
 
     // Accept upward: one connection from each rank above self, in whatever
-    // order they arrive; the handshake tells us which rank it is.
+    // order they arrive; the handshake tells us which rank it is. The wait
+    // obeys the connects' deadline, so a peer that dies before it connects
+    // is an error naming it rather than a rank blocked forever.
+    const auto accept_deadline = std::chrono::steady_clock::now() +
+                                 std::chrono::milliseconds(cfg.attach_timeout_ms);
     for (rank_t pending = n_ranks_ - 1 - self_; pending > 0; --pending) {
+      if (!await_connection(lfd, accept_deadline)) {
+        std::string missing;
+        for (rank_t src = self_ + 1; src < n_ranks_; ++src)
+          if (peers_[src].fd == -1) missing += (missing.empty() ? "" : ", ") + std::to_string(src);
+        throw wire_error("tcp backend: timed out after " + std::to_string(cfg.attach_timeout_ms) +
+                         " ms waiting for rank(s) " + missing + " to connect on port " +
+                         std::to_string(my_port));
+      }
       const int fd = ::accept(lfd, nullptr, nullptr);
       if (fd < 0) throw wire_error("tcp backend: accept() failed");
       set_nodelay(fd);

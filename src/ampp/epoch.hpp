@@ -16,7 +16,8 @@
 //     left anywhere in the system. Used by uncoordinated algorithms: every
 //     queue-driven strategy (fixed_point, and Δ-stepping over the same work
 //     queue in bucket order) drains its rank's queue, then tries to finish,
-//     and goes back to the queue when the round fails.
+//     keeps popping its queue while the verdict is pending, and goes back
+//     to the queue when the round fails.
 #pragma once
 
 #include "ampp/transport.hpp"
@@ -48,7 +49,13 @@ class epoch {
   /// afterwards the epoch must not be used further. When false, pending
   /// work may have arrived — the caller typically returns to its local
   /// work source (e.g. its bucket structure) and tries again later.
-  bool try_finish();
+  ///
+  /// `step`, if given, is a slice of the caller's local work (e.g. a few
+  /// pops of its queue) that the round runs between inbox drains while it
+  /// awaits the verdict, so the rank keeps working instead of idling. It
+  /// must only apply work the caller queued; the round has already
+  /// reported, so what it does is counted by the next round.
+  bool try_finish(const work_step& step = {});
 
   /// Block until global termination (repeated TD rounds), then end the
   /// epoch. Idempotent.

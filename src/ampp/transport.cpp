@@ -183,13 +183,15 @@ transport::drain_result transport::drain_rank(transport_context& ctx, bool at_mo
 }
 
 template <class Done>
-void transport::progress_until(transport_context& ctx, Done done, bool at_most_one) {
+void transport::progress_until(transport_context& ctx, Done done, bool at_most_one,
+                               const work_step& idle) {
   for (;;) {
     const rank_t failed = failed_rank_.load(std::memory_order_acquire);
     if (failed != invalid_rank) throw run_aborted(failed);
     const drain_result dr = drain_rank(ctx, at_most_one);
     if (done(dr)) return;
-    if (dr.envelopes == 0) std::this_thread::yield();
+    const bool worked = idle && idle();
+    if (dr.envelopes == 0 && !worked) std::this_thread::yield();
   }
 }
 
@@ -406,7 +408,7 @@ void transport::td_on_report(transport_context& ctx, const td_report_t& r) {
   }
 }
 
-bool transport::td_round(transport_context& ctx) {
+bool transport::td_round(transport_context& ctx, const work_step& step) {
   const rank_t r = ctx.rank();
   const std::uint64_t round = ctx.td_round_;
   obs::trace_span sp(&obs_.trace(), "epoch", "td_round", r);
@@ -420,13 +422,18 @@ bool transport::td_round(transport_context& ctx) {
   mt_td_report_->flush_rank(r);
 
   // Wait for the coordinator's verdict for this round; keep making
-  // progress while waiting (handlers run, which may create new work — that
-  // is fine, the next round will observe it).
+  // progress while waiting. Handlers run and the caller's step applies
+  // queued work, both of which may create new work — the next round will
+  // observe it. A round whose verdict is done cannot have given the step
+  // anything to do (docs/runtime.md "fixed_point scheduling").
   rank_state& rs = ranks_[r];
-  progress_until(ctx, [&](const drain_result&) {
-    return rs.td_result_round.load(std::memory_order_acquire) >=
-           static_cast<std::int64_t>(round);
-  });
+  progress_until(
+      ctx,
+      [&](const drain_result&) {
+        return rs.td_result_round.load(std::memory_order_acquire) >=
+               static_cast<std::int64_t>(round);
+      },
+      /*at_most_one=*/false, step);
   ctx.td_round_ = round + 1;
   return rs.td_result_done.load(std::memory_order_relaxed);
 }
@@ -443,15 +450,18 @@ std::size_t transport_context::poll_once() {
   return tp_->drain_rank(*this, true).user_payloads;
 }
 
-void transport_context::barrier() {
+void transport_context::barrier() { barrier({}); }
+
+void transport_context::barrier(const std::function<void()>& at_release) {
   std::uint32_t dummy = 0;
-  allreduce(dummy, [](std::uint32_t a, std::uint32_t) { return a; });
+  allreduce_raw(&dummy, &dummy, sizeof(dummy), [](void*, const void*, void*) {}, nullptr,
+                at_release);
   tp_->obs_.core().barriers.fetch_add(1, std::memory_order_relaxed);
 }
 
 void transport_context::allreduce_raw(const void* in, void* out, std::size_t size,
                                       void (*combine)(void*, const void*, void*),
-                                      void* opctx) {
+                                      void* opctx, const std::function<void()>& at_release) {
   DPG_ASSERT(size <= 56);
   transport& tp = *tp_;
   const std::uint64_t gen = ++coll_gen_;
@@ -486,6 +496,7 @@ void transport_context::allreduce_raw(const void* in, void* out, std::size_t siz
     std::memcpy(result.bytes.data(), contribs[0].bytes.data(), size);
     for (rank_t i = 1; i < tp.size(); ++i)
       combine(opctx, contribs[i].bytes.data(), result.bytes.data());
+    if (at_release) at_release();
     for (rank_t d = 0; d < tp.size(); ++d) tp.mt_coll_result_->send(*this, d, result);
     tp.mt_coll_result_->flush_rank(rank_);
   }
@@ -506,11 +517,12 @@ epoch::epoch(transport_context& ctx) : ctx_(ctx), uncaught_(std::uncaught_except
   // Enable sends before the entry barrier: a rank waiting in the barrier
   // already runs handlers, and handlers may legitimately send.
   ctx.in_epoch_ = true;
-  ctx.barrier();
-  // Open the span (and the rank-0 per-epoch stats window) only after the
-  // entry barrier so the window excludes stragglers from the previous epoch.
+  // Rank 0's per-epoch stats window opens in the entry barrier's
+  // coordinator step: after every rank arrived, so it excludes stragglers
+  // from the previous epoch, and before any rank is released, so it
+  // includes every send of this one.
+  ctx.barrier([&tp = ctx.tp()] { tp.obs_.epoch_begin(); });
   span_ = obs::trace_span(&ctx.tp().obs_.trace(), "epoch", "epoch", ctx.rank());
-  if (ctx.rank() == 0) ctx.tp().obs_.epoch_begin();
 }
 
 void epoch::flush() {
@@ -518,9 +530,9 @@ void epoch::flush() {
   ctx_.tp().quiesce_local(ctx_);
 }
 
-bool epoch::try_finish() {
+bool epoch::try_finish(const work_step& step) {
   DPG_ASSERT_MSG(!ended_, "try_finish after the epoch ended");
-  if (ctx_.tp().td_round(ctx_)) {
+  if (ctx_.tp().td_round(ctx_, step)) {
     finish();
     return true;
   }

@@ -64,6 +64,11 @@ class transport;
 class transport_context;
 class epoch;
 
+/// A slice of the caller's own work that a wait runs between inbox drains
+/// (epoch::try_finish): true if it did anything. Empty: the wait only
+/// drains.
+using work_step = std::function<bool()>;
+
 /// Construction-time transport knobs: they determine the machine shape
 /// (thread/lane topology) and cannot change over a transport's lifetime.
 /// Under the serving layer every solver session's transport shares the
@@ -448,9 +453,17 @@ class transport_context {
 
   transport_context(transport* tp, rank_t r) : tp_(tp), rank_(r) {}
 
-  // Type-erased allreduce plumbing (implemented in transport.cpp).
+  /// barrier() whose coordinator runs `at_release` once every rank has
+  /// arrived and before it releases any (the epoch entry opens rank 0's
+  /// per-epoch stats window there).
+  void barrier(const std::function<void()>& at_release);
+
+  // Type-erased allreduce plumbing (implemented in transport.cpp). The
+  // coordinator runs `at_release`, if set, between the fold and the
+  // broadcast.
   void allreduce_raw(const void* in, void* out, std::size_t size,
-                     void (*combine)(void* ctx, const void* contrib, void* acc), void* opctx);
+                     void (*combine)(void* ctx, const void* contrib, void* acc), void* opctx,
+                     const std::function<void()>& at_release = {});
 
   transport* tp_;
   rank_t rank_;
@@ -601,10 +614,12 @@ class transport {
   /// One backend poll for `ctx`'s rank, then dispatch from its inbox.
   drain_result drain_rank(transport_context& ctx, bool at_most_one);
   /// The one progress loop of every wait in the runtime: drain `ctx`'s
-  /// inbox until `done(last drain)` holds, yielding after a drain that
-  /// dispatched nothing; throws run_aborted once another rank failed.
+  /// inbox until `done(last drain)` holds, running `idle` between drains
+  /// and yielding after a pass that neither dispatched nor worked; throws
+  /// run_aborted once another rank failed.
   template <class Done>
-  void progress_until(transport_context& ctx, Done done, bool at_most_one = false);
+  void progress_until(transport_context& ctx, Done done, bool at_most_one = false,
+                      const work_step& idle = {});
   /// Flush and drain until this rank is locally quiescent: nothing
   /// buffered, nothing waiting in its inbox or the backend, no handler
   /// running (td_round, epoch::flush).
@@ -685,8 +700,9 @@ class transport {
   void register_control_plane();
   void td_on_report(transport_context& ctx, const td_report_t& r);
   /// One termination-detection round for the calling rank: flush, drain to
-  /// empty, report, wait for the verdict. Returns true iff globally done.
-  bool td_round(transport_context& ctx);
+  /// empty, report, wait for the verdict (running `step` between drains).
+  /// Returns true iff globally done.
+  bool td_round(transport_context& ctx, const work_step& step = {});
 
   template <class Payload>
   message_type<Payload>& make_internal(std::string name,

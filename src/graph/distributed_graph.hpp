@@ -67,7 +67,9 @@ class distributed_graph {
   bool bidirectional() const noexcept { return bidirectional_; }
   rank_t num_ranks() const noexcept { return dist_.num_ranks(); }
 
-  rank_t owner(vertex_id v) const { return dist_.owner(v); }
+  /// Forced inline like distribution::owner: the fused generator calls it
+  /// per edge, and a call to this wrapper would undo that one.
+  [[gnu::always_inline]] rank_t owner(vertex_id v) const { return dist_.owner(v); }
 
   // ---- topology versioning -------------------------------------------------
 
@@ -193,7 +195,7 @@ class distributed_graph {
       using difference_type = std::int64_t;
       using pointer = void;
       using reference = edge_handle;
-      edge_handle operator*() const {
+      [[gnu::always_inline]] edge_handle operator*() const {
         const std::uint64_t base_n = r_->last_ - r_->first_;
         if (pos_ < base_n) {
           const std::uint64_t p = r_->first_ + pos_;
@@ -265,7 +267,7 @@ class distributed_graph {
       using difference_type = std::int64_t;
       using pointer = void;
       using reference = edge_handle;
-      edge_handle operator*() const {
+      [[gnu::always_inline]] edge_handle operator*() const {
         const std::uint64_t base_n = r_->last_ - r_->first_;
         if (pos_ < base_n) {
           const std::uint64_t p = r_->first_ + pos_;

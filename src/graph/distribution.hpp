@@ -52,7 +52,9 @@ class distribution {
     return distribution(kind::hashed, n, ranks, seed);
   }
 
-  rank_t owner(vertex_id v) const {
+  /// Forced inline for the same reason as local_index: the PageRank
+  /// scatter and the fused generator call it per edge.
+  [[gnu::always_inline]] rank_t owner(vertex_id v) const {
     DPG_DEBUG_ASSERT(v < n_);
     if (kind_ == kind::hashed) [[unlikely]]
       return static_cast<rank_t>(mix(v) % ranks_);

@@ -136,21 +136,42 @@ result measured(ampp::transport_context& ctx, pattern::action_instance& a,
   return res;
 }
 
+/// Applications between the queue loop's inbox polls, and the most one
+/// verdict-wait step applies. In a scale-17 sweep of 16/64/256 the 4-rank
+/// fixed point ran within run-to-run spread at each, and peak RSS rose
+/// slightly with the chunk (EXPERIMENTS.md E10).
+inline constexpr int progress_chunk = 64;
+
 /// The epoch loop of every queue-driven strategy: apply what `pop` yields
-/// from the rank's work queue until the epoch ends everywhere. A push
-/// follows either a counted receipt or an owner-local commit made on this
-/// thread (here or in the caller's seed loop), which pops it before
-/// try_finish. So a TD round that declares the epoch done proves no
-/// handler pushed since this rank's previous report, and the queue was
-/// emptied after that report (docs/runtime.md "fixed_point scheduling").
+/// from the rank's work queue until the epoch ends everywhere. A rank never
+/// idles while it holds queued work, and never sits on received work while
+/// it is busy: it drains its inbox after every progress_chunk
+/// applications, and while a termination-detection round awaits its
+/// verdict it keeps applying its queue in chunks between inbox drains.
+///
+/// A push follows either a counted receipt or an owner-local commit made
+/// on this thread (here, in the verdict wait, or in the caller's seed
+/// loop), which the loop pops before its next try_finish. So a TD round
+/// that declares the epoch done proves no handler pushed since this rank's
+/// previous report, the queue was emptied after that report, and the wait
+/// found nothing to apply (docs/runtime.md "fixed_point scheduling").
 template <class Pop>
 void drain(ampp::transport_context& ctx, ampp::epoch& ep, pattern::action_instance& a,
            Pop pop) {
   const ampp::rank_t r = ctx.rank();
   const graph::distribution& d = a.vertex_dist();
+  const ampp::work_step chunk = [&] {  // true if it applied anything
+    int n = 0;
+    for (; n < progress_chunk; ++n) {
+      const auto li = pop();
+      if (!li) break;
+      a(ctx, d.global(r, *li));
+    }
+    return n != 0;
+  };
   for (;;) {
-    while (const auto li = pop()) a(ctx, d.global(r, *li));
-    if (ep.try_finish()) return;
+    while (chunk()) ctx.drain();
+    if (ep.try_finish(chunk)) return;
   }
 }
 

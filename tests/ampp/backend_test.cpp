@@ -16,6 +16,7 @@
 
 #include <atomic>
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 #include <future>
 #include <memory>
@@ -284,6 +285,23 @@ TEST(TcpBackend, HandshakeVersionMismatchIsRejected) {
             ::send(fd, &bogus, sizeof(bogus), MSG_NOSIGNAL));
   EXPECT_THROW(f0.get(), wire_error);
   ::close(fd);
+}
+
+TEST(TcpBackend, AcceptTimesOutNamingTheMissingRank) {
+  // Rank 1 of a 2-rank mesh never starts: rank 0, which only accepts,
+  // must give up within its attach timeout (plus slack) and name rank 1.
+  backend_config cfg0 = make_cfg(backend_config::kind_t::tcp, 0, next_test_channel());
+  cfg0.attach_timeout_ms = 300;
+  const auto t0 = std::chrono::steady_clock::now();
+  try {
+    make_wire(cfg0, 2);
+    FAIL() << "rank 0 built a mesh without rank 1";
+  } catch (const wire_error& e) {
+    EXPECT_NE(std::string(e.what()).find("rank(s) 1 "), std::string::npos) << e.what();
+  }
+  const auto waited = std::chrono::steady_clock::now() - t0;
+  EXPECT_GE(waited, std::chrono::milliseconds(300));
+  EXPECT_LT(waited, std::chrono::milliseconds(300 + 2000));
 }
 
 TEST(TcpBackend, PeerDisconnectFailsLoudly) {

@@ -151,6 +151,65 @@ TEST(Epoch, TryFinishLoopTerminatesForAllRanks) {
   EXPECT_EQ(handled.load(), kRanks * 21u);
 }
 
+TEST(Epoch, TryFinishStepWorksThroughTheVerdictWait) {
+  // A 1,000-hop chain whose hops are local work: rank 1's step sends a
+  // ping, rank 0's handler answers with a pong, and the pong handler queues
+  // the next hop on rank 1. The queue loop hands its step to try_finish,
+  // so hops also go out while a round awaits its verdict. Rank 0 holds
+  // back its first report until rank 1's step has sent a hop from inside
+  // the wait, so that path runs in every run. The epoch must end exactly
+  // once, on every rank, after the last pong was handled.
+  constexpr std::uint64_t kHops = 1000;
+  transport tp(transport_config{.n_ranks = 2, .coalescing_size = 1});
+  std::vector<std::uint64_t> queued;  // rank 1's hops; only its thread touches it
+  std::atomic<std::uint64_t> pongs{0};
+  auto& pong = tp.make_message_type<token>("pong", [&](transport_context&, const token& t) {
+    ++pongs;
+    if (t.depth + 1 < kHops) queued.push_back(t.depth + 1);
+  });
+  auto& ping = tp.make_message_type<token>(
+      "ping", [&](transport_context& ctx, const token& t) { pong.send(ctx, 1, t); });
+  const std::uint64_t epochs_before = tp.obs().core().epochs.load();
+  std::atomic<int> finishes{0};
+  std::atomic<std::uint64_t> pongs_at_finish{0}, hops_in_wait{0};
+  std::atomic<bool> stepped_in_wait{false};
+  tp.run([&](transport_context& ctx) {
+    bool waiting = false;
+    const work_step step = [&] {
+      if (ctx.rank() != 1 || queued.empty()) return false;
+      const std::uint64_t hop = queued.back();
+      queued.pop_back();
+      ping.send(ctx, 0, token{hop, 0});
+      if (waiting) {
+        ++hops_in_wait;
+        stepped_in_wait = true;
+      }
+      return true;
+    };
+    epoch ep(ctx);
+    if (ctx.rank() == 1) queued.push_back(0);
+    // Rank 1's first round cannot end before rank 0 reports.
+    if (ctx.rank() == 0)
+      while (!stepped_in_wait.load()) ctx.drain();
+    for (;;) {
+      while (step()) {
+      }
+      waiting = true;
+      const bool done = ep.try_finish(step);
+      waiting = false;
+      if (done) break;
+    }
+    ++finishes;
+    if (ctx.rank() == 1) pongs_at_finish = pongs.load();
+  });
+  EXPECT_EQ(finishes.load(), 2);
+  EXPECT_EQ(tp.obs().core().epochs.load() - epochs_before, 1u);
+  EXPECT_EQ(pongs_at_finish.load(), kHops);
+  EXPECT_EQ(pongs.load(), kHops);
+  EXPECT_TRUE(queued.empty());
+  EXPECT_GT(hops_in_wait.load(), 0u) << "the verdict wait never ran the step";
+}
+
 TEST(Epoch, TerminationIsNeverEarly) {
   // Long dependency chain through all ranks with tiny coalescing buffers:
   // the classic stress for termination detectors. If detection fired early,

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "algo/baselines.hpp"
@@ -148,6 +149,50 @@ TEST(SeedSweep, SsspDeltaStepping) {
     assert_occupancy_conserved(tp);
     events += fault_events(s);
   });
+}
+
+TEST(SeedSweep, CyclicPathEveryEdgeCrosses) {
+  // A path 0 → 1 → … split cyclically over 4 ranks: every edge crosses
+  // ranks, so each hop of the solve is a message, and a rank keeps
+  // receiving its next vertex while a termination round awaits its
+  // verdict — the queue loop applies it there. Every queue-driven SSSP
+  // strategy must stay bit-identical to Dijkstra, with and without a
+  // handler thread.
+  constexpr vertex_id kLen = 128;
+  constexpr ampp::rank_t kRanks = 4;
+  using solve_fn = void (*)(ampp::transport_context&, algo::sssp_solver&);
+  const std::pair<const char*, solve_fn> kStrategies[] = {
+      {"fixed_point",
+       [](ampp::transport_context& ctx, algo::sssp_solver& s) { s.run_fixed_point(ctx, 0); }},
+      {"delta",
+       [](ampp::transport_context& ctx, algo::sssp_solver& s) { s.run_delta(ctx, 0, 2.0); }},
+      {"delta_uncoordinated",
+       [](ampp::transport_context& ctx, algo::sssp_solver& s) {
+         s.run_delta_uncoordinated(ctx, 0, 2.0);
+       }},
+  };
+  distributed_graph g(kLen, graph::path_graph(kLen), distribution::cyclic(kLen, kRanks));
+  auto weight = sim_weights(g);
+  const auto oracle = algo::dijkstra(g, weight, 0);
+  std::uint64_t events = 0;
+  for (const std::uint64_t seed : sweep_seeds())
+    for (const unsigned threads : {0u, 1u})
+      for (const plan_spec& ps : fault_plans()) {
+        SCOPED_TRACE(::testing::Message() << repro("cyclic_path", ps.name, kRanks, seed)
+                                          << " handler_threads=" << threads);
+        ampp::transport tp(sim_config(kRanks, seed, ps, 8, threads));
+        algo::sssp_solver solver(tp, g, weight);
+        for (const auto& [name, solve] : kStrategies) {
+          tp.run([&](ampp::transport_context& ctx) { solve(ctx, solver); });
+          for (vertex_id v = 0; v < kLen; ++v)
+            ASSERT_EQ(solver.dist()[v], oracle[v]) << name << " v=" << v;
+        }
+        const auto s = tp.obs().snapshot();
+        assert_fault_consistency(s);
+        assert_occupancy_conserved(tp);
+        events += fault_events(s);
+      }
+  EXPECT_GT(events, 0u) << "cyclic_path: no fault plan ever fired";
 }
 
 TEST(SeedSweep, SsspMutateThenRepair) {
